@@ -64,15 +64,7 @@ from .predictive import (
     restricted_predictive,
     unrestricted_predictive,
 )
-from .specfun import (
-    SpecialValue,
-    beta_fn,
-    gauss_2f1,
-    log_gamma,
-    reg_gauss_2f1,
-    reg_inc_beta,
-    upper_inc_gamma,
-)
+from .specfun import gauss_2f1
 
 __version__ = "0.1.0"
 
@@ -96,11 +88,9 @@ __all__ = [
     "RiskEstimate",
     "SeasonPoints",
     "ShapeConfig",
-    "SpecialValue",
     "SufficientStat",
     "SummaryRow",
     "TruncatedDensity",
-    "beta_fn",
     "canadiens_fixture_path",
     "frequentist_risk",
     "gamma_pdf",
@@ -109,7 +99,6 @@ __all__ = [
     "inverse_gamma_cdf",
     "inverse_gamma_pdf",
     "kl_loss",
-    "log_gamma",
     "marginal_flat",
     "marginal_restricted",
     "ordering_constant",
@@ -120,13 +109,10 @@ __all__ = [
     "prediction_error",
     "predictive_summaries",
     "reduce_to_stat",
-    "reg_gauss_2f1",
-    "reg_inc_beta",
     "restricted_predictive",
     "risk_curve",
     "summarize",
     "toronto_fixture_path",
     "truncate",
     "unrestricted_predictive",
-    "upper_inc_gamma",
 ]

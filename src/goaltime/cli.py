@@ -43,6 +43,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _json(value, **kwargs) -> str:
+    return json.dumps(_strict(value), sort_keys=True, allow_nan=False, **kwargs)
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -207,6 +222,10 @@ def resolve_config(args) -> RunConfig:
             ratios = tuple(float(t) for t in args.ratios.split(","))
         except ValueError:
             raise GoaltimeError(f"bad --ratios {args.ratios!r}") from None
+        if not ratios[0] >= 1.0 or not all(b > a for a, b in zip(ratios, ratios[1:])):
+            raise GoaltimeError(f"--ratios must be ascending and start at >= 1; got {args.ratios!r}")
+        if args.samples < 100:
+            raise GoaltimeError(f"--samples must be at least 100; got {args.samples}")
         extras = {"ratios": list(ratios), "lambda1": args.lambda1}
     return RunConfig(
         command=args.command,
@@ -232,7 +251,7 @@ def _write(cfg: RunConfig, columns: list[str], rows: list[list]) -> None:
     if cfg.fmt == "csv":
         lines = [
             f"# goaltime {__version__}",
-            f"# config: {json.dumps(meta['config'], sort_keys=True)}",
+            f"# config: {_json(meta['config'])}",
             f"# seed: {cfg.seed}",
             ",".join(columns),
         ]
@@ -247,7 +266,7 @@ def _write(cfg: RunConfig, columns: list[str], rows: list[list]) -> None:
                 [float(_fmt(v)) if isinstance(v, float) else v for v in row] for row in rows
             ],
         }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        text = _json(payload, indent=1) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -21,6 +21,13 @@ inverse-gamma density, and evaluates in closed form to
     C = k1 k2^k1 s2^(-k1-2) Gamma(k1+s1+2)
         * 2F1~(k1+1, k1+s1+2; k1+2; -k2/s2) / Gamma(s1).
 
+Because ``c = a + 1`` in that 2F1, the Pfaff transformation (DLMF 15.8.1)
+and DLMF 8.17.7 turn it into a beta CDF,
+
+    C = k1 s1 / (k2 s2) * I_w(k1+1, s1+1),    w = k2 / (k2 + s2),
+
+which is how the package evaluates it (``specfun.log_betainc``).
+
 After the weight is folded in, the restricted density itself has the
 closed weighted-beta-prime form
 
@@ -43,7 +50,7 @@ from scipy import integrate, special
 
 from . import distributions as dist
 from .errors import DomainError, InvalidShapeError
-from .specfun import log_reg_gauss_2f1_pos
+from .specfun import log_betainc, log_reg_gauss_2f1_pos
 
 _SHAPE_MARGIN = 1e-9
 
@@ -115,7 +122,7 @@ def marginal_restricted(s1, s2, upper):
 
 
 def log_ordering_constant(k1, k2, s1, s2):
-    """log C(k1, k2, s1, s2) via the hypergeometric closed form.
+    """log C(k1, k2, s1, s2) via the incomplete-beta closed form.
 
     Vectorized over ``k2`` and ``s2`` (numpy broadcasting); ``k1`` and
     ``s1`` are scalars.
@@ -126,17 +133,15 @@ def log_ordering_constant(k1, k2, s1, s2):
     s2 = np.asarray(s2, dtype=float)
     if k1 <= 0 or s1 <= 0 or np.any(k2 <= 0) or np.any(s2 <= 0):
         raise DomainError("ordering constant requires positive arguments")
-    z = -k2 / s2
-    log_f = log_reg_gauss_2f1_pos(k1 + 1.0, k1 + s1 + 2.0, k1 + 2.0, z)
     out = (
-        np.log(k1)
-        + k1 * np.log(k2)
-        - (k1 + 2.0) * np.log(s2)
-        + special.gammaln(k1 + s1 + 2.0)
-        - special.gammaln(s1)
-        + log_f
+        np.log(k1 * s1)
+        - np.log(k2)
+        - np.log(s2)
+        + log_betainc(k1 + 1.0, s1 + 1.0, k2 / (k2 + s2))
     )
-    return out if out.ndim else float(out)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("ordering constant not finite; log form unavailable")
+    return out if np.ndim(out) else float(out)
 
 
 def ordering_constant(k1: float, k2: float, s1: float, s2: float) -> float:
@@ -265,7 +270,7 @@ def restricted_predictive(problem: PredictionProblem, c_method: str = "closed") 
         problem: must carry ``obs_b``; its ``x`` is taken as already
             preprocessed (see the ingest module for the scaling options).
         c_method: "closed" evaluates the ordering constants through the
-            hypergeometric closed form; "quadrature" integrates their
+            incomplete-beta closed form; "quadrature" integrates their
             defining integral instead (slow, used for validation).
 
     Returns:

@@ -1,176 +1,94 @@
 """Special functions backing the closed-form densities.
 
-Gamma-family functions delegate to scipy.special, which meets the accuracy
-targets with margin.  The Gauss hypergeometric ``2F1`` is implemented here
-directly because the densities need it on ``z <= 0`` only, often far below
-the unit disc where the defining series diverges:
+Every ordering constant of the restricted estimator is a beta CDF (see
+``predictive``), so the densities and both risks rest on one function,
+``log_betainc``: the log of the regularized incomplete beta
+``I_x(a, b)``.  It evaluates ``scipy.special.betainc`` and, where that
+underflows (tiny ``x`` with large shapes), stays in log space through
+DLMF 8.17.8,
 
-* for ``-0.25 < z <= 0`` the defining power series is summed as is;
-* for ``z <= -0.25`` the Pfaff transformation is applied first,
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * 2F1(a+b, 1; a+1; x),
 
-      2F1(a, b; c; z) = (1 - z)^(-a) * 2F1(a, c - b; c; z / (z - 1)),
+whose series has only positive terms and, in that region, converges
+geometrically in a handful of terms.
 
-  which maps the whole negative axis onto ``w = z/(z-1) in [0, 1)``.  The
-  variant acting on ``a`` or on ``b`` is chosen so that the transformed
-  series terminates whenever ``c - b`` (or ``c - a``) is a non-positive
-  integer, as it is for the integer-shape densities in this package.
+``gauss_2f1`` is ``scipy.special.hyp2f1`` on ``z <= 0`` with the package's
+domain checks; together with ``log_reg_gauss_2f1_pos`` it backs only the
+independent weighted-beta-prime cross-check of the restricted density.
 
 All functions are pure and stateless; they accept scalars or numpy arrays
-for the argument ``z`` and broadcast in the numpy sense.
+for the argument ``x`` or ``z`` and broadcast in the numpy sense.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import ConvergenceError, DomainError
 
-_SERIES_TOL = 1e-14
-_SERIES_MAX_TERMS = 6000
+# betainc values below this are taken from the log-space form instead:
+# far enough above the subnormal range that betainc is still accurate
+_BETAINC_FLOOR = 1e-280
+_SERIES_TOL = 1e-17
+_SERIES_MAX_TERMS = 2000
 
 
-@dataclass(frozen=True)
-class SpecialValue:
-    """A function value together with an absolute error estimate."""
+def log_betainc(a: float, b: float, x):
+    """log I_x(a, b), the regularized incomplete beta, for a, b > 0.
 
-    value: float
-    abs_error_estimate: float
+    Args:
+        a, b: positive shape parameters.
+        x: scalar or array in [0, 1].
 
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise DomainError(f"non-finite special-function value {self.value}")
-        if not (np.isfinite(self.abs_error_estimate) and self.abs_error_estimate >= 0):
-            raise DomainError(f"bad error estimate {self.abs_error_estimate}")
-
-
-def log_gamma(a):
-    """Natural log of the gamma function for a > 0."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0):
-        raise DomainError("log_gamma requires a > 0")
-    return special.gammaln(a) if a.ndim else float(special.gammaln(a))
-
-
-def upper_inc_gamma(m, n):
-    """Upper incomplete gamma integral of t^(m-1) e^(-t) from n to infinity.
-
-    Unregularized; equals the complete gamma function at ``n = 0``.
-    Overflows for m beyond roughly 170, far above any shape used here.
+    Returns:
+        log I_x(a, b), -inf at x = 0; float for scalar input.
     """
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if np.any(m <= 0):
-        raise DomainError("upper_inc_gamma requires m > 0")
-    if np.any(n < 0):
-        raise DomainError("upper_inc_gamma requires n >= 0")
-    out = np.exp(special.gammaln(m)) * special.gammaincc(m, n)
-    return out if out.ndim else float(out)
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Beta function B(a, b) for a, b > 0."""
     if a <= 0 or b <= 0:
-        raise DomainError("beta_fn requires a, b > 0")
-    return float(np.exp(special.gammaln(a) + special.gammaln(b) - special.gammaln(a + b)))
-
-
-def reg_inc_beta(x, a: float, b: float):
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1]."""
+        raise DomainError("log_betainc requires a, b > 0")
     x = np.asarray(x, dtype=float)
-    if a <= 0 or b <= 0:
-        raise DomainError("reg_inc_beta requires a, b > 0")
     if np.any(x < 0) or np.any(x > 1):
-        raise DomainError("reg_inc_beta requires 0 <= x <= 1")
-    out = special.betainc(a, b, x)
-    return out if out.ndim else float(out)
+        raise DomainError("log_betainc requires 0 <= x <= 1")
+    xs = np.atleast_1d(x)
+    ival = special.betainc(a, b, xs)
+    with np.errstate(divide="ignore"):
+        out = np.log(ival)
+    tail = ival < _BETAINC_FLOOR
+    if np.any(tail):
+        out[tail] = _log_betainc_tail(a, b, xs[tail])
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
-def _series_2f1(a: float, b: float, c: float, z: np.ndarray):
-    """Sum the defining 2F1 series; z must satisfy |z| < 1 elementwise.
+def _log_betainc_tail(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """log I_x(a, b) by DLMF 8.17.8, for x well below the beta mean.
 
-    Returns (sum, abs_error_estimate) as arrays of z's shape.  The estimate
-    is a geometric bound on the truncated tail; it is zero once the series
-    terminates (a or b a non-positive integer).  Converged elements are
-    frozen, so a value does not depend on what else shares the batch.
+    The term ratio of 2F1(a+b, 1; a+1; x) is (a+b+n) x / (a+1+n); where
+    I_x underflows it is below 0.2 for shapes up to several hundred.
     """
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    streak = np.zeros(z.shape, dtype=int)
-    err = np.full_like(z, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    k = 0
-    while k < _SERIES_MAX_TERMS and active.any():
-        step = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        term = np.where(active, term * step * z, 0.0)
-        total = total + term
-        small = np.abs(term) <= _SERIES_TOL * np.maximum(np.abs(total), 1e-300)
-        streak = np.where(small, streak + 1, 0)
-        k += 1
-        ratio = np.abs(z) * abs((a + k) * (b + k)) / (abs(c + k) * (k + 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(
-                term == 0.0,
-                0.0,
-                np.where(ratio < 1.0, np.abs(term) * ratio / np.maximum(1.0 - ratio, 1e-300), np.inf),
-            )
-        done = active & (streak >= 2)
-        err = np.where(done, bound, err)
-        active &= ~done
-    if active.any() or not np.all(np.isfinite(total)):
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for n in range(_SERIES_MAX_TERMS):
+        if np.all(term <= _SERIES_TOL * total):
+            break
+        term = term * ((a + b + n) / (a + 1.0 + n) * x)
+        total += term
+    else:
         raise ConvergenceError(
-            f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms "
-            f"(a={a}, b={b}, c={c})",
-            error_estimate=float(np.max(np.abs(term[active]))) if active.any() else float("inf"),
+            f"incomplete-beta tail series did not converge within {_SERIES_MAX_TERMS} "
+            f"terms (a={a}, b={b})"
         )
-    return total, err
+    with np.errstate(divide="ignore"):
+        return (
+            a * np.log(x)
+            + b * np.log1p(-x)
+            - np.log(a)
+            - special.betaln(a, b)
+            + np.log(total)
+        )
 
 
 def _is_nonpositive_int(x: float) -> bool:
     return x <= 0 and x == np.floor(x)
-
-
-def _hyp2f1_neg(a: float, b: float, c: float, z: np.ndarray):
-    """2F1 on z <= 0 via direct series or a Pfaff transformation."""
-    values = np.empty_like(z)
-    errors = np.zeros_like(z)
-
-    direct = z > -0.25
-    if np.any(direct):
-        values[direct], errors[direct] = _series_2f1(a, b, c, z[direct])
-
-    far = ~direct
-    if np.any(far):
-        zf = z[far]
-        w = zf / (zf - 1.0)
-        # Prefer the variant whose transformed series terminates.
-        if _is_nonpositive_int(c - b):
-            on_a = True
-        elif _is_nonpositive_int(c - a):
-            on_a = False
-        else:
-            on_a = abs(a * (c - b)) <= abs((c - a) * b)
-        if on_a:
-            s, e = _series_2f1(a, c - b, c, w)
-            pref = (1.0 - zf) ** (-a)
-        else:
-            s, e = _series_2f1(c - a, b, c, w)
-            pref = (1.0 - zf) ** (-b)
-        values[far] = pref * s
-        errors[far] = np.abs(pref) * e
-    return values, errors
-
-
-def gauss_2f1_with_error(a: float, b: float, c: float, z: float) -> SpecialValue:
-    """Gauss 2F1 on z <= 0 with an absolute error estimate attached."""
-    if _is_nonpositive_int(c):
-        raise DomainError(f"gauss_2f1 pole: c = {c} is a non-positive integer")
-    if z > 0:
-        raise DomainError("gauss_2f1 implemented for z <= 0 only")
-    v, e = _hyp2f1_neg(float(a), float(b), float(c), np.asarray([z], dtype=float))
-    return SpecialValue(value=float(v[0]), abs_error_estimate=float(e[0]))
 
 
 def gauss_2f1(a: float, b: float, c: float, z):
@@ -182,53 +100,31 @@ def gauss_2f1(a: float, b: float, c: float, z):
 
     Returns:
         Function value(s), float for scalar input.
+
+    Raises:
+        ConvergenceError: where scipy returns a non-finite value.
     """
     if _is_nonpositive_int(c):
         raise DomainError(f"gauss_2f1 pole: c = {c} is a non-positive integer")
     z = np.asarray(z, dtype=float)
     if np.any(z > 0):
         raise DomainError("gauss_2f1 implemented for z <= 0 only")
-    v, _ = _hyp2f1_neg(float(a), float(b), float(c), np.atleast_1d(z))
-    return v.reshape(z.shape) if z.ndim else float(v[0])
-
-
-def reg_gauss_2f1(a: float, b: float, c: float, z):
-    """Regularized hypergeometric 2F1(a, b; c; z) / Gamma(c) for z <= 0.
-
-    Well defined for every real c: at non-positive integer c the quotient is
-    taken in the limit,
-
-        2F1~(a, b; -n; z) = (a)_{n+1} (b)_{n+1} / (n+1)!
-                            * z^(n+1) * 2F1(a+n+1, b+n+1; n+2; z).
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z > 0):
-        raise DomainError("reg_gauss_2f1 implemented for z <= 0 only")
-    if _is_nonpositive_int(c):
-        n = int(-c)
-        coeff = special.poch(a, n + 1) * special.poch(b, n + 1) / special.gamma(n + 2)
-        core = gauss_2f1(a + n + 1, b + n + 1, n + 2, z)
-        out = coeff * z ** (n + 1) * core
-        return out if np.ndim(out) else float(out)
-    sign = special.gammasgn(c)
-    out = gauss_2f1(a, b, c, z) * sign * np.exp(-special.gammaln(c))
-    return out if np.ndim(out) else float(out)
+    out = special.hyp2f1(float(a), float(b), float(c), z)
+    if not np.all(np.isfinite(out)):
+        raise ConvergenceError(f"2F1 not finite (a={a}, b={b}, c={c})")
+    return out if out.ndim else float(out)
 
 
 def log_reg_gauss_2f1_pos(a: float, b: float, c: float, z):
-    """log of 2F1~(a, b; c; z) for parameter ranges where it is positive.
+    """log of 2F1~(a, b; c; z) = 2F1(a, b; c; z) / Gamma(c) where it is positive.
 
-    Used by the density code to stay in log space; requires c > 0 and a
-    positive function value, which holds for the ordering-constant
-    arguments (all parameters positive, z <= 0).
+    Requires c > 0 and a positive function value, which holds for all
+    parameters positive and z <= 0.
     """
     if c <= 0:
         raise DomainError("log_reg_gauss_2f1_pos requires c > 0")
-    z = np.asarray(z, dtype=float)
-    if np.any(z > 0):
-        raise DomainError("log_reg_gauss_2f1_pos requires z <= 0")
-    v, _ = _hyp2f1_neg(float(a), float(b), float(c), np.atleast_1d(z))
+    v = np.asarray(gauss_2f1(a, b, c, z))
     if np.any(v <= 0):
         raise DomainError("2F1 value not positive; log form unavailable")
     out = np.log(v) - special.gammaln(c)
-    return out.reshape(z.shape) if z.ndim else float(out[0])
+    return out if out.ndim else float(out)

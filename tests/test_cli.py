@@ -183,3 +183,70 @@ class TestRiskCurve:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON, rejecting the NaN/Infinity extensions."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictOutput:
+    def test_risk_curve_json_is_strict(self, capsys):
+        code, out, err = run(
+            capsys, "risk-curve", "--ratios", "1,2", "--samples", "200", "--format", "json"
+        )
+        assert code == 0, err
+        cfg = strict_json(out)["meta"]["config"]
+        assert cfg["x1"] is None
+        assert cfg["window"] == [0.0, None]
+
+    def test_csv_config_line_is_strict(self, capsys):
+        code, out, err = run(capsys, "risk-curve", "--ratios", "1,2", "--samples", "200")
+        assert code == 0, err
+        meta, _, _ = parse_csv(out)
+        cfg = strict_json(meta[1].removeprefix("# config: "))
+        assert cfg["x1"] is None and cfg["window"] == [0.0, None]
+
+    def test_too_few_samples_is_a_config_error(self, capsys):
+        code, _, err = run(capsys, "risk-curve", "--samples", "5")
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_descending_ratios_are_a_config_error(self, capsys):
+        code, _, err = run(capsys, "risk-curve", "--ratios", "8,1")
+        assert code == 2
+        assert "configuration error" in err
+
+
+class TestFormerNumericalFailures:
+    """Inputs on which the ordering constant used to fail."""
+
+    def test_vanishing_rival_statistic(self, capsys):
+        # criterion 10's limit at an extreme x2: q1 approaches q0
+        code, out, err = run(capsys, "predict", "--x2", "1e-300")
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        q0 = np.array([float(r[1]) for r in rows])
+        q1 = np.array([float(r[2]) for r in rows])
+        assert np.max(np.abs(q1 - q0)) < 1e-3
+
+    def test_large_shapes_summary(self, capsys):
+        code, out, err = run(capsys, "summarize", "--r-prime", "200", "--r1", "150", "--r2", "150")
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        for row in rows:
+            mode, mean, p20, p50, p90 = (float(v) for v in row[1:])
+            assert 0.0 < p20 < p50 < p90 < 60.0
+            assert 0.0 <= mode <= 60.0 and 0.0 < mean < 60.0
+
+    def test_non_integer_rival_shape_risk_curve(self, capsys):
+        code, out, err = run(
+            capsys, "risk-curve", "--r2", "2.5", "--samples", "2000", "--ratios", "1,8"
+        )
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(np.isfinite(float(v)) for row in rows for v in row)

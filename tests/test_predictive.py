@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from goaltime.distributions import GeneralizedBetaPrime, gb_prime_pdf, truncate
@@ -9,6 +12,7 @@ from goaltime.errors import DomainError, InvalidShapeError
 from goaltime.predictive import (
     PredictionProblem,
     SufficientStat,
+    log_ordering_constant,
     log_restricted_base,
     marginal_flat,
     marginal_restricted,
@@ -89,11 +93,40 @@ class TestOrderingConstant:
     def test_vectorized_over_k2_s2(self):
         k2 = np.array([10.0, 40.0, 95.0])
         s2 = np.array([39.0, 20.0, 5.0])
-        from goaltime.predictive import log_ordering_constant
-
         vec = log_ordering_constant(5.0, k2, 2.0, s2)
         scal = [math.log(ordering_constant(5.0, a, 2.0, b)) for a, b in zip(k2, s2)]
         np.testing.assert_allclose(vec, scal, rtol=1e-13)
+
+    @given(
+        k1=st.floats(0.1, 400.0),
+        s1=st.floats(0.1, 250.0),
+        log10_ratio=st.floats(-300.0, 300.0),
+        log10_s2=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_against_mpmath_over_domain(self, k1, s1, log10_ratio, log10_s2):
+        # oracle: the hypergeometric closed form of the module docstring at
+        # 50 digits, over non-integer shapes and k2/s2 in [1e-300, 1e300]
+        s2 = 10.0**log10_s2
+        k2 = s2 * 10.0**log10_ratio
+        with mp.workdps(50):
+            m_k1, m_k2, m_s1, m_s2 = map(mp.mpf, (k1, k2, s1, s2))
+            want = float(
+                mp.log(m_k1)
+                + m_k1 * mp.log(m_k2)
+                - (m_k1 + 2) * mp.log(m_s2)
+                + mp.loggamma(m_k1 + m_s1 + 2)
+                - mp.loggamma(m_s1)
+                + mp.log(mp.hyp2f1(m_k1 + 1, m_k1 + m_s1 + 2, m_k1 + 2, -m_k2 / m_s2))
+                - mp.loggamma(m_k1 + 2)
+            )
+        got = log_ordering_constant(k1, k2, s1, s2)
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (k1, k2, s1, s2)
+
+    def test_non_finite_result_is_a_domain_error(self):
+        # k2/s2 below the smallest normal double: w underflows to 0
+        with pytest.raises(DomainError):
+            log_ordering_constant(3.0, 1e-200, 2.0, 1e200)
 
 
 class TestUnrestricted:
