@@ -124,7 +124,7 @@ class TestOrderingConstant:
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (k1, k2, s1, s2)
 
     def test_non_finite_result_is_a_domain_error(self):
-        # k2/s2 below the smallest normal double: w underflows to 0
+        # k2/s2 = 1e-400 is below every double, so w underflows to 0
         with pytest.raises(DomainError):
             log_ordering_constant(3.0, 1e-200, 2.0, 1e200)
 
