@@ -59,7 +59,6 @@ from .predictive import (
     marginal_flat,
     marginal_restricted,
     ordering_constant,
-    ordering_constant_quadrature,
     predictive_summaries,
     restricted_predictive,
     unrestricted_predictive,
@@ -102,7 +101,6 @@ __all__ = [
     "marginal_flat",
     "marginal_restricted",
     "ordering_constant",
-    "ordering_constant_quadrature",
     "parse_game_log",
     "parse_points",
     "points_fixture_path",

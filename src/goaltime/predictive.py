@@ -37,8 +37,10 @@ closed weighted-beta-prime form
                * 2F1(r1, r1+r2; r1+1; -x1/x2)),
 
 with exponents fixed so that the density integrates to one and agrees with
-brute-force integration of the posterior (see tests).  All densities are
-renormalized to the prediction window.
+brute-force integration of the posterior.  The tests keep this form, the
+quadrature of the defining integral of ``C`` and the general marginal-ratio
+form of the unrestricted density as oracles (``tests/oracles.py``).  All
+densities are renormalized to the prediction window.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import distributions as dist
 from .errors import DomainError, InvalidShapeError
-from .specfun import log_betainc, log_reg_gauss_2f1_pos
+from .specfun import log_betainc
 
 _SHAPE_MARGIN = 1e-9
 
@@ -149,49 +151,6 @@ def ordering_constant(k1: float, k2: float, s1: float, s2: float) -> float:
     return float(np.exp(log_ordering_constant(k1, k2, s1, s2)))
 
 
-def ordering_constant_quadrature(k1: float, k2: float, s1: float, s2: float) -> float:
-    """C(k1, k2, s1, s2) by adaptive quadrature of the defining integral.
-
-    Independent of the closed form; serves as its correctness oracle and as
-    the alternative backend of ``restricted_predictive``.
-    """
-    if min(k1, k2, s1, s2) <= 0:
-        raise DomainError("ordering constant requires positive arguments")
-    ig = dist.InverseGammaModel(k1, k2)
-
-    def integrand(v):
-        return marginal_restricted(s1, s2, v) / v * dist.inverse_gamma_pdf(ig, v)
-
-    val, _ = integrate.quad(integrand, 0, np.inf, epsabs=0, epsrel=1e-10, limit=300)
-    return float(val)
-
-
-def predictive_pdf_from_marginal(y, x1: float, r1: float, r_prime: float, marginal=marginal_flat):
-    """Unrestricted predictive density in its general marginal-ratio form.
-
-    ``marginal(s1, s2)`` is the prior marginal of an inverse-gamma
-    statistic; with ``marginal_flat`` this reduces algebraically to the
-    beta prime ``B'(r_prime, r1, x1)``.
-    """
-    if r1 <= 1.0 + _SHAPE_MARGIN:
-        raise InvalidShapeError(f"r1 = {r1} needs to exceed 1")
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape)
-    pos = y > 0
-    yv = y[pos]
-    ratio = marginal(r1 + r_prime - 1.0, x1 + yv) / marginal(r1 - 1.0, x1)
-    out[pos] = (
-        ratio
-        * np.exp(
-            -special.betaln(r1 - 1.0, r_prime)
-            + (r1 - 1.0) * np.log(x1)
-            + (r_prime - 1.0) * np.log(yv)
-            - (r1 + r_prime - 1.0) * np.log(x1 + yv)
-        )
-    )
-    return out if y.ndim else float(out)
-
-
 def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     """Log of the untruncated restricted predictive density.
 
@@ -223,34 +182,6 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     )
 
 
-def weighted_beta_prime_logpdf(y, x1: float, x2: float, r1: float, r2: float, r_prime: float):
-    """Log of the restricted density in its single weighted-beta-prime form.
-
-    Algebraically equal to ``log_restricted_base``; kept as an independent
-    expression (one hypergeometric ratio instead of an ordering-constant
-    ratio) for cross-validation.
-    """
-    if r1 <= 1.0 + _SHAPE_MARGIN or r2 <= 1.0 + _SHAPE_MARGIN:
-        raise InvalidShapeError("restricted estimator needs r1 > 1 and r2 > 1")
-    y = np.asarray(y, dtype=float)
-    num = log_reg_gauss_2f1_pos(
-        r_prime + r1, r_prime + r1 + r2, r_prime + r1 + 1.0, -(x1 + y) / x2
-    ) + special.gammaln(r_prime + r1 + 1.0)
-    den = log_reg_gauss_2f1_pos(r1, r1 + r2, r1 + 1.0, -x1 / x2) + special.gammaln(r1 + 1.0)
-    out = (
-        np.log(r1)
-        + special.gammaln(r_prime + r1 + r2)
-        - r_prime * np.log(x2)
-        + (r_prime - 1.0) * np.log(y)
-        + num
-        - np.log(r_prime + r1)
-        - special.gammaln(r_prime)
-        - special.gammaln(r1 + r2)
-        - den
-    )
-    return out if out.ndim else float(out)
-
-
 def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
     """Predictive density from the own-team statistic alone.
 
@@ -263,51 +194,24 @@ def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity
     return dist.truncate(lambda y: dist.gb_prime_pdf(model, y), lo, hi, label="unrestricted")
 
 
-def restricted_predictive(problem: PredictionProblem, c_method: str = "closed") -> dist.TruncatedDensity:
+def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
     """Predictive density using the rival statistic and the scale ordering.
 
     Args:
         problem: must carry ``obs_b``; its ``x`` is taken as already
             preprocessed (see the ingest module for the scaling options).
-        c_method: "closed" evaluates the ordering constants through the
-            incomplete-beta closed form; "quadrature" integrates their
-            defining integral instead (slow, used for validation).
 
     Returns:
-        The weighted density renormalized to the problem window.
+        The weighted density, with its ordering constants in the
+        incomplete-beta closed form, renormalized to the problem window.
     """
     if problem.obs_b is None:
         raise DomainError("restricted_predictive needs the rival statistic obs_b")
     a, b = problem.obs_a, problem.obs_b
-    if c_method == "closed":
-        def base(y):
-            return np.exp(log_restricted_base(y, a.x, b.x, a.r, b.r, problem.r_prime))
-    elif c_method == "quadrature":
-        log_c_den = np.log(ordering_constant_quadrature(a.r - 1.0, a.x, b.r - 1.0, b.x))
-        log_pref = (
-            -special.betaln(a.r - 1.0, problem.r_prime)
-            + (a.r - 1.0) * np.log(a.x)
-            - log_c_den
-        )
 
-        def base(y):
-            y = np.asarray(y, dtype=float)
-            c_num = np.array(
-                [
-                    ordering_constant_quadrature(
-                        a.r + problem.r_prime - 1.0, a.x + yi, b.r - 1.0, b.x
-                    )
-                    for yi in np.atleast_1d(y)
-                ]
-            ).reshape(y.shape)
-            val = np.exp(
-                log_pref
-                + (problem.r_prime - 1.0) * np.log(y)
-                - (a.r + problem.r_prime - 1.0) * np.log(a.x + y)
-            )
-            return val * c_num
-    else:
-        raise DomainError(f"unknown c_method {c_method!r}")
+    def base(y):
+        return np.exp(log_restricted_base(y, a.x, b.x, a.r, b.r, problem.r_prime))
+
     lo, hi = problem.window
     return dist.truncate(base, lo, hi, label="restricted")
 

@@ -13,8 +13,9 @@ whose series has only positive terms and, in that region, converges
 geometrically in a handful of terms.
 
 ``gauss_2f1`` is ``scipy.special.hyp2f1`` on ``z <= 0`` with the package's
-domain checks; together with ``log_reg_gauss_2f1_pos`` it backs only the
-independent weighted-beta-prime cross-check of the restricted density.
+domain checks.  No density uses it: it backs the independent
+weighted-beta-prime form of the restricted density that the tests check
+against (``tests/oracles.py``).
 
 All functions are pure and stateless; they accept scalars or numpy arrays
 for the argument ``x`` or ``z`` and broadcast in the numpy sense.
@@ -112,19 +113,4 @@ def gauss_2f1(a: float, b: float, c: float, z):
     out = special.hyp2f1(float(a), float(b), float(c), z)
     if not np.all(np.isfinite(out)):
         raise ConvergenceError(f"2F1 not finite (a={a}, b={b}, c={c})")
-    return out if out.ndim else float(out)
-
-
-def log_reg_gauss_2f1_pos(a: float, b: float, c: float, z):
-    """log of 2F1~(a, b; c; z) = 2F1(a, b; c; z) / Gamma(c) where it is positive.
-
-    Requires c > 0 and a positive function value, which holds for all
-    parameters positive and z <= 0.
-    """
-    if c <= 0:
-        raise DomainError("log_reg_gauss_2f1_pos requires c > 0")
-    v = np.asarray(gauss_2f1(a, b, c, z))
-    if np.any(v <= 0):
-        raise DomainError("2F1 value not positive; log form unavailable")
-    out = np.log(v) - special.gammaln(c)
     return out if out.ndim else float(out)

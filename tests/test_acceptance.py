@@ -30,11 +30,15 @@ from goaltime.predictive import (
     SufficientStat,
     marginal_flat,
     ordering_constant,
-    ordering_constant_quadrature,
-    predictive_pdf_from_marginal,
     predictive_summaries,
     restricted_predictive,
     unrestricted_predictive,
+)
+
+from oracles import (
+    ordering_constant_quadrature,
+    predictive_pdf_from_marginal,
+    restricted_predictive_quadrature,
     weighted_beta_prime_logpdf,
 )
 
@@ -186,7 +190,7 @@ def test_criterion_8_oracle_equivalence():
     ok = worst_c <= 1e-6
 
     p = table_problem(x2=X2_RAW)
-    d_quad = restricted_predictive(p, c_method="quadrature")
+    d_quad = restricted_predictive_quadrature(p)
     ys = np.linspace(0.05, 59.95, 600)
     closed_pdf = np.exp(weighted_beta_prime_logpdf(ys, X1, X2_RAW, 3.0, 3.0, 3.0)) / d_quad.mass
     worst_q1 = np.max(np.abs(d_quad.pdf(ys) / closed_pdf - 1.0))

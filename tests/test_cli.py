@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import goaltime
 from goaltime.cli import main
 
 
@@ -112,9 +118,10 @@ class TestConfigErrors:
 
 class TestNumericalFailure:
     def test_degenerate_window_exits_3(self, capsys):
-        # a sliver of window far in the tail of a tiny-scale density
+        # a sliver of window so far in the tail of a tiny-scale density that
+        # its mass underflows to 0
         code, _, err = run(
-            capsys, "predict", "--x1", "0.01", "--x2", "0.01", "--window", "59.99999,60"
+            capsys, "predict", "--x1", "1e-300", "--x2", "1e-300", "--window", "59.99999,60"
         )
         assert code == 3
         assert "numerical failure" in err
@@ -141,6 +148,27 @@ class TestSummarize:
         meta, _, _ = parse_csv(out)
         cfg = json.loads(meta[1].removeprefix("# config: "))
         assert cfg["x2"] == pytest.approx(39.07 * 105 / 71, abs=0.05)
+
+
+    def test_small_window_mass_is_accepted(self, capsys):
+        # x1 far above the window: the mass over (0, 60) is about 2e-21 and
+        # q0 is nearly y^2 there; its quantiles against the exact ones (mpmath,
+        # through the beta CDF) and against the y^2 limit 60 p^(1/3), which
+        # the first-order correction in 60/x1 moves by at most 1.4e-6 min
+        code, out, err = run(capsys, "summarize", "--x1", "1e9", "--x2", "30")
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        q0 = {r[0]: [float(v) for v in r[1:]] for r in rows}["q0"]
+        with mp.workdps(40):
+            x1 = mp.mpf(10) ** 9
+            mass = mp.betainc(3, 3, 0, 60 / (x1 + 60), regularized=True)
+            for prob, got in zip((0.2, 0.5, 0.9), q0[2:]):
+                limit = 60.0 * prob ** (1.0 / 3.0)
+                u = mp.findroot(
+                    lambda v: mp.betainc(3, 3, 0, v, regularized=True) - prob * mass, limit / x1
+                )
+                assert got == pytest.approx(float(x1 * u / (1 - u)), abs=1e-6)
+                assert got == pytest.approx(limit, abs=1.4e-6)
 
 
 class TestPredictionError:
@@ -250,3 +278,15 @@ class TestFormerNumericalFailures:
         _, _, rows = parse_csv(out)
         assert len(rows) == 2
         assert all(np.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_cli_import_loads_no_adaptive_solvers():
+    # every integral, root and optimum comes from the fixed window grid
+    code = (
+        "import sys, goaltime.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    src = str(Path(goaltime.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

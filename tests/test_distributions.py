@@ -144,6 +144,12 @@ class TestTruncate:
         assert d.pdf(61.0) == 0.0
         assert d.pdf(-1.0) == 0.0
 
+    def test_small_window_mass_is_kept(self):
+        # about 4e-25, far below any fixed floor, yet resolved to full precision
+        d = truncate(lambda y: gamma_pdf(GammaModel(2.0, 1.0), y), 60.0, 80.0)
+        want = special.gammaincc(2.0, 60.0) - special.gammaincc(2.0, 80.0)
+        assert d.mass == pytest.approx(want, rel=1e-12)
+
     def test_degenerate_window(self):
         with pytest.raises(DegenerateWindowError):
             truncate(lambda y: gamma_pdf(GammaModel(2.0, 1.0), y), 1e6, 2e6)

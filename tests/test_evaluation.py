@@ -21,6 +21,8 @@ from goaltime.predictive import (
     unrestricted_predictive,
 )
 
+from oracles import kl_loss_quad
+
 TRUTH = GammaModel(3.0, 18.3)
 
 
@@ -55,6 +57,17 @@ class TestKlLoss:
         q = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 30.0)
         with pytest.raises(DivergenceError):
             kl_loss(p, q, (0.0, 60.0))
+
+    @pytest.mark.parametrize("window", [(0.0, 60.0), (0.0, np.inf)])
+    def test_grid_against_adaptive_oracle(self, window):
+        truth = truncate(lambda y: gamma_pdf(TRUTH, y), *window)
+        for x1, x2 in ((35.85, 39.07), (8.0, 70.0), (90.0, 4.0)):
+            p = PredictionProblem(
+                obs_a=SufficientStat(x1, 3.0), obs_b=SufficientStat(x2, 2.5), r_prime=1.5, window=window
+            )
+            for est in (unrestricted_predictive(p), restricted_predictive(p)):
+                want = kl_loss_quad(truth, est, window, epsrel=1e-11)
+                assert kl_loss(truth, est, window) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_reference_prediction_error_value(self):
         truth = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
@@ -125,7 +138,7 @@ class TestFrequentistRisk:
                     obs_a=SufficientStat(x1, 3.0), obs_b=SufficientStat(x2, 3.0), r_prime=3.0
                 )
             )
-            direct = kl_loss(truth, est, (0.0, 60.0))
+            direct = kl_loss_quad(truth, est, (0.0, 60.0))
             from goaltime.evaluation import _kl_batch, _quad_grid
             from goaltime.distributions import gamma_logpdf
             from goaltime.predictive import log_restricted_base

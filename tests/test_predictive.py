@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
-from goaltime.distributions import GeneralizedBetaPrime, gb_prime_pdf, truncate
+from goaltime.distributions import GeneralizedBetaPrime, gb_prime_pdf, summarize, truncate
 from goaltime.errors import DomainError, InvalidShapeError
 from goaltime.predictive import (
     PredictionProblem,
@@ -17,12 +17,18 @@ from goaltime.predictive import (
     marginal_flat,
     marginal_restricted,
     ordering_constant,
-    ordering_constant_quadrature,
-    predictive_pdf_from_marginal,
     predictive_summaries,
     restricted_predictive,
     unrestricted_predictive,
+)
+
+from oracles import (
+    ordering_constant_quadrature,
+    predictive_pdf_from_marginal,
+    restricted_predictive_quadrature,
     weighted_beta_prime_logpdf,
+    window_mass_quad,
+    window_mean_quad,
 )
 
 X1_TABLE = 35.85
@@ -217,8 +223,8 @@ class TestRestricted:
 
     def test_quadrature_backend_agrees_with_closed_form(self):
         p = self.problem()
-        d_closed = restricted_predictive(p, c_method="closed")
-        d_quad = restricted_predictive(p, c_method="quadrature")
+        d_closed = restricted_predictive(p)
+        d_quad = restricted_predictive_quadrature(p)
         ys = np.linspace(0.1, 59.9, 600)
         np.testing.assert_allclose(d_quad.pdf(ys), d_closed.pdf(ys), rtol=1e-6)
 
@@ -297,3 +303,96 @@ class TestSummaries:
         ys = np.linspace(0.01, 59.9, 300)
         assert np.all(np.diff(d.pdf(ys)) < 0)
         assert predictive_summaries(d).mode == pytest.approx(0.0, abs=1e-3)
+
+    @pytest.mark.parametrize("window", [(0.0, 60.0), (0.0, np.inf)])
+    def test_modes_against_oracles(self, window):
+        # q0: the beta prime mode (r'-1) x1 / (r1+1); q1: the root of the
+        # score d/dy log q1 of the weighted-beta-prime form, in mpmath
+        p = PredictionProblem(
+            obs_a=SufficientStat(x=X1_TABLE, r=3.0),
+            obs_b=SufficientStat(x=X2_TABLE, r=3.0),
+            r_prime=3.0,
+            window=window,
+        )
+        with mp.workdps(30):
+            # log q1 = 2 log y + log 2F1(6, 9; 7; z) + const, z = -(x1 + y)/x2,
+            # and d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z)
+            def score(y):
+                z = -(X1_TABLE + y) / X2_TABLE
+                return 2 / y - mp.mpf(54) / 7 * mp.hyp2f1(7, 10, 8, z) / (mp.hyp2f1(6, 9, 7, z) * X2_TABLE)
+
+            q1_mode = float(mp.findroot(score, 28.0))
+        assert predictive_summaries(unrestricted_predictive(p)).mode == pytest.approx(
+            2.0 * X1_TABLE / 4.0, abs=1e-6
+        )
+        assert predictive_summaries(restricted_predictive(p)).mode == pytest.approx(q1_mode, abs=1e-6)
+
+
+WINDOWS = st.one_of(
+    st.just((0.0, 60.0)),
+    st.floats(0.01, 59.0).map(lambda lo: (lo, 60.0)),
+    st.just((0.0, np.inf)),
+)
+LOG_STAT = st.floats(-2.0, 4.0)
+
+
+class TestGridCoreOverDomain:
+    """Window mass, mean and quantiles of the window grid across the domain,
+    including the endpoint singularity y^(r'-1) at r' < 1."""
+
+    @given(r1=st.floats(1.5, 6.0), rp=st.floats(0.5, 6.0), log_x1=LOG_STAT, window=WINDOWS)
+    @settings(max_examples=150, deadline=None)
+    def test_unrestricted_against_incomplete_beta(self, r1, rp, log_x1, window):
+        # B'(r', r1, x1) puts I_u(r', r1) below y, u = (y/x1)/(1 + y/x1); the
+        # mass above y, I_{1-u}(r1, r'), keeps upper windows free of cancellation
+        x1 = 10.0**log_x1
+        lo, hi = window
+
+        def below(y):
+            return 1.0 if np.isinf(y) else special.betainc(rp, r1, (y / x1) / (1.0 + y / x1))
+
+        def above(y):
+            return 0.0 if np.isinf(y) else special.betainc(r1, rp, x1 / (x1 + y))
+
+        def between(a, b):
+            return below(b) - below(a) if below(a) < 0.5 else above(a) - above(b)
+
+        d = unrestricted_predictive(
+            PredictionProblem(obs_a=SufficientStat(x=x1, r=r1), r_prime=rp, window=window)
+        )
+        mass = between(lo, hi)
+        assert d.mass == pytest.approx(mass, rel=1e-11)
+        s = summarize(d)
+        for prob, q in s.quantiles.items():
+            assert abs(between(lo, q) / mass - prob) <= 1e-10, (prob, q)
+
+    @given(
+        r1=st.floats(1.5, 6.0),
+        r2=st.floats(1.5, 6.0),
+        rp=st.floats(0.5, 6.0),
+        log_x1=LOG_STAT,
+        log_x2=LOG_STAT,
+        window=WINDOWS,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_restricted_against_quadrature(self, r1, r2, rp, log_x1, log_x2, window):
+        x1, x2 = 10.0**log_x1, 10.0**log_x2
+        lo, hi = window
+
+        def base(y):
+            return np.exp(log_restricted_base(y, x1, x2, r1, r2, rp))
+
+        d = restricted_predictive(
+            PredictionProblem(
+                obs_a=SufficientStat(x=x1, r=r1),
+                obs_b=SufficientStat(x=x2, r=r2),
+                r_prime=rp,
+                window=window,
+            )
+        )
+        mass = window_mass_quad(base, lo, hi)
+        assert d.mass == pytest.approx(mass, rel=1e-10)
+        s = summarize(d)
+        assert s.mean == pytest.approx(window_mean_quad(base, lo, hi), rel=1e-10)
+        for prob, q in s.quantiles.items():
+            assert abs(window_mass_quad(base, lo, q) / mass - prob) <= 1e-10, (prob, q)

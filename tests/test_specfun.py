@@ -6,7 +6,9 @@ import pytest
 from scipy import integrate, special
 
 from goaltime.errors import ConvergenceError, DomainError
-from goaltime.specfun import gauss_2f1, log_betainc, log_reg_gauss_2f1_pos
+from goaltime.specfun import gauss_2f1, log_betainc
+
+from oracles import log_reg_gauss_2f1_pos
 
 mp.mp.dps = 30
 
