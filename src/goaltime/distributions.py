@@ -22,8 +22,9 @@ Every integral over a window comes from one composite Gauss-Legendre grid
 The window mass, the mean and the cumulative panel masses are sums over
 that grid; the CDF adds one Gauss-Legendre panel from the nearest panel
 edge; quantiles take safeguarded Newton steps on that CDF; the mode is the
-grid argmax, refined by shrinking a bracket around it.  No adaptive
-integrator, root finder or optimizer runs.  References: Trefethen, "Is
+grid argmax, refined by shrinking a bracket around it and finished by
+Newton steps on a five-point derivative.  No adaptive integrator, root
+finder or optimizer runs.  References: Trefethen, "Is
 Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50 (2008).
 """
 
