@@ -12,13 +12,8 @@ season.
 from .distributions import (
     DensitySummary,
     GammaModel,
-    GeneralizedBetaPrime,
-    InverseGammaModel,
     TruncatedDensity,
     gamma_pdf,
-    gb_prime_pdf,
-    inverse_gamma_cdf,
-    inverse_gamma_pdf,
     summarize,
     truncate,
 )
@@ -77,10 +72,8 @@ __all__ = [
     "GameLogError",
     "GameRecord",
     "GammaModel",
-    "GeneralizedBetaPrime",
     "GoaltimeError",
     "InvalidShapeError",
-    "InverseGammaModel",
     "MonteCarloError",
     "PredictionProblem",
     "RiskCurve",
@@ -94,9 +87,6 @@ __all__ = [
     "frequentist_risk",
     "gamma_pdf",
     "gauss_2f1",
-    "gb_prime_pdf",
-    "inverse_gamma_cdf",
-    "inverse_gamma_pdf",
     "kl_loss",
     "marginal_flat",
     "marginal_restricted",

@@ -214,6 +214,8 @@ def resolve_config(args) -> RunConfig:
         raise GoaltimeError("--grid must be at least 2")
     if args.command in ("predict", "density-table") and window is not None and not np.isfinite(window[1]):
         raise GoaltimeError(f"{args.command} needs a finite window")
+    if args.command == "risk-curve" and window is not None and not np.isfinite(window[1]) and window[0] > 0:
+        raise GoaltimeError(f"risk-curve needs LO = 0 on an infinite window; got {args.window!r}")
     extras = {}
     if args.command == "prediction-error":
         extras = {"truth_shape": args.truth_shape, "truth_scale": args.truth_scale}
@@ -227,7 +229,7 @@ def resolve_config(args) -> RunConfig:
         if args.samples < 100:
             raise GoaltimeError(f"--samples must be at least 100; got {args.samples}")
         extras = {"ratios": list(ratios), "lambda1": args.lambda1}
-    return RunConfig(
+    cfg = RunConfig(
         command=args.command,
         r1=args.r1,
         r2=args.r2,
@@ -244,6 +246,16 @@ def resolve_config(args) -> RunConfig:
         sources=sources,
         extras=extras,
     )
+    # out-of-domain shapes and scales fail here, in the constructors that
+    # the command itself would call, so they exit as configuration errors
+    if cfg.command == "risk-curve":
+        ShapeConfig(r1=cfg.r1, r2=cfg.r2, r_prime=cfg.r_prime)
+        GammaModel(cfg.r_prime, cfg.extras["lambda1"])
+    else:
+        _problem(cfg)
+    if cfg.command == "prediction-error":
+        GammaModel(cfg.extras["truth_shape"], cfg.extras["truth_scale"])
+    return cfg
 
 
 def _write(cfg: RunConfig, columns: list[str], rows: list[list]) -> None:

@@ -1,10 +1,10 @@
 """Probability laws for waiting-time modelling.
 
-Gamma (scale parameterization), inverse gamma, the generalized beta prime
-family, and a truncation wrapper that renormalizes any positive density to
-a window and computes its summary statistics.  Densities are evaluated in
-log space wherever products of large powers could overflow, and they accept
-numpy arrays.
+The gamma law (scale parameterization), and a truncation wrapper that
+renormalizes any positive density to a window and computes its summary
+statistics.  The beta prime densities of the two predictive estimators are
+in ``predictive``.  Densities are evaluated in log space wherever products
+of large powers could overflow, and they accept numpy arrays.
 
 Every integral over a window comes from one composite Gauss-Legendre grid
 (``window_grid``), on which the density is evaluated once, vectorized:
@@ -73,36 +73,6 @@ class GammaModel:
         return self.shape * self.scale
 
 
-@dataclass(frozen=True)
-class InverseGammaModel:
-    """Inverse-gamma law with density b^a/Gamma(a) t^(-a-1) e^(-b/t)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("InverseGammaModel requires a > 0 and b > 0")
-
-
-@dataclass(frozen=True)
-class GeneralizedBetaPrime:
-    """Generalized beta prime with shapes a, b, exponent gamma_shape, scale sigma.
-
-    ``gamma_shape = 1`` is the three-parameter beta prime; additionally
-    ``sigma = 1`` gives the classical beta prime.
-    """
-
-    a: float
-    b: float
-    gamma_shape: float = 1.0
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.gamma_shape, self.sigma) <= 0:
-            raise DomainError("GeneralizedBetaPrime parameters must be > 0")
-
-
 def gamma_logpdf(model: GammaModel, x):
     """Log density of the gamma law; -inf outside the support."""
     x = np.asarray(x, dtype=float)
@@ -123,54 +93,6 @@ def gamma_pdf(model: GammaModel, x):
     x = np.asarray(x, dtype=float)
     out = np.exp(gamma_logpdf(model, x))
     return out if x.ndim else float(out)
-
-
-def inverse_gamma_pdf(model: InverseGammaModel, t):
-    """Inverse-gamma density; 0 for t <= 0 (essential zero at the origin)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    pos = t > 0
-    tv = t[pos]
-    out[pos] = np.exp(
-        model.a * np.log(model.b)
-        - special.gammaln(model.a)
-        - (model.a + 1.0) * np.log(tv)
-        - model.b / tv
-    )
-    return out if t.ndim else float(out)
-
-
-def inverse_gamma_cdf(model: InverseGammaModel, t):
-    """Inverse-gamma distribution function, the regularized upper gamma of b/t."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    pos = t > 0
-    out[pos] = special.gammaincc(model.a, model.b / t[pos])
-    return out if t.ndim else float(out)
-
-
-def gb_prime_logpdf(model: GeneralizedBetaPrime, t):
-    """Log density of the generalized beta prime; -inf outside t > 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.full(t.shape, -np.inf)
-    pos = t > 0
-    u = np.log(t[pos]) - np.log(model.sigma)
-    # normalizer gamma/(sigma B(a,b)): required for unit mass at gamma != 1
-    out[pos] = (
-        np.log(model.gamma_shape)
-        - special.betaln(model.a, model.b)
-        - np.log(model.sigma)
-        + (model.a * model.gamma_shape - 1.0) * u
-        - (model.a + model.b) * np.log1p(np.exp(model.gamma_shape * u))
-    )
-    return out if t.ndim else float(out)
-
-
-def gb_prime_pdf(model: GeneralizedBetaPrime, t):
-    """Generalized beta prime density; 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.exp(gb_prime_logpdf(model, t))
-    return out if t.ndim else float(out)
 
 
 def _gauss_panels(a, b):
@@ -362,16 +284,19 @@ def _log_base(d: TruncatedDensity, y: np.ndarray) -> np.ndarray:
 def _mode(d: TruncatedDensity) -> float:
     """Grid argmax over [lo + eps, top - eps], refined on shrinking brackets.
 
-    The window edges stay candidates, so a monotone density reports its
-    edge.  Each refinement samples the log density at ``_MODE_SAMPLES``
-    points across the bracket and keeps the two intervals around the best.
+    The window edges stay candidates, sampled ``eps`` inside since the
+    density may be unbounded at ``lo``; when one wins, the mode is the edge
+    itself (``lo``, or ``top``, the grid's upper edge).  Each refinement
+    samples the log density at ``_MODE_SAMPLES`` points across the bracket
+    and keeps the two intervals around the best.
     Once neighbouring samples differ by less than ``_MODE_FLAT`` (about
     1e-3 of the density's width apart), Newton steps on a five-point
     derivative of the log density at that spacing finish the job.
     """
     g = d.grid
     eps = 1e-9 * g.bulk
-    lo, hi = d.lo + eps, min(d.hi, g.edges[-1]) - eps
+    top = min(d.hi, g.edges[-1])
+    lo, hi = d.lo + eps, top - eps
     y, f = g.y.ravel(), g.f.ravel()
     inside = (y > lo) & (y < hi)
     ys = np.concatenate(([lo], y[inside], [hi]))
@@ -384,7 +309,7 @@ def _mode(d: TruncatedDensity) -> float:
         v = _log_base(d, t)
         j = int(np.argmax(v))
         if j in (0, _MODE_SAMPLES - 1):
-            return float(t[j])
+            return float(d.lo if t[j] == lo else top if t[j] == hi else t[j])
         a, b = t[j - 1], t[j + 1]
         if v[j] - min(v[j - 1], v[j + 1]) <= _MODE_FLAT:
             break

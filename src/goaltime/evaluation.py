@@ -4,8 +4,14 @@ The risk of an estimator at scales (lam1, lam2) is the average KL loss over
 the sampling distribution of the observed statistics.  That outer integral
 is estimated by Monte Carlo (it is two-dimensional for the restricted
 estimator); the inner KL integral per draw is evaluated on a fixed
-200-node Gauss-Legendre grid, vectorized over draws, which the tests pin
-against adaptive quadrature to far below the Monte Carlo noise.
+200-node Gauss-Legendre grid (on the window, or mapped onto (0, inf)
+through ``y = t/(1-t)``), vectorized over draws, which the tests pin
+against adaptive quadrature to far below the Monte Carlo noise.  Each
+estimator's log density on that grid is the one the density builders use,
+``predictive.log_unrestricted_base`` or ``predictive.log_restricted_base``.
+The risk keeps this grid rather than the truth's window grid of
+``kl_loss``: the window grid needs two to three times the nodes, which
+would make the per-draw work of a risk block as much larger.
 
 ``kl_loss`` itself, for one pair of densities, is a weighted sum over the
 composite Gauss-Legendre window grid of ``distributions``, the grid that
@@ -29,7 +35,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln
 
 from . import distributions as dist
 from . import predictive as pred
@@ -53,6 +58,11 @@ class ShapeConfig:
     r1: float = 3.0
     r2: float = 3.0
     r_prime: float = 3.0
+
+    def __post_init__(self):
+        pred.check_observed_shape(self.r1)
+        pred.check_observed_shape(self.r2)
+        pred.check_future_shape(self.r_prime)
 
 
 @dataclass(frozen=True)
@@ -220,7 +230,7 @@ def frequentist_risk(
     for start in range(0, samples, block):
         sl = slice(start, min(start + block, samples))
         if estimator_kind == "q0":
-            log_base = _log_unrestricted(y[None, :], x1s[sl, None], shapes.r1, shapes.r_prime)
+            log_base = pred.log_unrestricted_base(y[None, :], x1s[sl, None], shapes.r1, shapes.r_prime)
         else:
             log_base = pred.log_restricted_base(
                 y[None, :], x1s[sl, None], x2s[sl, None], shapes.r1, shapes.r2, shapes.r_prime
@@ -241,16 +251,6 @@ def frequentist_risk(
         std_err=float(kls.std(ddof=1) / np.sqrt(kls.size)),
         samples=samples,
         rejected=rejected,
-    )
-
-
-def _log_unrestricted(y, x1, r1: float, r_prime: float):
-    """Log of the beta prime B'(r_prime, r1, x1) density, broadcastable."""
-    return (
-        -betaln(r_prime, r1)
-        + r1 * np.log(x1)
-        + (r_prime - 1.0) * np.log(y)
-        - (r1 + r_prime) * np.log(x1 + y)
     )
 
 

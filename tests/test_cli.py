@@ -110,6 +110,23 @@ class TestConfigErrors:
         assert code == 2
         assert "points" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["summarize", "--r-prime", "-1"],
+            ["risk-curve", "--lambda1", "-1"],
+            ["prediction-error", "--truth-scale", "0"],
+            ["risk-curve", "--r1", "0.5"],
+            # the risk's untruncated grid covers (0, inf) only
+            ["risk-curve", "--window", "5,inf"],
+        ],
+    )
+    def test_out_of_domain_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

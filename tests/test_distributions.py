@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from goaltime.distributions import (
-    GammaModel,
-    GeneralizedBetaPrime,
-    InverseGammaModel,
-    gamma_pdf,
-    gb_prime_pdf,
-    inverse_gamma_cdf,
-    inverse_gamma_pdf,
-    summarize,
-    truncate,
-)
+from goaltime.distributions import GammaModel, gamma_pdf, summarize, truncate
 from goaltime.errors import DegenerateWindowError, DomainError
+from goaltime.predictive import log_unrestricted_base
+
+
+def beta_prime_pdf(a, b, sigma, t):
+    """The package's beta prime B'(a, b, sigma) density at t."""
+    return np.exp(log_unrestricted_base(t, sigma, b, a))
 
 
 class TestGammaPdf:
@@ -43,89 +39,62 @@ class TestGammaPdf:
             GammaModel(1.0, -2.0)
 
 
-class TestInverseGamma:
-    def test_pdf_trivial(self):
-        assert inverse_gamma_pdf(InverseGammaModel(1.0, 1.0), 1.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-13
-        )
-
-    def test_pdf_direct_formula(self):
-        m = InverseGammaModel(2.0, 3.0)
-        t = 1.5
-        direct = m.b**m.a / math.gamma(m.a) * t ** (-m.a - 1) * math.exp(-m.b / t)
-        assert inverse_gamma_pdf(m, t) == pytest.approx(direct, rel=1e-13)
-
-    def test_pdf_vanishes_at_origin(self):
-        assert inverse_gamma_pdf(InverseGammaModel(2.0, 3.0), 1e-9) == 0.0
-
-    def test_cdf_trivial(self):
-        assert inverse_gamma_cdf(InverseGammaModel(1.0, 1.0), 1.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-12
-        )
-        assert inverse_gamma_cdf(InverseGammaModel(2.0, 5.0), 1e9) == pytest.approx(1.0, abs=1e-8)
-
-    def test_cdf_matches_pdf_quadrature(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            m = InverseGammaModel(rng.uniform(0.5, 5), rng.uniform(0.5, 5))
-            t = rng.uniform(0.2, 8)
-            want, _ = integrate.quad(lambda u: inverse_gamma_pdf(m, u), 0, t, epsrel=1e-11)
-            assert inverse_gamma_cdf(m, t) == pytest.approx(want, abs=1e-8)
-
-    def test_cdf_monotone(self):
-        m = InverseGammaModel(2.5, 4.0)
-        ts = np.linspace(0.05, 20, 200)
-        assert np.all(np.diff(inverse_gamma_cdf(m, ts)) >= 0)
-
-    def test_reciprocal_of_gamma_is_inverse_gamma(self):
-        # if T ~ Gam(r, lam) then 1/T ~ IG(r, 1/lam): KS distance below 0.01
-        r, lam = 2.5, 3.0
-        rng = np.random.default_rng(7)
-        draws = 1.0 / rng.gamma(r, lam, size=100_000)
-        ks = stats.kstest(draws, lambda t: inverse_gamma_cdf(InverseGammaModel(r, 1.0 / lam), t))
-        assert ks.statistic < 0.01
-
-
 class TestGeneralizedBetaPrime:
-    def test_classical_point(self):
-        assert gb_prime_pdf(GeneralizedBetaPrime(1.0, 1.0), 1.0) == pytest.approx(0.25, rel=1e-13)
+    """The beta prime B'(a, b, sigma) of ``predictive.log_unrestricted_base``,
+    the generalized beta prime at exponent 1, against scipy's ``betaprime``."""
 
-    def test_gamma2_at_sigma(self):
-        a, b, sigma, g = 2.0, 3.5, 4.0, 2.0
-        m = GeneralizedBetaPrime(a, b, gamma_shape=g, sigma=sigma)
-        want = g / (special.beta(a, b) * sigma * 2.0 ** (a + b))
-        assert gb_prime_pdf(m, sigma) == pytest.approx(want, rel=1e-12)
+    def test_classical_point(self):
+        assert beta_prime_pdf(1.0, 1.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-13)
+
+    @given(
+        a=st.floats(0.3, 200.0),
+        b=st.floats(0.3, 200.0),
+        log_sigma=st.floats(-2.0, 4.0),
+        log_ratio=st.floats(-6.0, 6.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_against_scipy_betaprime(self, a, b, log_sigma, log_ratio):
+        sigma = 10.0**log_sigma
+        t = sigma * 10.0**log_ratio
+        want = stats.betaprime.logpdf(t, a, b, scale=sigma)
+        assert log_unrestricted_base(t, sigma, b, a) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_mode_is_stationary(self):
         # B'(3, 3, sigma) has mode sigma*(a-1)/(b+1); check by finite differences
-        m = GeneralizedBetaPrime(3.0, 3.0, sigma=35.85)
         t0 = 35.85 * 2.0 / 4.0
         h = 1e-5
-        deriv = (gb_prime_pdf(m, t0 + h) - gb_prime_pdf(m, t0 - h)) / (2 * h)
+        pdf = lambda t: beta_prime_pdf(3.0, 3.0, 35.85, t)
+        deriv = (pdf(t0 + h) - pdf(t0 - h)) / (2 * h)
         assert abs(deriv) < 1e-9
-        assert gb_prime_pdf(m, t0) > gb_prime_pdf(m, t0 + 1.0)
-        assert gb_prime_pdf(m, t0) > gb_prime_pdf(m, t0 - 1.0)
+        assert pdf(t0) > pdf(t0 + 1.0)
+        assert pdf(t0) > pdf(t0 - 1.0)
 
-    @given(
-        a=st.floats(0.8, 5),
-        b=st.floats(0.8, 5),
-        g=st.floats(0.8, 3),
-        sigma=st.floats(0.1, 50),
-    )
+    @given(a=st.floats(0.8, 5), b=st.floats(0.8, 5), sigma=st.floats(0.1, 50))
     @settings(max_examples=25, deadline=None)
-    def test_integrates_to_one(self, a, b, g, sigma):
-        m = GeneralizedBetaPrime(a, b, gamma_shape=g, sigma=sigma)
-        lo, _ = integrate.quad(lambda t: gb_prime_pdf(m, t), 0, sigma, epsrel=1e-10, limit=300)
-        hi, _ = integrate.quad(lambda t: gb_prime_pdf(m, t), sigma, np.inf, epsrel=1e-10, limit=300)
+    def test_integrates_to_one(self, a, b, sigma):
+        pdf = lambda t: beta_prime_pdf(a, b, sigma, t)
+        lo, _ = integrate.quad(pdf, 0, sigma, epsrel=1e-10, limit=300)
+        hi, _ = integrate.quad(pdf, sigma, np.inf, epsrel=1e-10, limit=300)
         assert lo + hi == pytest.approx(1.0, abs=1e-6)
+
+    def test_minus_inf_off_the_support(self):
+        # also at y = 0, where y^(a-1) is unbounded for a < 1
+        got = log_unrestricted_base(np.array([-3.0, 0.0]), 10.0, 3.0, 0.5)
+        assert np.all(got == -np.inf)
+
+    def test_broadcasts_over_y_and_x1(self):
+        y = np.array([[0.5, 20.0, 90.0]])
+        x1 = np.array([[5.0], [40.0]])
+        got = log_unrestricted_base(y, x1, 2.5, 1.5)
+        want = stats.betaprime.logpdf(y, 1.5, 2.5, scale=x1)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 class TestTruncate:
     def test_window_mass_matches_incomplete_beta(self):
-        base = GeneralizedBetaPrime(3.0, 3.0, sigma=35.85)
-        d = truncate(lambda y: gb_prime_pdf(base, y), 0.0, 60.0)
-        u = (60 / 35.85) / (1 + 60 / 35.85)
-        assert d.mass == pytest.approx(special.betainc(3.0, 3.0, u), rel=1e-8)
+        d = truncate(lambda y: beta_prime_pdf(3.0, 3.0, 35.85, y), 0.0, 60.0)
+        assert d.mass == pytest.approx(stats.betaprime.cdf(60.0, 3.0, 3.0, scale=35.85), rel=1e-8)
         assert d.mass == pytest.approx(0.7264, abs=5e-4)
 
     def test_full_support_mass_is_one(self):
@@ -196,15 +165,7 @@ class TestPdfContract:
         total, _ = integrate.quad(lambda y: gamma_pdf(m, y), 0, np.inf, epsrel=1e-9, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    @given(a=st.floats(0.6, 6), b=st.floats(0.3, 6))
-    @settings(max_examples=25, deadline=None)
-    def test_inverse_gamma_integrates_to_one(self, a, b):
-        m = InverseGammaModel(a, b)
-        total, _ = integrate.quad(lambda t: inverse_gamma_pdf(m, t), 0, np.inf, epsrel=1e-9, limit=300)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
     def test_nonnegative_everywhere(self):
         ys = np.linspace(-5, 100, 400)
         assert np.all(gamma_pdf(GammaModel(2.5, 7.0), ys) >= 0)
-        assert np.all(inverse_gamma_pdf(InverseGammaModel(2.0, 2.0), ys) >= 0)
-        assert np.all(gb_prime_pdf(GeneralizedBetaPrime(2.0, 3.0, sigma=4.0), ys) >= 0)
+        assert np.all(beta_prime_pdf(2.0, 3.0, 4.0, ys) >= 0)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from goaltime.distributions import GammaModel, gamma_pdf, truncate
-from goaltime.errors import DivergenceError, DomainError
+from goaltime.distributions import GammaModel, gamma_logpdf, gamma_pdf, truncate
+from goaltime.errors import DivergenceError, DomainError, InvalidShapeError
 from goaltime.evaluation import (
     RiskCurve,
     ShapeConfig,
+    _kl_batch,
+    _quad_grid,
     draw_gamma,
     frequentist_risk,
     kl_loss,
@@ -17,6 +19,8 @@ from goaltime.evaluation import (
 from goaltime.predictive import (
     PredictionProblem,
     SufficientStat,
+    log_restricted_base,
+    log_unrestricted_base,
     restricted_predictive,
     unrestricted_predictive,
 )
@@ -125,30 +129,45 @@ class TestFrequentistRisk:
         b = frequentist_risk(12.0, 6.0, **kw)
         assert a.risk == b.risk and a.std_err == b.std_err
 
-    def test_per_draw_engine_matches_adaptive_kl(self):
-        # the vectorized Gauss-Legendre inner integral against kl_loss
-        shapes = ShapeConfig()
+    @staticmethod
+    def engine_against_adaptive_kl(kind, window):
+        """The 200-node per-draw KL of ``frequentist_risk`` against ``kl_loss_quad``
+        at four draws of (x1, x2), for one estimator on one window."""
+        y, w = _quad_grid(window)
+        truncated = window is not None
+        log_truth = gamma_logpdf(GammaModel(3.0, 12.0), y)
+        if truncated:
+            log_truth -= np.log(np.sum(w * np.exp(log_truth)))
+        truth = truncate(lambda v: gamma_pdf(GammaModel(3.0, 12.0), v), *(window or (0.0, np.inf)))
         rng = np.random.default_rng(5)
-        truth = truncate(lambda y: gamma_pdf(GammaModel(3.0, 12.0), y), 0.0, 60.0)
         for _ in range(4):
             x1 = float(rng.gamma(3.0, 12.0))
             x2 = float(rng.gamma(3.0, 6.0))
-            est = restricted_predictive(
-                PredictionProblem(
-                    obs_a=SufficientStat(x1, 3.0), obs_b=SufficientStat(x2, 3.0), r_prime=3.0
-                )
+            problem = PredictionProblem(
+                obs_a=SufficientStat(x1, 3.0),
+                obs_b=SufficientStat(x2, 3.0),
+                r_prime=3.0,
+                window=window or (0.0, np.inf),
             )
-            direct = kl_loss_quad(truth, est, (0.0, 60.0))
-            from goaltime.evaluation import _kl_batch, _quad_grid
-            from goaltime.distributions import gamma_logpdf
-            from goaltime.predictive import log_restricted_base
+            if kind == "q0":
+                est = unrestricted_predictive(problem)
+                log_base = log_unrestricted_base(y[None, :], np.array([[x1]]), 3.0, 3.0)
+            else:
+                est = restricted_predictive(problem)
+                log_base = log_restricted_base(y[None, :], np.array([[x1]]), np.array([[x2]]), 3.0, 3.0, 3.0)
+            got = _kl_batch(y, w, log_truth, np.exp(log_truth), log_base, truncated)[0]
+            assert got == pytest.approx(kl_loss_quad(truth, est, truth.window), abs=1e-8)
 
-            y, w = _quad_grid((0.0, 60.0))
-            log_truth = gamma_logpdf(GammaModel(3.0, 12.0), y)
-            log_truth -= np.log(np.sum(w * np.exp(log_truth)))
-            log_base = log_restricted_base(y[None, :], np.array([[x1]]), np.array([[x2]]), 3.0, 3.0, 3.0)
-            got = _kl_batch(y, w, log_truth, np.exp(log_truth), log_base, truncated=True)[0]
-            assert got == pytest.approx(direct, abs=1e-8)
+    def test_per_draw_engine_matches_adaptive_kl(self):
+        self.engine_against_adaptive_kl("q1", (0.0, 60.0))
+
+    def test_per_draw_engine_matches_adaptive_kl_unrestricted(self):
+        self.engine_against_adaptive_kl("q0", (0.0, 60.0))
+
+    @pytest.mark.parametrize("kind", ["q0", "q1"])
+    def test_per_draw_engine_matches_adaptive_kl_untruncated(self, kind):
+        # the map y = t/(1-t) of the 200 nodes onto (0, inf)
+        self.engine_against_adaptive_kl(kind, None)
 
     def test_mc_error_scaling(self):
         shapes = ShapeConfig()
@@ -180,6 +199,11 @@ class TestFrequentistRisk:
             frequentist_risk(5.0, 10.0, ShapeConfig(), "q1", samples=200, seed=0)
         with pytest.raises(DomainError):
             frequentist_risk(5.0, 1.0, ShapeConfig(), "q1", samples=50, seed=0)
+
+    @pytest.mark.parametrize("shapes", [dict(r1=0.5), dict(r2=1.0), dict(r_prime=0.0)])
+    def test_shapes_out_of_domain(self, shapes):
+        with pytest.raises(InvalidShapeError):
+            ShapeConfig(**shapes)
 
 
 class TestRiskCurve:

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
-from goaltime.distributions import GeneralizedBetaPrime, gb_prime_pdf, summarize, truncate
+from goaltime.distributions import summarize, truncate
 from goaltime.errors import DomainError, InvalidShapeError
 from goaltime.predictive import (
     PredictionProblem,
     SufficientStat,
     log_ordering_constant,
     log_restricted_base,
+    log_unrestricted_base,
     marginal_flat,
     marginal_restricted,
     ordering_constant,
@@ -143,9 +144,9 @@ class TestUnrestricted:
 
     def test_matches_three_parameter_beta_prime(self):
         d = unrestricted_predictive(self.problem())
-        model = GeneralizedBetaPrime(a=3.0, b=3.0, sigma=X1_TABLE)
         ys = np.linspace(0.5, 59.5, 40)
-        np.testing.assert_allclose(d.pdf(ys), gb_prime_pdf(model, ys) / d.mass, rtol=1e-12)
+        want = stats.betaprime.pdf(ys, 3.0, 3.0, scale=X1_TABLE) / d.mass
+        np.testing.assert_allclose(d.pdf(ys), want, rtol=1e-12)
 
     def test_marginal_ratio_form_reduces_to_beta_prime(self):
         rng = np.random.default_rng(4)
@@ -155,7 +156,7 @@ class TestUnrestricted:
             x1 = rng.uniform(5.0, 80.0)
             y = rng.uniform(0.1, 120.0)
             got = predictive_pdf_from_marginal(y, x1, r1, rp, marginal=marginal_flat)
-            want = gb_prime_pdf(GeneralizedBetaPrime(a=rp, b=r1, sigma=x1), y)
+            want = math.exp(log_unrestricted_base(y, x1, r1, rp))
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_truncated_coefficient(self):
@@ -263,11 +264,11 @@ class TestRestricted:
     def test_scale_equivariance(self):
         ys = np.linspace(0.5, 55.0, 25)
         base = np.exp(log_restricted_base(ys, X1_TABLE, X2_TABLE, 3.0, 3.0, 3.0))
-        base0 = gb_prime_pdf(GeneralizedBetaPrime(3.0, 3.0, sigma=X1_TABLE), ys)
+        base0 = np.exp(log_unrestricted_base(ys, X1_TABLE, 3.0, 3.0))
         for c in (0.1, 10.0):
             scaled = np.exp(log_restricted_base(c * ys, c * X1_TABLE, c * X2_TABLE, 3.0, 3.0, 3.0))
             np.testing.assert_allclose(scaled, base / c, rtol=1e-10)
-            scaled0 = gb_prime_pdf(GeneralizedBetaPrime(3.0, 3.0, sigma=c * X1_TABLE), c * ys)
+            scaled0 = np.exp(log_unrestricted_base(c * ys, c * X1_TABLE, 3.0, 3.0))
             np.testing.assert_allclose(scaled0, base0 / c, rtol=1e-12)
 
     def test_rejects_small_shapes(self):
@@ -303,6 +304,26 @@ class TestSummaries:
         ys = np.linspace(0.01, 59.9, 300)
         assert np.all(np.diff(d.pdf(ys)) < 0)
         assert predictive_summaries(d).mode == pytest.approx(0.0, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "x1, rp, window",
+        [
+            (X1_TABLE, 0.5, (0.0, 60.0)),
+            (X1_TABLE, 0.5, (0.0, np.inf)),
+            (X1_TABLE, 0.5, (5.0, 60.0)),
+            (X1_TABLE, 1.0, (0.0, 60.0)),
+            (X1_TABLE, 1.0, (0.0, np.inf)),
+            (1e9, 3.0, (0.0, 60.0)),
+        ],
+    )
+    def test_mode_at_a_window_edge_is_the_edge(self, x1, rp, window):
+        # the beta prime mode (r'-1) x1 / (r1+1), clipped to the window,
+        # exactly: at r' < 1 the density is unbounded at y = 0, at r' = 1 it
+        # decreases from there, and at x1 = 1e9 it increases across (0, 60)
+        lo, hi = window
+        p = PredictionProblem(obs_a=SufficientStat(x=x1, r=3.0), r_prime=rp, window=window)
+        mode = predictive_summaries(unrestricted_predictive(p)).mode
+        assert mode == np.clip((rp - 1.0) * x1 / 4.0, lo, hi)
 
     @pytest.mark.parametrize("window", [(0.0, 60.0), (0.0, np.inf)])
     def test_modes_against_oracles(self, window):
