@@ -7,8 +7,9 @@ estimator); the inner KL integral per draw is evaluated on a fixed
 200-node Gauss-Legendre grid (on the window, or mapped onto (0, inf)
 through ``y = t/(1-t)``), vectorized over draws, which the tests pin
 against adaptive quadrature to far below the Monte Carlo noise.  Each
-estimator's log density on that grid is the one the density builders use,
-``predictive.log_unrestricted_base`` or ``predictive.log_restricted_base``.
+estimator's log density on that grid is the one its predictive density
+truncates, ``predictive.log_unrestricted_base`` or
+``predictive.log_restricted_base``.
 The risk keeps this grid rather than the truth's window grid of
 ``kl_loss``: the window grid needs two to three times the nodes, which
 would make the per-draw work of a risk block as much larger.

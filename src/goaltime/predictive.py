@@ -12,9 +12,9 @@ given an observed statistic ``x1 ~ Gam(r1, lam1)``, under the scale prior
   ordering constants (``log_restricted_base``).
 
 Both log densities come from the one beta prime ``log_unrestricted_base``,
-and broadcast over their statistics: the density builders evaluate them on
-a window grid, and ``evaluation.frequentist_risk`` on a block of Monte
-Carlo draws at once.
+and broadcast over their statistics: ``unrestricted_predictive`` and
+``restricted_predictive`` evaluate them on a window grid, and
+``evaluation.frequentist_risk`` on a block of Monte Carlo draws at once.
 
 The ordering constant is defined by the integral
 
