@@ -51,15 +51,11 @@ from .predictive import (
     PredictionProblem,
     SufficientStat,
     SummaryRow,
-    marginal_flat,
-    marginal_restricted,
     ordering_constant,
     predictive_summaries,
     restricted_predictive,
     unrestricted_predictive,
 )
-from .specfun import gauss_2f1
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -86,10 +82,7 @@ __all__ = [
     "canadiens_fixture_path",
     "frequentist_risk",
     "gamma_pdf",
-    "gauss_2f1",
     "kl_loss",
-    "marginal_flat",
-    "marginal_restricted",
     "ordering_constant",
     "parse_game_log",
     "parse_points",

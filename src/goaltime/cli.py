@@ -178,10 +178,11 @@ def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | No
         if explicit <= 0:
             raise GoaltimeError("statistics must be positive")
         return float(explicit), {f"team_{side}_log": None}
+    source = log_path
     if log_path is None:
-        log_path = str(
-            ingest.toronto_fixture_path() if side == "a" else ingest.canadiens_fixture_path()
-        )
+        # a bundled fixture is recorded by name: its path depends on the install
+        log_path = ingest.toronto_fixture_path() if side == "a" else ingest.canadiens_fixture_path()
+        source = log_path.name
     records = ingest.parse_game_log(log_path)
     if not records:
         raise GoaltimeError(f"no rows in {log_path}")
@@ -195,7 +196,7 @@ def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | No
             raise GoaltimeError(f"--x2-mode {mode} needs --points-a and --points-b")
         points = (pts_own, pts_opp)
     stat = ingest.reduce_to_stat(records, team, r=r, x2_mode=mode, points=points)
-    return stat.x, {f"team_{side}_log": str(log_path), f"team_{side}": team}
+    return stat.x, {f"team_{side}_log": str(source), f"team_{side}": team}
 
 
 def resolve_config(args) -> RunConfig:

@@ -30,11 +30,11 @@ Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50 (2008).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateWindowError, DomainError
 
@@ -82,7 +82,7 @@ def gamma_logpdf(model: GammaModel, x):
     out[pos] = (
         (model.shape - 1.0) * np.log(xv)
         - xv / model.scale
-        - special.gammaln(model.shape)
+        - math.lgamma(model.shape)
         - model.shape * np.log(model.scale)
     )
     return out if x.ndim else float(out)

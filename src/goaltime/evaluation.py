@@ -32,6 +32,7 @@ risk when the two scales coincide.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -147,10 +148,24 @@ def draw_gamma(rng: np.random.Generator, shape: float, scale: float, size: int) 
     return rng.gamma(shape, scale, size=size)
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The risk's Gauss-Legendre rule on [-1, 1], built on first use.
+
+    ``leggauss`` solves an eigenproblem, which costs more than a small
+    risk block; the rule never changes, so a process builds it once.  Every
+    caller gets the same arrays, so they are read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(_GL_NODES)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _quad_grid(window: tuple[float, float] | None):
     """Gauss-Legendre nodes/weights on the window, or on (0, inf) mapped
     through y = t/(1-t)."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes, weights = _legendre_rule()
     if window is None or not np.isfinite(window[1]):
         lo = 0.0 if window is None else window[0]
         if lo != 0.0:

@@ -32,7 +32,14 @@ and DLMF 8.17.7 turn it into a beta CDF,
 
     C = k1 s1 / (k2 s2) * I_w(k1+1, s1+1),    w = k2 / (k2 + s2),
 
-which is how the package evaluates it (``specfun.log_betainc``).
+which is how the package evaluates it, in log space
+(``specfun.log_betainc``).  Both of q1's constants have ``s1 = r2 - 1``,
+so the incomplete beta's second shape is the rival's goal index ``r2``.
+At an integer ``r2``, the paper's case and every default, ``I_w`` is a
+finite sum of ``r2`` positive terms (DLMF 8.17.21) and costs a few array
+operations a point; any other ``r2`` goes through the continued fraction
+of DLMF 8.17.22.  The beta function of the beta prime comes from
+``specfun.log_beta``, so no module here needs scipy.
 
 After the weight is folded in, the restricted density itself has the
 closed weighted-beta-prime form
@@ -54,11 +61,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import distributions as dist
 from .errors import DomainError, InvalidShapeError
-from .specfun import log_betainc
+from .specfun import log_beta, log_betainc
 
 _SHAPE_MARGIN = 1e-9
 
@@ -111,37 +117,13 @@ class PredictionProblem:
             raise DomainError(f"bad window {self.window}")
 
 
-def marginal_flat(s1, s2):
-    """Marginal of an inverse-gamma statistic under the scale prior 1/v: s1/s2."""
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    if np.any(s1 <= 0) or np.any(s2 <= 0):
-        raise DomainError("marginal_flat requires positive arguments")
-    out = s1 / s2
-    return out if out.ndim else float(out)
-
-
-def marginal_restricted(s1, s2, upper):
-    """Marginal when the scale prior 1/v is cut off at ``upper``.
-
-    Equals Gamma(s1+1, s2/upper) / (s2 Gamma(s1)); evaluated through the
-    regularized upper gamma so no unnormalized gamma can overflow.
-    Recovers ``marginal_flat`` as upper -> inf.
-    """
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if np.any(s1 <= 0) or np.any(s2 <= 0) or np.any(upper <= 0):
-        raise DomainError("marginal_restricted requires positive arguments")
-    out = s1 * special.gammaincc(s1 + 1.0, s2 / upper) / s2
-    return out if out.ndim else float(out)
-
-
 def log_ordering_constant(k1, k2, s1, s2):
     """log C(k1, k2, s1, s2) via the incomplete-beta closed form.
 
     Vectorized over ``k2`` and ``s2`` (numpy broadcasting); ``k1`` and
-    ``s1`` are scalars.
+    ``s1`` are scalars.  The Monte Carlo risk passes blocks of 4000 draws
+    by 200 nodes, so the sum is taken in place on the incomplete beta's
+    output.
     """
     k1 = float(k1)
     s1 = float(s1)
@@ -149,12 +131,14 @@ def log_ordering_constant(k1, k2, s1, s2):
     s2 = np.asarray(s2, dtype=float)
     if k1 <= 0 or s1 <= 0 or np.any(k2 <= 0) or np.any(s2 <= 0):
         raise DomainError("ordering constant requires positive arguments")
-    out = (
-        np.log(k1 * s1)
-        - np.log(k2)
-        - np.log(s2)
-        + log_betainc(k1 + 1.0, s1 + 1.0, k2 / (k2 + s2))
-    )
+    w = np.empty(np.broadcast_shapes(k2.shape, s2.shape))
+    np.add(k2, s2, out=w)
+    np.divide(k2, w, out=w)
+    out = log_betainc(k1 + 1.0, s1 + 1.0, w)
+    del w
+    out -= np.log(k2)
+    out -= np.log(s2)
+    out += np.log(k1 * s1)
     if not np.all(np.isfinite(out)):
         raise DomainError("ordering constant not finite; log form unavailable")
     return out if np.ndim(out) else float(out)
@@ -182,7 +166,7 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
     out = (
         (r_prime - 1.0) * np.log(y)
         - (r_prime + r1) * np.log1p(y / x1)
-        - (special.betaln(r_prime, r1) + r_prime * np.log(x1))
+        - (log_beta(r_prime, r1) + r_prime * np.log(x1))
     )
     return np.where(pos, out, -np.inf)
 

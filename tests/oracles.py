@@ -15,14 +15,36 @@ from scipy import integrate, special
 
 from goaltime import distributions as dist
 from goaltime.errors import DivergenceError, DomainError, InvalidShapeError
-from goaltime.predictive import (
-    PredictionProblem,
-    marginal_flat,
-    marginal_restricted,
-)
+from goaltime.predictive import PredictionProblem
 from goaltime.specfun import gauss_2f1
 
 _SHAPE_MARGIN = 1e-9
+
+
+def marginal_flat(s1, s2):
+    """Marginal of an inverse-gamma statistic under the scale prior 1/v: s1/s2."""
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    if np.any(s1 <= 0) or np.any(s2 <= 0):
+        raise DomainError("marginal_flat requires positive arguments")
+    out = s1 / s2
+    return out if out.ndim else float(out)
+
+
+def marginal_restricted(s1, s2, upper):
+    """Marginal when the scale prior 1/v is cut off at ``upper``.
+
+    Equals Gamma(s1+1, s2/upper) / (s2 Gamma(s1)); evaluated through the
+    regularized upper gamma so no unnormalized gamma can overflow.
+    Recovers ``marginal_flat`` as upper -> inf.
+    """
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if np.any(s1 <= 0) or np.any(s2 <= 0) or np.any(upper <= 0):
+        raise DomainError("marginal_restricted requires positive arguments")
+    out = s1 * special.gammaincc(s1 + 1.0, s2 / upper) / s2
+    return out if out.ndim else float(out)
 
 
 def ordering_constant_quadrature(k1: float, k2: float, s1: float, s2: float) -> float:

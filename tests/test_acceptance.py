@@ -29,7 +29,6 @@ from goaltime.predictive import (
     PredictionProblem,
     SufficientStat,
     log_unrestricted_base,
-    marginal_flat,
     ordering_constant,
     predictive_summaries,
     restricted_predictive,
@@ -37,6 +36,7 @@ from goaltime.predictive import (
 )
 
 from oracles import (
+    marginal_flat,
     ordering_constant_quadrature,
     predictive_pdf_from_marginal,
     restricted_predictive_quadrature,

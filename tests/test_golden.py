@@ -1,9 +1,8 @@
 """CLI golden outputs: each command's stdout, compared byte for byte.
 
 The files under ``tests/golden/`` hold the stdout of one ``goaltime``
-command each.  The bundled fixture directory appears in the metadata of
-every command that reads a fixture log; it is written as ``<data>`` so the
-files do not depend on where the package is installed.
+command each.  The metadata records a bundled fixture log by its file
+name, so the output does not depend on where the package is installed.
 
 A change that is meant to move an output regenerates the files with
 
@@ -21,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from goaltime import ingest
 from goaltime.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -47,12 +45,12 @@ COMMANDS = {
 
 
 def stdout_of(argv: list[str]) -> str:
-    """stdout of one command, with the fixture directory written as ``<data>``."""
+    """stdout of one command."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     assert code == 0, f"{argv} exited {code}"
-    return buf.getvalue().replace(str(ingest.toronto_fixture_path().parent), "<data>")
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

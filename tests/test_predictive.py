@@ -15,8 +15,6 @@ from goaltime.predictive import (
     log_ordering_constant,
     log_restricted_base,
     log_unrestricted_base,
-    marginal_flat,
-    marginal_restricted,
     ordering_constant,
     predictive_summaries,
     restricted_predictive,
@@ -24,6 +22,8 @@ from goaltime.predictive import (
 )
 
 from oracles import (
+    marginal_flat,
+    marginal_restricted,
     ordering_constant_quadrature,
     predictive_pdf_from_marginal,
     restricted_predictive_quadrature,

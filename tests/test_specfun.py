@@ -3,10 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
+from goaltime import specfun
 from goaltime.errors import ConvergenceError, DomainError
-from goaltime.specfun import gauss_2f1, log_betainc
+from goaltime.specfun import gauss_2f1, log_beta, log_betainc
 
 from oracles import log_reg_gauss_2f1_pos
 
@@ -105,6 +108,89 @@ class TestRegIncBeta:
         assert direct[0] > 1e-280 > direct[-1]
         want = [float(mp.log(mp.betainc(a, b, 0, x, regularized=True))) for x in xs]
         np.testing.assert_allclose(log_betainc(a, b, xs), want, rtol=1e-13)
+
+
+def mp_log_betainc(a, b, x):
+    """log I_x(a, b) in mpmath at 50 digits, at the exact double x."""
+    with mp.workdps(50):
+        return float(mp.log(mp.betainc(a, b, 0, mp.mpf(x), regularized=True)))
+
+
+def points_around_the_swap(a, b, logit):
+    """The drawn point and the two doubles next to (a+1)/(a+b+2), where
+    the continued fraction swaps to 1 - I_{1-x}(b, a)."""
+    swap = (a + 1.0) / (a + b + 2.0)
+    return np.array([1.0 / (1.0 + math.exp(-logit)), np.nextafter(swap, 0.0), np.nextafter(swap, 1.0)])
+
+
+SHAPE_A = st.floats(0.1, 400.0)
+LOGIT = st.floats(-30.0, 30.0)
+
+
+class TestLogBetaincOverDomain:
+    """``log_betainc`` against mpmath over a in [0.1, 400], logit(x) in [-30, 30].
+
+    Every example also takes the two doubles on either side of the swap
+    point.  At logit -30 and a in the hundreds, I_x is far below the
+    smallest double (``@example``), and only its log is representable.
+    """
+
+    @given(a=SHAPE_A, b=st.integers(1, 250), logit=LOGIT)
+    @example(a=400.0, b=250, logit=-30.0)  # I_x near 1e-5200
+    @example(a=0.1, b=1, logit=30.0)
+    @example(a=400.0, b=250, logit=30.0)
+    @settings(max_examples=200, deadline=None)
+    def test_integer_b_against_mpmath(self, a, b, logit):
+        xs = points_around_the_swap(a, b, logit)
+        got = log_betainc(a, b, xs)
+        for x, g in zip(xs, got):
+            want = mp_log_betainc(a, b, x)
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
+
+    @given(a=SHAPE_A, b=st.floats(0.1, 250.0).filter(lambda b: not b.is_integer()), logit=LOGIT)
+    @example(a=400.0, b=249.5, logit=-30.0)  # I_x near 1e-5200
+    @example(a=0.1, b=0.1, logit=30.0)
+    @example(a=337.13, b=9.19, logit=3.45)  # just below the swap point
+    @settings(max_examples=200, deadline=None)
+    def test_non_integer_b_against_mpmath(self, a, b, logit):
+        xs = points_around_the_swap(a, b, logit)
+        got = log_betainc(a, b, xs)
+        for x, g in zip(xs, got):
+            want = mp_log_betainc(a, b, x)
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
+        # one point alone takes the scalar form of the iteration
+        assert log_betainc(a, b, xs[0]) == pytest.approx(got[0], rel=1e-14, abs=1e-14)
+
+    def test_underflow_is_reached(self):
+        # the domain above holds points where I_x itself is not a double
+        assert special.betainc(400.0, 250.0, 1.0 / (1.0 + math.exp(30.0))) == 0.0
+        assert log_betainc(400.0, 250.0, 1.0 / (1.0 + math.exp(30.0))) < -10000.0
+
+    def test_integer_sum_agrees_with_continued_fraction(self):
+        # the two methods, side by side at integer b (log 0 at the ends)
+        xs = np.linspace(0.0, 1.0, 201)
+        for a, b in [(6.0, 3), (2.5, 1), (150.0, 40), (0.3, 7)]:
+            with np.errstate(divide="ignore"):
+                by_cf = specfun._log_betainc_cf(a, float(b), xs)
+            np.testing.assert_allclose(log_betainc(a, b, xs), by_cf, rtol=1e-13, atol=1e-13)
+
+    def test_unconverged_continued_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CF_MAX_TERMS", 2)
+        with pytest.raises(ConvergenceError):
+            log_betainc(30.0, 20.5, np.array([0.55, 0.6]))
+        with pytest.raises(ConvergenceError):
+            log_betainc(30.0, 20.5, 0.6)
+
+
+class TestLogBeta:
+    @given(a=st.floats(0.1, 1000.0), b=st.floats(0.1, 1000.0))
+    @example(a=400.0, b=250.0)
+    @example(a=0.5, b=400.0)
+    @settings(max_examples=200, deadline=None)
+    def test_against_mpmath(self, a, b):
+        with mp.workdps(50):
+            want = float(mp.log(mp.beta(a, b)))
+        assert abs(log_beta(a, b) - want) <= 1e-13 * max(1.0, abs(want)), (a, b)
 
 
 class TestGauss2F1:
