@@ -7,7 +7,7 @@ It is written in numpy alone and works in log space throughout, so it
 cannot underflow where ``I_x`` is below the smallest double.  It picks its
 method from ``b``:
 
-* **integer b** (``b <= 1000``, and ``S`` below can not overflow).  The
+* **integer b** (``b <= 1000``, where ``S`` below cannot overflow).  The
   ordering constants take ``b = r2``, a goal index, so this is the case of
   the paper's shapes and of every default.  DLMF 8.17.21 unrolled from
   ``I_x(a, 1) = x^a`` gives the finite sum
@@ -15,8 +15,8 @@ method from ``b``:
       I_x(a, n) = x^a S,    S = sum_{j<n} (a)_j / j! (1-x)^j,
 
   evaluated by ``n - 1`` Horner steps over positive terms and returned as
-  ``a log x + log S``: a few array operations per point, no cancellation
-  and nothing to converge.
+  ``a log x + log S``: three in-place array operations a step, no
+  cancellation in the sum and nothing to converge.
 * **any other b**: the continued fraction of DLMF 8.17.22,
 
       I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))),

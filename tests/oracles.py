@@ -1,8 +1,9 @@
 """Independent oracles the tests check the package against.
 
 These are slow reference forms -- adaptive quadrature of defining
-integrals, and the restricted density's single hypergeometric form -- kept
-out of the package so that its runtime carries no adaptive integrator.
+integrals with the prior marginals they integrate, and the restricted
+density's single hypergeometric form -- kept out of the package so that
+its runtime carries no adaptive integrator and needs no scipy.
 """
 
 from __future__ import annotations

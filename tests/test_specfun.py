@@ -123,6 +123,16 @@ def points_around_the_swap(a, b, logit):
     return np.array([1.0 / (1.0 + math.exp(-logit)), np.nextafter(swap, 0.0), np.nextafter(swap, 1.0)])
 
 
+def check_against_mpmath(a, b, logit):
+    xs = points_around_the_swap(a, b, logit)
+    got = log_betainc(a, b, xs)
+    for x, g in zip(xs, got):
+        want = mp_log_betainc(a, b, x)
+        assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
+    # one point alone takes the Python-float form of either method
+    assert log_betainc(a, b, xs[0]) == pytest.approx(got[0], rel=1e-14, abs=1e-14)
+
+
 SHAPE_A = st.floats(0.1, 400.0)
 LOGIT = st.floats(-30.0, 30.0)
 
@@ -141,11 +151,7 @@ class TestLogBetaincOverDomain:
     @example(a=400.0, b=250, logit=30.0)
     @settings(max_examples=200, deadline=None)
     def test_integer_b_against_mpmath(self, a, b, logit):
-        xs = points_around_the_swap(a, b, logit)
-        got = log_betainc(a, b, xs)
-        for x, g in zip(xs, got):
-            want = mp_log_betainc(a, b, x)
-            assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
+        check_against_mpmath(a, b, logit)
 
     @given(a=SHAPE_A, b=st.floats(0.1, 250.0).filter(lambda b: not b.is_integer()), logit=LOGIT)
     @example(a=400.0, b=249.5, logit=-30.0)  # I_x near 1e-5200
@@ -153,13 +159,7 @@ class TestLogBetaincOverDomain:
     @example(a=337.13, b=9.19, logit=3.45)  # just below the swap point
     @settings(max_examples=200, deadline=None)
     def test_non_integer_b_against_mpmath(self, a, b, logit):
-        xs = points_around_the_swap(a, b, logit)
-        got = log_betainc(a, b, xs)
-        for x, g in zip(xs, got):
-            want = mp_log_betainc(a, b, x)
-            assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
-        # one point alone takes the scalar form of the iteration
-        assert log_betainc(a, b, xs[0]) == pytest.approx(got[0], rel=1e-14, abs=1e-14)
+        check_against_mpmath(a, b, logit)
 
     def test_underflow_is_reached(self):
         # the domain above holds points where I_x itself is not a double
