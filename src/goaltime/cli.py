@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
@@ -77,23 +78,10 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d = {
-            "command": self.command,
-            "r1": self.r1,
-            "r2": self.r2,
-            "r_prime": self.r_prime,
-            "window": list(self.window),
-            "x1": self.x1,
-            "x2": self.x2,
-            "x2_mode": self.x2_mode,
-            "grid": self.grid,
-            "samples": self.samples,
-            "seed": self.seed,
-            "format": self.fmt,
-            "out": self.out,
-        }
-        d.update(self.sources)
-        d.update(self.extras)
+        d = dataclasses.asdict(self)
+        d["format"] = d.pop("fmt")
+        d.update(d.pop("sources"))
+        d.update(d.pop("extras"))
         return d
 
 
@@ -296,26 +284,14 @@ def _problem(cfg: RunConfig, window=None) -> PredictionProblem:
     )
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
+def cmd_densities(cfg: RunConfig) -> None:
+    """Both densities at the midpoints of ``cfg.grid`` cells over the window:
+    renormalized to it (``predict``) or untruncated (``density-table``)."""
     lo, hi = cfg.window
-    if not np.isfinite(hi):
-        raise GoaltimeError("density grids need a finite window")
     step = (hi - lo) / cfg.grid
-    return lo + step * (np.arange(cfg.grid) + 0.5)
-
-
-def cmd_predict(cfg: RunConfig) -> None:
-    ys = _grid(cfg)
-    problem = _problem(cfg)
-    q0 = unrestricted_predictive(problem)
-    q1 = restricted_predictive(problem)
-    rows = [[float(y), float(a), float(b)] for y, a, b in zip(ys, q0.pdf(ys), q1.pdf(ys))]
-    _write(cfg, ["y", "q0", "q1"], rows)
-
-
-def cmd_density_table(cfg: RunConfig) -> None:
-    ys = _grid(cfg)
-    problem = _problem(cfg, window=(0.0, float("inf")))
+    ys = lo + step * (np.arange(cfg.grid) + 0.5)
+    window = (0.0, float("inf")) if cfg.command == "density-table" else cfg.window
+    problem = _problem(cfg, window)
     q0 = unrestricted_predictive(problem)
     q1 = restricted_predictive(problem)
     rows = [[float(y), float(a), float(b)] for y, a, b in zip(ys, q0.pdf(ys), q1.pdf(ys))]
@@ -375,8 +351,8 @@ def cmd_risk_curve(cfg: RunConfig) -> None:
 
 
 _COMMANDS = {
-    "predict": cmd_predict,
-    "density-table": cmd_density_table,
+    "predict": cmd_densities,
+    "density-table": cmd_densities,
     "summarize": cmd_summarize,
     "prediction-error": cmd_prediction_error,
     "risk-curve": cmd_risk_curve,

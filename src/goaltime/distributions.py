@@ -156,18 +156,15 @@ def window_grid(base, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """A density sampled on its window grid: panel edges, nodes, weights, values."""
+    """A density sampled on its window grid: panel edges, nodes, weights,
+    values, and ``cum``, the mass below each panel edge."""
 
     edges: np.ndarray
     y: np.ndarray
     w: np.ndarray
     f: np.ndarray
+    cum: np.ndarray
     bulk: float
-
-    @property
-    def cum(self) -> np.ndarray:
-        """Mass below each panel edge."""
-        return np.concatenate(([0.0], np.cumsum(np.sum(self.w * self.f, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,6 @@ class TruncatedDensity:
     hi: float
     mass: float
     grid: DensityGrid = field(repr=False, compare=False)
-    label: str = field(default="", compare=False)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -217,7 +213,7 @@ class TruncatedDensity:
         return out if t.ndim else float(out)
 
 
-def truncate(base, lo: float, hi: float, label: str = "") -> TruncatedDensity:
+def truncate(base, lo: float, hi: float) -> TruncatedDensity:
     """Renormalize ``base`` to the window (lo, hi).
 
     The window mass is the sum over the window grid (see the module
@@ -229,15 +225,15 @@ def truncate(base, lo: float, hi: float, label: str = "") -> TruncatedDensity:
     """
     if not lo < hi:
         raise DomainError(f"empty window ({lo}, {hi})")
-    fn = base.pdf if hasattr(base, "pdf") else base
-    edges, bulk = _panel_edges(fn, lo, hi)
+    edges, bulk = _panel_edges(base, lo, hi)
     y, w = _gauss_panels(edges[:-1], edges[1:])
-    f = np.asarray(fn(y.ravel()), dtype=float).reshape(y.shape)
+    f = np.asarray(base(y.ravel()), dtype=float).reshape(y.shape)
     mass = float(np.sum(w * f))
     if not (np.isfinite(mass) and mass > 0):
         raise DegenerateWindowError(f"window ({lo}, {hi}) has mass {mass}")
-    grid = DensityGrid(edges=edges, y=y, w=w, f=f, bulk=bulk)
-    return TruncatedDensity(base=fn, lo=float(lo), hi=float(hi), mass=mass, grid=grid, label=label)
+    cum = np.concatenate(([0.0], np.cumsum(np.sum(w * f, axis=1))))
+    grid = DensityGrid(edges=edges, y=y, w=w, f=f, cum=cum, bulk=bulk)
+    return TruncatedDensity(base=base, lo=float(lo), hi=float(hi), mass=mass, grid=grid)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,7 @@ class DomainError(GoaltimeError, ValueError):
 
 
 class ConvergenceError(GoaltimeError, ArithmeticError):
-    """A series or iteration failed to reach the requested accuracy.
-
-    Carries ``error_estimate``, an upper bound on the absolute error of the
-    best value obtained before giving up.
-    """
-
-    def __init__(self, message: str, error_estimate: float = float("inf")):
-        super().__init__(message)
-        self.error_estimate = error_estimate
+    """A series or iteration failed to reach the requested accuracy."""
 
 
 class InvalidShapeError(GoaltimeError, ValueError):

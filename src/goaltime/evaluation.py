@@ -91,12 +91,10 @@ class RiskCurve:
     shapes: ShapeConfig = field(default_factory=ShapeConfig)
 
 
-def _as_pdf(density):
-    return density.pdf if hasattr(density, "pdf") else density
-
-
 def kl_loss(exact, estimate, window: tuple[float, float]) -> float:
     """KL divergence of ``estimate`` from ``exact`` over ``window``.
+
+    Both are vectorized densities, such as a ``TruncatedDensity``.
 
     A weighted sum over the composite Gauss-Legendre grid of
     ``distributions.window_grid``; an infinite window is cut where
@@ -111,13 +109,11 @@ def kl_loss(exact, estimate, window: tuple[float, float]) -> float:
     lo, hi = window
     if not lo < hi:
         raise DomainError(f"bad window {window}")
-    p = _as_pdf(exact)
-    q = _as_pdf(estimate)
-    y, w = dist.window_grid(p, lo, hi)
-    pv = np.asarray(p(y), dtype=float)
+    y, w = dist.window_grid(exact, lo, hi)
+    pv = np.asarray(exact(y), dtype=float)
     keep = pv > _KL_FLOOR
     y, w, pv = y[keep], w[keep], pv[keep]
-    qv = np.asarray(q(y), dtype=float)
+    qv = np.asarray(estimate(y), dtype=float)
     if np.any(qv <= 0.0):
         raise DivergenceError(
             f"estimate vanishes at y={y[np.argmax(qv <= 0.0)]} where exact is positive"

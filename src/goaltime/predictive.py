@@ -15,6 +15,10 @@ Both log densities come from the one beta prime ``log_unrestricted_base``,
 and broadcast over their statistics: ``unrestricted_predictive`` and
 ``restricted_predictive`` evaluate them on a window grid, and
 ``evaluation.frequentist_risk`` on a block of Monte Carlo draws at once.
+q1's denominator ``C(r1 - 1, x1, r2 - 1, x2)`` depends only on the
+observed statistics, so ``restricted_predictive`` computes it once per
+density, when it builds it; the density's window grid, ``pdf`` and ``cdf``
+evaluate only the ``y``-dependent numerator.
 
 The ordering constant is defined by the integral
 
@@ -171,6 +175,14 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
     return np.where(pos, out, -np.inf)
 
 
+def _log_restricted_numerator(y, x1, x2, r1: float, r2: float, r_prime: float):
+    """The ``y``-dependent part of ``log_restricted_base``:
+    ``log B'(r', r1 - 1, x1)(y) + log C(r1 + r' - 1, x1 + y, r2 - 1, x2)``."""
+    y = np.asarray(y, dtype=float)
+    log_c_num = log_ordering_constant(r1 + r_prime - 1.0, x1 + y, r2 - 1.0, x2)
+    return log_unrestricted_base(y, x1, r1 - 1.0, r_prime) + log_c_num
+
+
 def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     """Log of the untruncated restricted predictive density.
 
@@ -181,12 +193,9 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     check_observed_shape(r1)
     check_observed_shape(r2)
     check_future_shape(r_prime)
-    y = np.asarray(y, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    log_c_num = log_ordering_constant(r1 + r_prime - 1.0, x1 + y, r2 - 1.0, x2)
     log_c_den = log_ordering_constant(r1 - 1.0, x1, r2 - 1.0, x2)
-    return log_unrestricted_base(y, x1, r1 - 1.0, r_prime) + log_c_num - log_c_den
+    return _log_restricted_numerator(y, x1, x2, r1, r2, r_prime) - log_c_den
 
 
 def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -201,7 +210,7 @@ def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity
         return np.exp(log_unrestricted_base(y, a.x, a.r, problem.r_prime))
 
     lo, hi = problem.window
-    return dist.truncate(base, lo, hi, label="unrestricted")
+    return dist.truncate(base, lo, hi)
 
 
 def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -218,12 +227,13 @@ def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
     if problem.obs_b is None:
         raise DomainError("restricted_predictive needs the rival statistic obs_b")
     a, b = problem.obs_a, problem.obs_b
+    log_c_den = log_ordering_constant(a.r - 1.0, a.x, b.r - 1.0, b.x)
 
     def base(y):
-        return np.exp(log_restricted_base(y, a.x, b.x, a.r, b.r, problem.r_prime))
+        return np.exp(_log_restricted_numerator(y, a.x, b.x, a.r, b.r, problem.r_prime) - log_c_den)
 
     lo, hi = problem.window
-    return dist.truncate(base, lo, hi, label="restricted")
+    return dist.truncate(base, lo, hi)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,9 @@ called: it backs the weighted-beta-prime form of the restricted density
 that the tests check against (``tests/oracles.py``).
 
 All functions are pure and stateless; they accept scalars or numpy arrays
-for the argument ``x`` or ``z`` and broadcast in the numpy sense.
+for the argument ``x`` or ``z`` and broadcast in the numpy sense.  A scalar
+``x`` takes the array path of either method, except that the continued
+fraction runs a lone point in Python floats (``_log_lentz_scalar``).
 """
 
 from __future__ import annotations
@@ -81,12 +83,7 @@ def log_betainc(a: float, b: float, x):
     a = float(a)
     b = float(b)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = float(x)
-        in_range = 0.0 <= x <= 1.0
-    else:
-        in_range = not x.size or (0.0 <= x.min() and x.max() <= 1.0)
-    if not in_range:
+    if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
         raise DomainError("log_betainc requires 0 <= x <= 1")
     with np.errstate(divide="ignore", invalid="ignore"):
         if b.is_integer() and b <= _MAX_INT_B and (
@@ -94,22 +91,15 @@ def log_betainc(a: float, b: float, x):
         ):
             out = _log_betainc_int(a, int(b), x)
         else:
-            out = _log_betainc_cf(a, b, np.asarray(x))
+            out = _log_betainc_cf(a, b, x)
     return out if np.ndim(out) else float(out)
 
 
-def _log_betainc_int(a: float, n: int, x):
+def _log_betainc_int(a: float, n: int, x: np.ndarray) -> np.ndarray:
     """log I_x(a, n) for integer n, as ``a log x + log S`` (module docstring).
 
-    A float ``x`` is summed in Python floats, which costs less than one
-    numpy call.  An array is worked in place: with ``x``, two arrays of
-    its size are alive.
+    Worked in place: with ``x``, two arrays of its size are alive.
     """
-    if isinstance(x, float):
-        s = 1.0
-        for j in range(n - 1, 0, -1):
-            s = 1.0 + s * (1.0 - x) * ((a + j - 1.0) / j)
-        return a * math.log(x) + math.log(s) if x > 0.0 else -math.inf
     y = np.subtract(1.0, x, out=np.empty_like(x))
     s = np.ones_like(y)
     for j in range(n - 1, 0, -1):
@@ -196,7 +186,13 @@ def _log_lentz(a: float, b: float, t: np.ndarray, swap: np.ndarray) -> np.ndarra
 
 def _log_lentz_scalar(a: float, b: float, t: float) -> float:
     """``_log_lentz`` at one point, in Python floats: a numpy call on one
-    element costs more than the whole iteration step in floats."""
+    element costs more than the whole iteration step in floats.
+
+    Callers that evaluate one point at a time at a non-integer ``b`` rely
+    on it: adaptive quadrature of a density, or q1's denominator at build
+    time.  Through the array iteration one point takes more than ten
+    times as long.
+    """
     c, d, h = math.inf, 1.0, 1.0
     try:
         for m in range(_CF_MAX_TERMS):

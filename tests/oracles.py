@@ -92,7 +92,7 @@ def restricted_predictive_quadrature(problem: PredictionProblem) -> dist.Truncat
         return val * c_num
 
     lo, hi = problem.window
-    return dist.truncate(base, lo, hi, label="restricted")
+    return dist.truncate(base, lo, hi)
 
 
 def predictive_pdf_from_marginal(y, x1: float, r1: float, r_prime: float, marginal=marginal_flat):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from goaltime import predictive as pred
 from goaltime.distributions import summarize, truncate
 from goaltime.errors import DomainError, InvalidShapeError
 from goaltime.predictive import (
@@ -270,6 +271,26 @@ class TestRestricted:
             np.testing.assert_allclose(scaled, base / c, rtol=1e-10)
             scaled0 = np.exp(log_unrestricted_base(c * ys, c * X1_TABLE, 3.0, 3.0))
             np.testing.assert_allclose(scaled0, base0 / c, rtol=1e-12)
+
+    @pytest.mark.parametrize("r2", [3.0, 2.5])
+    def test_denominator_computed_once_per_density(self, monkeypatch, r2):
+        # C(r1 - 1, x1, r2 - 1, x2) depends only on the problem: the build
+        # computes it, and no grid, pdf or cdf evaluation repeats it
+        real = pred.log_ordering_constant
+        calls = []
+
+        def counting(k1, k2, s1, s2):
+            calls.append(k1)
+            return real(k1, k2, s1, s2)
+
+        monkeypatch.setattr(pred, "log_ordering_constant", counting)
+        d = restricted_predictive(self.problem(r2=r2))
+        predictive_summaries(d)
+        d.pdf(0.1 * (np.arange(600) + 0.5))
+        d.cdf(np.array([5.0, 30.0, 59.0]))
+        d.cdf(12.5)
+        assert calls.count(3.0 - 1.0) == 1
+        assert len(calls) > 10
 
     def test_rejects_small_shapes(self):
         with pytest.raises(InvalidShapeError):

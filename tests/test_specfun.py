@@ -129,7 +129,7 @@ def check_against_mpmath(a, b, logit):
     for x, g in zip(xs, got):
         want = mp_log_betainc(a, b, x)
         assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
-    # one point alone takes the Python-float form of either method
+    # one point alone takes the scalar Lentz iteration at non-integer b
     assert log_betainc(a, b, xs[0]) == pytest.approx(got[0], rel=1e-14, abs=1e-14)
 
 
