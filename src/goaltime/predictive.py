@@ -175,12 +175,18 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
     return np.where(pos, out, -np.inf)
 
 
-def _log_restricted_numerator(y, x1, x2, r1: float, r2: float, r_prime: float):
-    """The ``y``-dependent part of ``log_restricted_base``:
-    ``log B'(r', r1 - 1, x1)(y) + log C(r1 + r' - 1, x1 + y, r2 - 1, x2)``."""
+def _log_restricted(y, x1, x2, r1: float, r2: float, r_prime: float, log_c_den):
+    """``log_restricted_base`` with the log of its denominator,
+    ``C(r1 - 1, x1, r2 - 1, x2)``, given: only the ``y``-dependent
+    numerator is computed here.
+
+    One expression sums the terms, so a Monte Carlo risk block keeps its
+    numerator blocks until the result is allocated; freeing them first
+    lets the heap shrink and re-fault more pages on every block.
+    """
     y = np.asarray(y, dtype=float)
     log_c_num = log_ordering_constant(r1 + r_prime - 1.0, x1 + y, r2 - 1.0, x2)
-    return log_unrestricted_base(y, x1, r1 - 1.0, r_prime) + log_c_num
+    return log_unrestricted_base(y, x1, r1 - 1.0, r_prime) + log_c_num - log_c_den
 
 
 def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
@@ -195,7 +201,7 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     check_future_shape(r_prime)
     x1 = np.asarray(x1, dtype=float)
     log_c_den = log_ordering_constant(r1 - 1.0, x1, r2 - 1.0, x2)
-    return _log_restricted_numerator(y, x1, x2, r1, r2, r_prime) - log_c_den
+    return _log_restricted(y, x1, x2, r1, r2, r_prime, log_c_den)
 
 
 def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -230,7 +236,7 @@ def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
     log_c_den = log_ordering_constant(a.r - 1.0, a.x, b.r - 1.0, b.x)
 
     def base(y):
-        return np.exp(_log_restricted_numerator(y, a.x, b.x, a.r, b.r, problem.r_prime) - log_c_den)
+        return np.exp(_log_restricted(y, a.x, b.x, a.r, b.r, problem.r_prime, log_c_den))
 
     lo, hi = problem.window
     return dist.truncate(base, lo, hi)
