@@ -51,7 +51,6 @@ from .predictive import (
     PredictionProblem,
     SufficientStat,
     SummaryRow,
-    ordering_constant,
     predictive_summaries,
     restricted_predictive,
     unrestricted_predictive,
@@ -83,7 +82,6 @@ __all__ = [
     "frequentist_risk",
     "gamma_pdf",
     "kl_loss",
-    "ordering_constant",
     "parse_game_log",
     "parse_points",
     "points_fixture_path",

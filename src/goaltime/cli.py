@@ -24,6 +24,7 @@ from .distributions import GammaModel, gamma_pdf, truncate
 from .errors import GoaltimeError
 from .evaluation import ShapeConfig
 from .predictive import (
+    DEFAULT_WINDOW,
     PredictionProblem,
     SufficientStat,
     predictive_summaries,
@@ -35,7 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULT_RATIOS = "1,1.5,2,3,4,6,8"
+_DEFAULT_RATIOS = ",".join(f"{r:g}" for r in evaluation.DEFAULT_RATIO_GRID)
 
 
 def _fmt(value) -> str:
@@ -189,7 +190,7 @@ def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | No
 
 def resolve_config(args) -> RunConfig:
     x2_mode = args.x2_mode.replace("-", "_")
-    default_window = None if args.command == "risk-curve" else (0.0, 60.0)
+    default_window = None if args.command == "risk-curve" else DEFAULT_WINDOW
     window = _parse_window(args.window, default_window)
     sources: dict = {}
     if args.command == "risk-curve":

@@ -9,7 +9,9 @@ through ``y = t/(1-t)``), vectorized over draws, which the tests pin
 against adaptive quadrature to far below the Monte Carlo noise.  Each
 estimator's log density on that grid is the one its predictive density
 truncates, ``predictive.log_unrestricted_base`` or
-``predictive.log_restricted_base``.
+``predictive.log_restricted_base``; q1's is q0's plus the log ratio of two
+incomplete betas, the ordering probability with the node ``y`` in team a's
+data (one per draw and node) over the one without it (one per draw).
 The risk keeps this grid rather than the truth's window grid of
 ``kl_loss``: the window grid needs two to three times the nodes, which
 would make the per-draw work of a risk block as much larger.

@@ -8,45 +8,43 @@ given an observed statistic ``x1 ~ Gam(r1, lam1)``, under the scale prior
   ``B'(r', r1, x1)`` (``log_unrestricted_base``);
 * the restricted estimator, which additionally conditions on an observation
   ``x2 ~ Gam(r2, lam2)`` from a second population together with the ordering
-  ``lam1 >= lam2``: the beta prime ``B'(r', r1 - 1, x1)`` times a ratio of
-  ordering constants (``log_restricted_base``).
+  ``lam1 >= lam2``: the same beta prime reweighted by a ratio of ordering
+  probabilities (``log_restricted_base``).
 
 Both log densities come from the one beta prime ``log_unrestricted_base``,
 and broadcast over their statistics: ``unrestricted_predictive`` and
 ``restricted_predictive`` evaluate them on a window grid, and
 ``evaluation.frequentist_risk`` on a block of Monte Carlo draws at once.
-q1's denominator ``C(r1 - 1, x1, r2 - 1, x2)`` depends only on the
-observed statistics, so ``restricted_predictive`` computes it once per
-density, when it builds it; the density's window grid, ``pdf`` and ``cdf``
-evaluate only the ``y``-dependent numerator.
 
-The ordering constant is defined by the integral
+The paper writes the restricted estimator as
 
-    C(k1, k2, s1, s2) = int_0^inf (1/v) m(s1, s2; v) IG(k1, k2)(v) dv,
+    q1(y) = B'(r', r1 - 1, x1)(y) C(r1 + r' - 1, x1 + y, r2 - 1, x2)
+            / C(r1 - 1, x1, r2 - 1, x2)
 
-with ``m(s1, s2; v)`` the bounded-scale marginal and ``IG`` the
-inverse-gamma density ``k2^k1 / Gamma(k1) v^(-k1-1) e^(-k2/v)``, and
-evaluates in closed form to
+with the ordering constant ``C``, an integral against an inverse-gamma
+density that Pfaff's transformation (DLMF 15.8.1) and DLMF 8.17.7 turn
+from a 2F1 into ``C(k1, k2, s1, s2) = k1 s1/(k2 s2) I_{k2/(k2+s2)}(k1+1, s1+1)``.
+In the ratio the prefactors
+``(r1 + r' - 1)/(r1 - 1) x1/(x1 + y)`` turn ``B'(r', r1 - 1, x1)`` into
+``B'(r', r1, x1)``, which is q0, and leave
 
-    C = k1 k2^k1 s2^(-k1-2) Gamma(k1+s1+2)
-        * 2F1~(k1+1, k1+s1+2; k1+2; -k2/s2) / Gamma(s1).
+    q1(y) = q0(y) I_{(x1+y)/(x1+y+x2)}(r1 + r', r2) / I_{x1/(x1+x2)}(r1, r2).
 
-Because ``c = a + 1`` in that 2F1, the Pfaff transformation (DLMF 15.8.1)
-and DLMF 8.17.7 turn it into a beta CDF,
+Under the scale prior each ``1/lam`` has a gamma posterior, so
+``I_{x1/(x1+x2)}(r1, r2)`` is the posterior probability of ``lam1 >= lam2``
+given ``(x1, x2)``, and the numerator is the same probability once ``y``
+joins team a's data: q1 is q0 reweighted by the ordering's posterior
+probability.  The denominator depends only on the observed statistics, so
+``restricted_predictive`` computes it once per density, when it builds it.
+Both incomplete betas come from ``specfun.log_betainc``, whose second shape
+is the rival's goal index ``r2``: at an integer ``r2``, the paper's case
+and every default, a finite sum of ``r2`` positive terms (DLMF 8.17.21),
+and otherwise a continued fraction (DLMF 8.17.22).  The beta function of
+the beta prime comes from ``specfun.log_beta``, so no module here needs
+scipy.
 
-    C = k1 s1 / (k2 s2) * I_w(k1+1, s1+1),    w = k2 / (k2 + s2),
-
-which is how the package evaluates it, in log space
-(``specfun.log_betainc``).  Both of q1's constants have ``s1 = r2 - 1``,
-so the incomplete beta's second shape is the rival's goal index ``r2``.
-At an integer ``r2``, the paper's case and every default, ``I_w`` is a
-finite sum of ``r2`` positive terms (DLMF 8.17.21) and costs a few array
-operations a point; any other ``r2`` goes through the continued fraction
-of DLMF 8.17.22.  The beta function of the beta prime comes from
-``specfun.log_beta``, so no module here needs scipy.
-
-After the weight is folded in, the restricted density itself has the
-closed weighted-beta-prime form
+In one hypergeometric ratio, the restricted density has the closed
+weighted-beta-prime form
 
     q1(y) = r1 Gamma(r'+r1+r2) x2^(-r') y^(r'-1)
             * 2F1(r'+r1, r'+r1+r2; r'+r1+1; -(x1+y)/x2)
@@ -55,7 +53,7 @@ closed weighted-beta-prime form
 
 with exponents fixed so that the density integrates to one and agrees with
 brute-force integration of the posterior.  The tests keep this form, the
-quadrature of the defining integral of ``C`` and the general marginal-ratio
+quadrature of ``C``'s defining integral and the general marginal-ratio
 form of the unrestricted density as oracles (``tests/oracles.py``).  All
 densities are renormalized to the prediction window.
 """
@@ -121,38 +119,6 @@ class PredictionProblem:
             raise DomainError(f"bad window {self.window}")
 
 
-def log_ordering_constant(k1, k2, s1, s2):
-    """log C(k1, k2, s1, s2) via the incomplete-beta closed form.
-
-    Vectorized over ``k2`` and ``s2`` (numpy broadcasting); ``k1`` and
-    ``s1`` are scalars.  The Monte Carlo risk passes blocks of 4000 draws
-    by 200 nodes, so the sum is taken in place on the incomplete beta's
-    output.
-    """
-    k1 = float(k1)
-    s1 = float(s1)
-    k2 = np.asarray(k2, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    if k1 <= 0 or s1 <= 0 or np.any(k2 <= 0) or np.any(s2 <= 0):
-        raise DomainError("ordering constant requires positive arguments")
-    w = np.empty(np.broadcast_shapes(k2.shape, s2.shape))
-    np.add(k2, s2, out=w)
-    np.divide(k2, w, out=w)
-    out = log_betainc(k1 + 1.0, s1 + 1.0, w)
-    del w
-    out -= np.log(k2)
-    out -= np.log(s2)
-    out += np.log(k1 * s1)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("ordering constant not finite; log form unavailable")
-    return out if np.ndim(out) else float(out)
-
-
-def ordering_constant(k1: float, k2: float, s1: float, s2: float) -> float:
-    """The ordering constant C(k1, k2, s1, s2) itself."""
-    return float(np.exp(log_ordering_constant(k1, k2, s1, s2)))
-
-
 def log_unrestricted_base(y, x1, r1: float, r_prime: float):
     """Log of the beta prime density ``B'(r', r1, x1)`` at ``y``, untruncated.
 
@@ -175,33 +141,48 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
     return np.where(pos, out, -np.inf)
 
 
-def _log_restricted(y, x1, x2, r1: float, r2: float, r_prime: float, log_c_den):
-    """``log_restricted_base`` with the log of its denominator,
-    ``C(r1 - 1, x1, r2 - 1, x2)``, given: only the ``y``-dependent
-    numerator is computed here.
+def _log_ordering_probability(x1, x2, r1: float, r2: float):
+    """log of the posterior probability of ``lam1 >= lam2`` given ``x1`` and
+    ``x2``, ``I_w(r1, r2)`` at ``w = x1 / (x1 + x2)``: q1's denominator."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if np.any(x1 <= 0) or np.any(x2 <= 0):
+        raise DomainError("restricted density requires positive statistics")
+    out = log_betainc(r1, r2, x1 / (x1 + x2))
+    if not np.all(np.isfinite(out)):
+        raise DomainError("ordering probability not finite; log form unavailable")
+    return out
 
-    One expression sums the terms, so a Monte Carlo risk block keeps its
-    numerator blocks until the result is allocated; freeing them first
-    lets the heap shrink and re-fault more pages on every block.
+
+def _log_restricted(y, x1, x2, r1: float, r2: float, r_prime: float, log_p_den):
+    """``log_restricted_base`` with the log of its denominator given: only
+    the ``y``-dependent numerator is computed here.
+
+    The numerator's weight ``(x1 + y) / (x1 + y + x2)`` is at least the
+    denominator's, so it cannot vanish where the denominator is finite.
+    The weight is formed in place, and one expression sums the terms, so
+    a Monte Carlo risk block keeps its blocks until the result is
+    allocated; freeing them first lets the heap shrink and re-fault more
+    pages on every block.
     """
     y = np.asarray(y, dtype=float)
-    log_c_num = log_ordering_constant(r1 + r_prime - 1.0, x1 + y, r2 - 1.0, x2)
-    return log_unrestricted_base(y, x1, r1 - 1.0, r_prime) + log_c_num - log_c_den
+    w = np.add(x1, y, out=np.empty(np.broadcast_shapes(np.shape(x1), y.shape, np.shape(x2))))
+    np.divide(w, w + x2, out=w)
+    return log_unrestricted_base(y, x1, r1, r_prime) + log_betainc(r1 + r_prime, r2, w) - log_p_den
 
 
 def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     """Log of the untruncated restricted predictive density.
 
-    The beta prime ``B'(r', r1 - 1, x1)`` times the ratio of ordering
-    constants ``C(r1 + r' - 1, x1 + y, r2 - 1, x2) / C(r1 - 1, x1, r2 - 1, x2)``.
+    The beta prime ``B'(r', r1, x1)`` reweighted by the ratio of ordering
+    probabilities ``I_{(x1+y)/(x1+y+x2)}(r1 + r', r2) / I_{x1/(x1+x2)}(r1, r2)``.
     Broadcasts over ``y``, ``x1`` and ``x2`` like ``log_unrestricted_base``.
     """
     check_observed_shape(r1)
     check_observed_shape(r2)
     check_future_shape(r_prime)
-    x1 = np.asarray(x1, dtype=float)
-    log_c_den = log_ordering_constant(r1 - 1.0, x1, r2 - 1.0, x2)
-    return _log_restricted(y, x1, x2, r1, r2, r_prime, log_c_den)
+    log_p_den = _log_ordering_probability(x1, x2, r1, r2)
+    return _log_restricted(y, x1, x2, r1, r2, r_prime, log_p_den)
 
 
 def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -227,16 +208,16 @@ def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
             preprocessed (see the ingest module for the scaling options).
 
     Returns:
-        The weighted density, with its ordering constants in the
-        incomplete-beta closed form, renormalized to the problem window.
+        q0's beta prime reweighted by the ratio of ordering
+        probabilities, renormalized to the problem window.
     """
     if problem.obs_b is None:
         raise DomainError("restricted_predictive needs the rival statistic obs_b")
     a, b = problem.obs_a, problem.obs_b
-    log_c_den = log_ordering_constant(a.r - 1.0, a.x, b.r - 1.0, b.x)
+    log_p_den = _log_ordering_probability(a.x, b.x, a.r, b.r)
 
     def base(y):
-        return np.exp(_log_restricted(y, a.x, b.x, a.r, b.r, problem.r_prime, log_c_den))
+        return np.exp(_log_restricted(y, a.x, b.x, a.r, b.r, problem.r_prime, log_p_den))
 
     lo, hi = problem.window
     return dist.truncate(base, lo, hi)

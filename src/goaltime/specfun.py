@@ -1,15 +1,16 @@
 """Special functions backing the closed-form densities.
 
-Every ordering constant of the restricted estimator is a beta CDF (see
+The restricted estimator reweights the beta prime by a ratio of two beta
+CDFs, the posterior probabilities of the scale ordering (see
 ``predictive``), so the densities and both risks rest on one function,
 ``log_betainc``: the log of the regularized incomplete beta ``I_x(a, b)``.
 It is written in numpy alone and works in log space throughout, so it
 cannot underflow where ``I_x`` is below the smallest double.  It picks its
 method from ``b``:
 
-* **integer b** (``b <= 1000``, where ``S`` below cannot overflow).  The
-  ordering constants take ``b = r2``, a goal index, so this is the case of
-  the paper's shapes and of every default.  DLMF 8.17.21 unrolled from
+* **integer b** (``b <= 1000``, where ``S`` below cannot overflow).  Both
+  ordering probabilities take ``b = r2``, a goal index, so this is the case
+  of the paper's shapes and of every default.  DLMF 8.17.21 unrolled from
   ``I_x(a, 1) = x^a`` gives the finite sum
 
       I_x(a, n) = x^a S,    S = sum_{j<n} (a)_j / j! (1-x)^j,

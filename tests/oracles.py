@@ -17,7 +17,7 @@ from scipy import integrate, special
 from goaltime import distributions as dist
 from goaltime.errors import DivergenceError, DomainError, InvalidShapeError
 from goaltime.predictive import PredictionProblem
-from goaltime.specfun import gauss_2f1
+from goaltime.specfun import gauss_2f1, log_betainc
 
 _SHAPE_MARGIN = 1e-9
 
@@ -48,10 +48,26 @@ def marginal_restricted(s1, s2, upper):
     return out if out.ndim else float(out)
 
 
+def log_ordering_constant_closed(k1: float, k2: float, s1: float, s2: float) -> float:
+    """log C(k1, k2, s1, s2) in the incomplete-beta closed form
+    ``k1 s1 / (k2 s2) I_w(k1+1, s1+1)``, ``w = k2 / (k2 + s2)``.
+
+    The form from which the restricted density's ratio of constants
+    reduces to a ratio of ordering probabilities (``predictive``); the
+    tests check it against the quadrature below and the 2F1 form.
+    """
+    return log_betainc(k1 + 1.0, s1 + 1.0, k2 / (k2 + s2)) - math.log(k2) - math.log(s2) + math.log(k1 * s1)
+
+
+def ordering_constant_closed(k1: float, k2: float, s1: float, s2: float) -> float:
+    """C(k1, k2, s1, s2) itself, from ``log_ordering_constant_closed``."""
+    return math.exp(log_ordering_constant_closed(k1, k2, s1, s2))
+
+
 def ordering_constant_quadrature(k1: float, k2: float, s1: float, s2: float) -> float:
     """C(k1, k2, s1, s2) by adaptive quadrature of the defining integral.
 
-    Independent of the closed form in ``predictive``; serves as its
+    Independent of the incomplete-beta closed form; serves as its
     correctness oracle.
     """
     if min(k1, k2, s1, s2) <= 0:
@@ -191,11 +207,23 @@ def kl_loss_quad(exact, estimate, window: tuple[float, float], epsrel: float = 1
 
 
 def _quad(fn, lo: float, hi: float, epsrel: float) -> float:
-    """Adaptive quadrature over (lo, hi); an infinite window is split at
-    decades from lo + 1e-3 to lo + 1e30 so that no piece hides a heavy tail."""
-    cuts = [lo, hi] if np.isfinite(hi) else [lo, *(lo + 10.0 ** np.arange(-3.0, 31.0)), hi]
+    """Adaptive quadrature of ``fn`` over (lo, hi).
+
+    An infinite window is integrated in ``s = log(y - lo)``, where a heavy
+    tail in ``y`` becomes light, over ``s`` in [-700, 700] cut at
+    0, +-1, +-10 and +-100: beyond those ends lie ``y - lo`` below 1e-304
+    and above 1e304.
+    """
+    if np.isfinite(hi):
+        return float(integrate.quad(fn, lo, hi, epsabs=0, epsrel=epsrel, limit=400)[0])
+
+    def in_s(s):
+        t = math.exp(s)
+        return fn(lo + t) * t
+
+    cuts = (-700.0, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 700.0)
     return float(sum(
-        integrate.quad(fn, a, b, epsabs=0, epsrel=epsrel, limit=400)[0] for a, b in zip(cuts, cuts[1:])
+        integrate.quad(in_s, a, b, epsabs=0, epsrel=epsrel, limit=400)[0] for a, b in zip(cuts, cuts[1:])
     ))
 
 

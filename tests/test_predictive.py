@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -13,18 +13,18 @@ from goaltime.errors import DomainError, InvalidShapeError
 from goaltime.predictive import (
     PredictionProblem,
     SufficientStat,
-    log_ordering_constant,
     log_restricted_base,
     log_unrestricted_base,
-    ordering_constant,
     predictive_summaries,
     restricted_predictive,
     unrestricted_predictive,
 )
 
 from oracles import (
+    log_ordering_constant_closed,
     marginal_flat,
     marginal_restricted,
+    ordering_constant_closed,
     ordering_constant_quadrature,
     predictive_pdf_from_marginal,
     restricted_predictive_quadrature,
@@ -70,22 +70,27 @@ class TestMarginals:
 
 
 class TestOrderingConstant:
+    """The incomplete-beta closed form of the paper's ordering constant,
+    from which q1's ratio of constants reduces to a ratio of ordering
+    probabilities (``predictive``), against its defining integral and its
+    2F1 form."""
+
     def test_simple_point_against_quadrature(self):
-        got = ordering_constant(2.0, 1.0, 2.0, 1.0)
+        got = ordering_constant_closed(2.0, 1.0, 2.0, 1.0)
         want = ordering_constant_quadrature(2.0, 1.0, 2.0, 1.0)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_data_scale_point_against_quadrature(self):
-        got = ordering_constant(2.5, 40.0, 2.0, 36.0)
+        got = ordering_constant_closed(2.5, 40.0, 2.0, 36.0)
         want = ordering_constant_quadrature(2.5, 40.0, 2.0, 36.0)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_scaling_relation(self):
         # C(k1, c*k2, s1, c*s2) = c^-2 C(k1, k2, s1, s2)
         k1, k2, s1, s2 = 4.0, 70.0, 2.0, 40.0
-        base = ordering_constant(k1, k2, s1, s2)
+        base = ordering_constant_closed(k1, k2, s1, s2)
         for c in (0.1, 3.0, 10.0):
-            assert ordering_constant(k1, c * k2, s1, c * s2) == pytest.approx(
+            assert ordering_constant_closed(k1, c * k2, s1, c * s2) == pytest.approx(
                 base / c**2, rel=1e-11
             )
 
@@ -94,16 +99,22 @@ class TestOrderingConstant:
             for k2 in (5.0, 40.0, 90.0):
                 for s1 in (1.0, 2.0, 4.0):
                     for s2 in (10.0, 39.0, 80.0):
-                        got = ordering_constant(k1, k2, s1, s2)
+                        got = ordering_constant_closed(k1, k2, s1, s2)
                         want = ordering_constant_quadrature(k1, k2, s1, s2)
                         assert got == pytest.approx(want, rel=1e-6), (k1, k2, s1, s2)
 
     def test_vectorized_over_k2_s2(self):
-        k2 = np.array([10.0, 40.0, 95.0])
-        s2 = np.array([39.0, 20.0, 5.0])
-        vec = log_ordering_constant(5.0, k2, 2.0, s2)
-        scal = [math.log(ordering_constant(5.0, a, 2.0, b)) for a, b in zip(k2, s2)]
-        np.testing.assert_allclose(vec, scal, rtol=1e-13)
+        # q1's constants take k2 = x1 (+ y) and s2 = x2: log_restricted_base
+        # broadcast over arrays of both equals its scalar calls
+        x1 = np.array([10.0, 40.0, 95.0])
+        x2 = np.array([39.0, 20.0, 5.0])
+        ys = np.array([[0.5], [12.0], [70.0]])
+        for r2 in (3.0, 2.5):
+            vec = log_restricted_base(ys, x1, x2, 6.0, r2, 1.5)
+            scal = [
+                [log_restricted_base(y, a, b, 6.0, r2, 1.5) for a, b in zip(x1, x2)] for y in ys[:, 0]
+            ]
+            np.testing.assert_allclose(vec, scal, rtol=1e-13)
 
     @given(
         k1=st.floats(0.1, 400.0),
@@ -128,13 +139,19 @@ class TestOrderingConstant:
                 + mp.log(mp.hyp2f1(m_k1 + 1, m_k1 + m_s1 + 2, m_k1 + 2, -m_k2 / m_s2))
                 - mp.loggamma(m_k1 + 2)
             )
-        got = log_ordering_constant(k1, k2, s1, s2)
+        got = log_ordering_constant_closed(k1, k2, s1, s2)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (k1, k2, s1, s2)
 
     def test_non_finite_result_is_a_domain_error(self):
-        # k2/s2 = 1e-400 is below every double, so w underflows to 0
+        # x1/x2 = 1e-400 is below every double, so q1's denominator
+        # weight x1/(x1 + x2) underflows to 0
+        problem = PredictionProblem(
+            obs_a=SufficientStat(x=1e-200, r=3.0), obs_b=SufficientStat(x=1e200, r=3.0)
+        )
         with pytest.raises(DomainError):
-            log_ordering_constant(3.0, 1e-200, 2.0, 1e200)
+            restricted_predictive(problem)
+        with pytest.raises(DomainError):
+            log_restricted_base(1.0, 1e-200, 1e200, 3.0, 3.0, 3.0)
 
 
 class TestUnrestricted:
@@ -223,6 +240,35 @@ class TestRestricted:
         want2 = weighted_beta_prime_logpdf(ys, 12.0, 44.0, 4.5, 2.5, 1.5)
         np.testing.assert_allclose(got2, want2, rtol=1e-11)
 
+    @given(
+        r1=st.floats(1.05, 150.0),
+        r2=st.one_of(st.integers(2, 150).map(float), st.floats(1.05, 150.0)),
+        rp=st.floats(0.3, 150.0),
+        log_x1=st.floats(-2.0, 4.0),
+        log_x2=st.floats(-2.0, 4.0),
+        log_y=st.floats(-2.0, 3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_beta_prime_form_over_domain(self, r1, r2, rp, log_x1, log_x2, log_y):
+        # oracle: the weighted-beta-prime form of the module docstring in
+        # mpmath at 50 digits, over integer and non-integer r2
+        x1, x2, y = 10.0**log_x1, 10.0**log_x2, 10.0**log_y
+        with mp.workdps(50):
+            m_r1, m_r2, m_rp, m_x1, m_x2, m_y = map(mp.mpf, (r1, r2, rp, x1, x2, y))
+            want = float(
+                mp.log(m_r1)
+                + mp.loggamma(m_rp + m_r1 + m_r2)
+                - m_rp * mp.log(m_x2)
+                + (m_rp - 1) * mp.log(m_y)
+                + mp.log(mp.hyp2f1(m_rp + m_r1, m_rp + m_r1 + m_r2, m_rp + m_r1 + 1, -(m_x1 + m_y) / m_x2))
+                - mp.log(m_rp + m_r1)
+                - mp.loggamma(m_rp)
+                - mp.loggamma(m_r1 + m_r2)
+                - mp.log(mp.hyp2f1(m_r1, m_r1 + m_r2, m_r1 + 1, -m_x1 / m_x2))
+            )
+        got = log_restricted_base(y, x1, x2, r1, r2, rp)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (r1, r2, rp, x1, x2, y)
+
     def test_quadrature_backend_agrees_with_closed_form(self):
         p = self.problem()
         d_closed = restricted_predictive(p)
@@ -274,22 +320,22 @@ class TestRestricted:
 
     @pytest.mark.parametrize("r2", [3.0, 2.5])
     def test_denominator_computed_once_per_density(self, monkeypatch, r2):
-        # C(r1 - 1, x1, r2 - 1, x2) depends only on the problem: the build
+        # I_{x1/(x1+x2)}(r1, r2) depends only on the problem: the build
         # computes it, and no grid, pdf or cdf evaluation repeats it
-        real = pred.log_ordering_constant
+        real = pred.log_betainc
         calls = []
 
-        def counting(k1, k2, s1, s2):
-            calls.append(k1)
-            return real(k1, k2, s1, s2)
+        def counting(a, b, x):
+            calls.append(a)
+            return real(a, b, x)
 
-        monkeypatch.setattr(pred, "log_ordering_constant", counting)
+        monkeypatch.setattr(pred, "log_betainc", counting)
         d = restricted_predictive(self.problem(r2=r2))
         predictive_summaries(d)
         d.pdf(0.1 * (np.arange(600) + 0.5))
         d.cdf(np.array([5.0, 30.0, 59.0]))
         d.cdf(12.5)
-        assert calls.count(3.0 - 1.0) == 1
+        assert calls.count(3.0) == 1
         assert len(calls) > 10
 
     def test_rejects_small_shapes(self):
@@ -417,6 +463,8 @@ class TestGridCoreOverDomain:
         window=WINDOWS,
     )
     @settings(max_examples=30, deadline=None)
+    # a draw whose heavy tail made the oracle's quadrature in y warn
+    @example(r1=2.0, r2=2.0, rp=1.0, log_x1=0.0, log_x2=0.0, window=(0.0, np.inf))
     def test_restricted_against_quadrature(self, r1, r2, rp, log_x1, log_x2, window):
         x1, x2 = 10.0**log_x1, 10.0**log_x2
         lo, hi = window
