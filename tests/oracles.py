@@ -215,15 +215,15 @@ def _quad(fn, lo: float, hi: float, epsrel: float) -> float:
     and above 1e304.
     """
     if np.isfinite(hi):
-        return float(integrate.quad(fn, lo, hi, epsabs=0, epsrel=epsrel, limit=400)[0])
+        integrand, cuts = fn, (lo, hi)
+    else:
+        def integrand(s):
+            t = math.exp(s)
+            return fn(lo + t) * t
 
-    def in_s(s):
-        t = math.exp(s)
-        return fn(lo + t) * t
-
-    cuts = (-700.0, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 700.0)
+        cuts = (-700.0, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 700.0)
     return float(sum(
-        integrate.quad(in_s, a, b, epsabs=0, epsrel=epsrel, limit=400)[0] for a, b in zip(cuts, cuts[1:])
+        integrate.quad(integrand, a, b, epsabs=0, epsrel=epsrel, limit=400)[0] for a, b in zip(cuts, cuts[1:])
     ))
 
 
