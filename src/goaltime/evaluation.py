@@ -9,12 +9,24 @@ through ``y = t/(1-t)``), vectorized over draws, which the tests pin
 against adaptive quadrature to far below the Monte Carlo noise.  Each
 estimator's log density on that grid is the one its predictive density
 truncates, ``predictive.log_unrestricted_base`` or
-``predictive.log_restricted_base``; q1's is q0's plus the log ratio of two
+``predictive._log_restricted``; q1's is q0's plus the log ratio of two
 incomplete betas, the ordering probability with the node ``y`` in team a's
-data (one per draw and node) over the one without it (one per draw).
+data (one per draw and node) over the one without it (one per draw,
+computed once for all draws).
 The risk keeps this grid rather than the truth's window grid of
 ``kl_loss``: the window grid needs two to three times the nodes, which
 would make the per-draw work of a risk block as much larger.
+
+The draws go through blocks of ``_BLOCK`` draws by 200 nodes.  Each block
+is evaluated in place (``out=``) in at most two arrays allocated once per
+call and small enough to stay in cache: a block allocates nothing of its
+own size, only vectors of one value per draw and the incomplete beta's
+small chunk arrays.  With ``v = w p`` the truth's density times the rule's weights and
+``k = v . log p``, both fixed per call, a draw's KL
+``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``: one
+matrix-vector product per block.  On a finite window the estimate is
+renormalized to its mass on the rule, ``m = exp(log q) . w``, which adds
+``log(m) sum(v)``.
 
 ``kl_loss`` itself, for one pair of densities, is a weighted sum over the
 composite Gauss-Legendre window grid of ``distributions``, the grid that
@@ -49,6 +61,8 @@ log = logging.getLogger(__name__)
 _KL_FLOOR = 1e-15
 _GL_NODES = 200
 _MAX_REJECT_FRACTION = 1e-3
+# draws per risk block: its few (draws x nodes) work arrays stay in L2
+_BLOCK = 256
 
 DEFAULT_SAMPLES = 20000
 DEFAULT_RATIO_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
@@ -180,16 +194,6 @@ def _quad_grid(window: tuple[float, float] | None):
     return y, w
 
 
-def _kl_batch(y, w, log_truth, truth_pdf, log_base, truncated: bool) -> np.ndarray:
-    """Per-draw KL of a batch: rows of ``log_base`` against the fixed truth."""
-    if truncated:
-        mass = np.sum(w[None, :] * np.exp(log_base), axis=1)
-        log_est = log_base - np.log(mass)[:, None]
-    else:
-        log_est = log_base
-    return np.sum(w[None, :] * truth_pdf[None, :] * (log_truth[None, :] - log_est), axis=1)
-
-
 def frequentist_risk(
     lambda1: float,
     lambda2: float,
@@ -228,7 +232,9 @@ def frequentist_risk(
 
     child1, child2 = np.random.SeedSequence(seed).spawn(2)
     x1s = draw_gamma(np.random.default_rng(child1), shapes.r1, lambda1, samples)
-    x2s = draw_gamma(np.random.default_rng(child2), shapes.r2, lambda2, samples)
+    if estimator_kind == "q1":
+        x2s = draw_gamma(np.random.default_rng(child2), shapes.r2, lambda2, samples)
+        log_p_den = pred._log_ordering_probability(x1s, x2s, shapes.r1, shapes.r2)
 
     y, w = _quad_grid(window)
     truncated = window is not None and np.isfinite(window[1])
@@ -237,19 +243,31 @@ def frequentist_risk(
     if truncated:
         mass = np.sum(w * np.exp(log_truth))
         log_truth = log_truth - np.log(mass)
-    truth_pdf = np.exp(log_truth)
+    # a draw's KL is k - log q . v (module docstring)
+    v = w * np.exp(log_truth)
+    k = v @ log_truth
+    v_sum = v.sum()
 
+    block = min(_BLOCK, samples)
+    log_base = np.empty((block, y.size))
+    work = np.empty_like(log_base) if estimator_kind == "q1" or truncated else None
     kls = np.empty(samples)
-    block = 4000
     for start in range(0, samples, block):
-        sl = slice(start, min(start + block, samples))
+        stop = min(start + block, samples)
+        rows = slice(0, stop - start)
         if estimator_kind == "q0":
-            log_base = pred.log_unrestricted_base(y[None, :], x1s[sl, None], shapes.r1, shapes.r_prime)
+            pred.log_unrestricted_base(y, x1s[start:stop, None], shapes.r1, shapes.r_prime, out=log_base[rows])
         else:
-            log_base = pred.log_restricted_base(
-                y[None, :], x1s[sl, None], x2s[sl, None], shapes.r1, shapes.r2, shapes.r_prime
+            pred._log_restricted(
+                y, x1s[start:stop, None], x2s[start:stop, None], shapes.r1, shapes.r2, shapes.r_prime,
+                log_p_den[start:stop, None], out=log_base[rows], work=work[rows],
             )
-        kls[sl] = _kl_batch(y, w, log_truth, truth_pdf, log_base, truncated)
+        np.matmul(log_base[rows], v, out=kls[start:stop])
+        if truncated:
+            # q renormalized to its mass on the rule adds log(mass) sum(v)
+            mass = np.matmul(np.exp(log_base[rows], out=work[rows]), w)
+            kls[start:stop] -= np.log(mass) * v_sum
+    np.subtract(k, kls, out=kls)
 
     bad = ~np.isfinite(kls)
     rejected = int(bad.sum())

@@ -14,7 +14,8 @@ given an observed statistic ``x1 ~ Gam(r1, lam1)``, under the scale prior
 Both log densities come from the one beta prime ``log_unrestricted_base``,
 and broadcast over their statistics: ``unrestricted_predictive`` and
 ``restricted_predictive`` evaluate them on a window grid, and
-``evaluation.frequentist_risk`` on a block of Monte Carlo draws at once.
+``evaluation.frequentist_risk`` on a block of Monte Carlo draws at once,
+in place in the risk's preallocated arrays (``out=``).
 
 The paper writes the restricted estimator as
 
@@ -119,26 +120,29 @@ class PredictionProblem:
             raise DomainError(f"bad window {self.window}")
 
 
-def log_unrestricted_base(y, x1, r1: float, r_prime: float):
+def log_unrestricted_base(y, x1, r1: float, r_prime: float, out=None):
     """Log of the beta prime density ``B'(r', r1, x1)`` at ``y``, untruncated.
 
     In the ratio form ``-log B(r', r1) - log x1 + (r'-1) log u
     - (r'+r1) log1p(u)``, ``u = y/x1``, with ``log u`` split into
     ``log y - log x1`` so that only ``log1p`` runs over the broadcast of
-    ``y`` and ``x1``: the Monte Carlo risk evaluates this on blocks of
-    4000 draws by 200 nodes, and the terms are summed in an order that
-    keeps at most two such blocks alive.  Returns -inf for y <= 0.
+    ``y`` and ``x1``; it runs in place in ``out``, an optional float array
+    of that broadcast shape.  Returns -inf for y <= 0.
     """
     y = np.asarray(y, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     pos = y > 0
     y = np.where(pos, y, 1.0)
-    out = (
-        (r_prime - 1.0) * np.log(y)
-        - (r_prime + r1) * np.log1p(y / x1)
-        - (log_beta(r_prime, r1) + r_prime * np.log(x1))
-    )
-    return np.where(pos, out, -np.inf)
+    if out is None:
+        out = np.empty(np.broadcast(y, x1).shape)
+    np.divide(y, x1, out=out)
+    np.log1p(out, out=out)
+    out *= r_prime + r1
+    np.subtract((r_prime - 1.0) * np.log(y), out, out=out)
+    out -= log_beta(r_prime, r1) + r_prime * np.log(x1)
+    if not pos.all():
+        np.copyto(out, -np.inf, where=~pos)
+    return out
 
 
 def _log_ordering_probability(x1, x2, r1: float, r2: float):
@@ -154,21 +158,30 @@ def _log_ordering_probability(x1, x2, r1: float, r2: float):
     return out
 
 
-def _log_restricted(y, x1, x2, r1: float, r2: float, r_prime: float, log_p_den):
+def _log_restricted(y, x1, x2, r1: float, r2: float, r_prime: float, log_p_den, out=None, work=None):
     """``log_restricted_base`` with the log of its denominator given: only
     the ``y``-dependent numerator is computed here.
 
     The numerator's weight ``(x1 + y) / (x1 + y + x2)`` is at least the
     denominator's, so it cannot vanish where the denominator is finite.
-    The weight is formed in place, and one expression sums the terms, so
-    a Monte Carlo risk block keeps its blocks until the result is
-    allocated; freeing them first lets the heap shrink and re-fault more
-    pages on every block.
+    q0 and the numerator's incomplete beta are both of the broadcast shape
+    of ``y``, ``x1`` and ``x2`` and alive at once: the result goes to
+    ``out`` and the weight, then its incomplete beta, to ``work``, both
+    optional float arrays of that shape.
     """
     y = np.asarray(y, dtype=float)
-    w = np.add(x1, y, out=np.empty(np.broadcast_shapes(np.shape(x1), y.shape, np.shape(x2))))
-    np.divide(w, w + x2, out=w)
-    return log_unrestricted_base(y, x1, r1, r_prime) + log_betainc(r1 + r_prime, r2, w) - log_p_den
+    shape = np.broadcast(x1, y, x2).shape
+    if out is None:
+        out = np.empty(shape)
+    if work is None:
+        work = np.empty(shape)
+    w = np.add(x1, y, out=work)
+    np.divide(w, np.add(w, x2, out=out), out=w)
+    log_betainc(r1 + r_prime, r2, w, out=w)
+    out = log_unrestricted_base(y, x1, r1, r_prime, out=out)
+    out += w
+    out -= log_p_den
+    return out
 
 
 def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):

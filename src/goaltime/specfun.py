@@ -17,7 +17,9 @@ method from ``b``:
 
   evaluated by ``n - 1`` Horner steps over positive terms and returned as
   ``a log x + log S``: three in-place array operations a step, no
-  cancellation in the sum and nothing to converge.
+  cancellation in the sum and nothing to converge.  Large arrays go
+  through in chunks of ``_INT_CHUNK`` points, whose two work arrays stay
+  in cache across the Horner steps.
 * **any other b**: the continued fraction of DLMF 8.17.22,
 
       I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))),
@@ -39,6 +41,9 @@ All functions are pure and stateless; they accept scalars or numpy arrays
 for the argument ``x`` or ``z`` and broadcast in the numpy sense.  A scalar
 ``x`` takes the array path of either method, except that the continued
 fraction runs a lone point in Python floats (``_log_lentz_scalar``).
+``log_betainc`` can write into a caller's array (``out=``), which may be
+``x`` itself, so that a caller evaluating it block after block allocates
+no array of the block's size.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ _MAX_LOG_SUM = 700.0
 _EPS = float(np.finfo(float).eps)
 _CF_MAX_TERMS = 2000
 _CF_CHUNK = 1 << 15
+# points per chunk of the integer-b sum: its two work arrays, 64 kB each,
+# stay in cache across the Horner steps
+_INT_CHUNK = 1 << 13
 # Stirling remainder of log Gamma (DLMF 5.11.1): B_2k / (2k (2k-1)),
 # enough terms for full precision from _STIRLING_MIN on
 _STIRLING = (
@@ -65,15 +73,18 @@ _STIRLING_MIN = 8.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_betainc(a: float, b: float, x):
+def log_betainc(a: float, b: float, x, out=None):
     """log I_x(a, b), the regularized incomplete beta, for a, b > 0.
 
     Args:
         a, b: positive shape parameters.
         x: scalar or array in [0, 1].
+        out: optional C-contiguous float array of ``x``'s shape for the
+            result; it may be ``x`` itself.
 
     Returns:
-        log I_x(a, b), -inf at x = 0; float for scalar input.
+        log I_x(a, b), -inf at x = 0; ``out`` if given, else a float for
+        scalar input.
 
     Raises:
         ConvergenceError: if the continued fraction (non-integer ``b``)
@@ -86,35 +97,52 @@ def log_betainc(a: float, b: float, x):
     x = np.asarray(x, dtype=float)
     if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
         raise DomainError("log_betainc requires 0 <= x <= 1")
+    if out is None:
+        result = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise DomainError("log_betainc: out must be a C-contiguous float array of x's shape")
+    else:
+        result = out
     with np.errstate(divide="ignore", invalid="ignore"):
         if b.is_integer() and b <= _MAX_INT_B and (
             math.lgamma(a + b) - math.lgamma(a + 1.0) - math.lgamma(b) < _MAX_LOG_SUM
         ):
-            out = _log_betainc_int(a, int(b), x)
+            _log_betainc_int(a, int(b), x, result)
         else:
-            out = _log_betainc_cf(a, b, x)
-    return out if np.ndim(out) else float(out)
+            _log_betainc_cf(a, b, x, result)
+    return result if out is not None or result.ndim else float(result)
 
 
-def _log_betainc_int(a: float, n: int, x: np.ndarray) -> np.ndarray:
-    """log I_x(a, n) for integer n, as ``a log x + log S`` (module docstring).
+def _log_betainc_int(a: float, n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log I_x(a, n) for integer n, as ``a log x + log S`` (module docstring),
+    written into ``out``, which may be ``x``.
 
-    Worked in place: with ``x``, two arrays of its size are alive.
+    A chunk of ``x`` is read whole before its part of ``out`` is written,
+    and its Horner steps run in two work arrays of at most ``_INT_CHUNK``
+    points.
     """
-    y = np.subtract(1.0, x, out=np.empty_like(x))
-    s = np.ones_like(y)
-    for j in range(n - 1, 0, -1):
-        s *= y
-        s *= (a + j - 1.0) / j
-        s += 1.0
-    out = np.log(x, out=y)
-    out *= a
-    out += np.log(s, out=s)
+    xs = x.reshape(-1)
+    outs = out.reshape(-1)
+    size = min(xs.size, _INT_CHUNK)
+    work = np.empty((2, size))
+    for start in range(0, xs.size, _INT_CHUNK):
+        chunk = xs[start:start + _INT_CHUNK]
+        y = np.subtract(1.0, chunk, out=work[0, :chunk.size])
+        s = work[1, :chunk.size]
+        s.fill(1.0)
+        for j in range(n - 1, 0, -1):
+            s *= y
+            s *= (a + j - 1.0) / j
+            s += 1.0
+        log_x = np.log(chunk, out=y)
+        log_x *= a
+        np.add(log_x, np.log(s, out=s), out=outs[start:start + _INT_CHUNK])
     return out
 
 
-def _log_betainc_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """log I_x(a, b) by the continued fraction (module docstring).
+def _log_betainc_cf(a: float, b: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log I_x(a, b) by the continued fraction (module docstring), written
+    into ``out`` (which may be ``x``) or a new array.
 
     Points past ``(a+1)/(a+b+2)`` take ``1 - I_{1-x}(b, a)``.  The two
     forms share the prefactor ``x^a (1-x)^b / B(a, b)``, which is symmetric
@@ -122,7 +150,9 @@ def _log_betainc_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     go through in chunks, which bounds the iteration's working set.
     """
     xs = x.ravel()
-    out = np.empty(xs.shape)
+    if out is None:
+        out = np.empty(x.shape)
+    outs = out.reshape(-1)
     for start in range(0, xs.size, _CF_CHUNK):
         chunk = xs[start:start + _CF_CHUNK]
         swap = chunk > (a + 1.0) / (a + b + 2.0)
@@ -135,8 +165,8 @@ def _log_betainc_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
             part += _log_lentz(a, b, t, swap)
         part -= np.where(swap, math.log(b), math.log(a))
         part[swap] = np.log1p(-np.exp(part[swap]))
-        out[start:start + _CF_CHUNK] = part
-    return out.reshape(x.shape)
+        outs[start:start + _CF_CHUNK] = part
+    return out
 
 
 def _log_lentz(a: float, b: float, t: np.ndarray, swap: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from scipy import integrate, special
 
 from goaltime import distributions as dist
 from goaltime.errors import DivergenceError, DomainError, InvalidShapeError
-from goaltime.predictive import PredictionProblem
+from goaltime.evaluation import _quad_grid
+from goaltime.predictive import PredictionProblem, log_restricted_base, log_unrestricted_base
 from goaltime.specfun import gauss_2f1, log_betainc
 
 _SHAPE_MARGIN = 1e-9
@@ -236,3 +237,33 @@ def window_mean_quad(base, lo: float, hi: float, epsrel: float = 1e-12) -> float
     """Mean of ``base`` renormalized to (lo, hi), by adaptive quadrature."""
     moment = _quad(lambda y: y * float(base(np.array([y]))[0]), lo, hi, epsrel)
     return moment / window_mass_quad(base, lo, hi, epsrel)
+
+
+def risk_kls_per_draw(lambda1: float, lambda2: float, shapes, kind: str, samples: int, seed: int, window):
+    """Per-draw KL losses of ``evaluation.frequentist_risk``, one draw at a time.
+
+    The same draws (one ``SeedSequence`` child stream per statistic) and
+    the same 200-node rule, but each draw's log density comes from
+    ``log_unrestricted_base`` or ``log_restricted_base`` alone, and its KL
+    is the direct sum ``sum_j w_j p_j (log p_j - log q_j)``, with ``q``
+    renormalized on the rule when the window is finite.
+    """
+    child1, child2 = np.random.SeedSequence(seed).spawn(2)
+    x1s = np.random.default_rng(child1).gamma(shapes.r1, lambda1, samples)
+    x2s = np.random.default_rng(child2).gamma(shapes.r2, lambda2, samples)
+    y, w = _quad_grid(window)
+    truncated = window is not None and np.isfinite(window[1])
+    log_truth = dist.gamma_logpdf(dist.GammaModel(shapes.r_prime, lambda1), y)
+    if truncated:
+        log_truth = log_truth - np.log(np.sum(w * np.exp(log_truth)))
+    truth_pdf = np.exp(log_truth)
+    kls = np.empty(samples)
+    for i, (x1, x2) in enumerate(zip(x1s, x2s)):
+        if kind == "q0":
+            log_est = log_unrestricted_base(y, x1, shapes.r1, shapes.r_prime)
+        else:
+            log_est = log_restricted_base(y, x1, x2, shapes.r1, shapes.r2, shapes.r_prime)
+        if truncated:
+            log_est = log_est - np.log(np.sum(w * np.exp(log_est)))
+        kls[i] = np.sum(w * truth_pdf * (log_truth - log_est))
+    return kls

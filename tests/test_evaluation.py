@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from goaltime.distributions import GammaModel, gamma_logpdf, gamma_pdf, truncate
-from goaltime.errors import DivergenceError, DomainError, InvalidShapeError
+import goaltime
+from goaltime import evaluation
+from goaltime.distributions import GammaModel, gamma_pdf, truncate
+from goaltime.errors import DivergenceError, DomainError, InvalidShapeError, MonteCarloError
 from goaltime.evaluation import (
+    _BLOCK,
     RiskCurve,
     ShapeConfig,
-    _kl_batch,
-    _quad_grid,
     draw_gamma,
     frequentist_risk,
     kl_loss,
@@ -19,13 +25,11 @@ from goaltime.evaluation import (
 from goaltime.predictive import (
     PredictionProblem,
     SufficientStat,
-    log_restricted_base,
-    log_unrestricted_base,
     restricted_predictive,
     unrestricted_predictive,
 )
 
-from oracles import kl_loss_quad
+from oracles import kl_loss_quad, risk_kls_per_draw
 
 TRUTH = GammaModel(3.0, 18.3)
 
@@ -122,6 +126,19 @@ class TestGammaSampler:
             draw_gamma(np.random.default_rng(0), -1.0, 1.0, 10)
 
 
+def plant_draws(monkeypatch, values, rows=slice(None)):
+    """Make ``evaluation.draw_gamma`` set ``rows`` of the draws at scale
+    ``s`` to ``values[s]``; the other draws stay as drawn."""
+
+    def planted(rng, shape, scale, size):
+        out = draw_gamma(rng, shape, scale, size)
+        if scale in values:
+            out[rows] = values[scale]
+        return out
+
+    monkeypatch.setattr(evaluation, "draw_gamma", planted)
+
+
 class TestFrequentistRisk:
     def test_reproducible_bit_for_bit(self):
         kw = dict(shapes=ShapeConfig(), estimator_kind="q1", samples=400, seed=99)
@@ -130,44 +147,120 @@ class TestFrequentistRisk:
         assert a.risk == b.risk and a.std_err == b.std_err
 
     @staticmethod
-    def engine_against_adaptive_kl(kind, window):
-        """The 200-node per-draw KL of ``frequentist_risk`` against ``kl_loss_quad``
-        at four draws of (x1, x2), for one estimator on one window."""
-        y, w = _quad_grid(window)
-        truncated = window is not None
-        log_truth = gamma_logpdf(GammaModel(3.0, 12.0), y)
-        if truncated:
-            log_truth -= np.log(np.sum(w * np.exp(log_truth)))
+    def engine_against_adaptive_kl(monkeypatch, kind, window):
+        """The per-draw KL of ``frequentist_risk`` against ``kl_loss_quad``
+        at four draws of (x1, x2), for one estimator on one window: each
+        risk is taken over 100 copies of one draw, so it is that draw's KL."""
         truth = truncate(lambda v: gamma_pdf(GammaModel(3.0, 12.0), v), *(window or (0.0, np.inf)))
         rng = np.random.default_rng(5)
         for _ in range(4):
             x1 = float(rng.gamma(3.0, 12.0))
             x2 = float(rng.gamma(3.0, 6.0))
+            plant_draws(monkeypatch, {12.0: x1, 6.0: x2})
             problem = PredictionProblem(
                 obs_a=SufficientStat(x1, 3.0),
                 obs_b=SufficientStat(x2, 3.0),
                 r_prime=3.0,
                 window=window or (0.0, np.inf),
             )
-            if kind == "q0":
-                est = unrestricted_predictive(problem)
-                log_base = log_unrestricted_base(y[None, :], np.array([[x1]]), 3.0, 3.0)
-            else:
-                est = restricted_predictive(problem)
-                log_base = log_restricted_base(y[None, :], np.array([[x1]]), np.array([[x2]]), 3.0, 3.0, 3.0)
-            got = _kl_batch(y, w, log_truth, np.exp(log_truth), log_base, truncated)[0]
-            assert got == pytest.approx(kl_loss_quad(truth, est, truth.window), abs=1e-8)
+            est = unrestricted_predictive(problem) if kind == "q0" else restricted_predictive(problem)
+            got = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=100, seed=0, window=window)
+            assert got.std_err < 1e-15
+            assert got.risk == pytest.approx(kl_loss_quad(truth, est, truth.window), abs=1e-8)
 
-    def test_per_draw_engine_matches_adaptive_kl(self):
-        self.engine_against_adaptive_kl("q1", (0.0, 60.0))
+    def test_per_draw_engine_matches_adaptive_kl(self, monkeypatch):
+        self.engine_against_adaptive_kl(monkeypatch, "q1", (0.0, 60.0))
 
-    def test_per_draw_engine_matches_adaptive_kl_unrestricted(self):
-        self.engine_against_adaptive_kl("q0", (0.0, 60.0))
+    def test_per_draw_engine_matches_adaptive_kl_unrestricted(self, monkeypatch):
+        self.engine_against_adaptive_kl(monkeypatch, "q0", (0.0, 60.0))
 
     @pytest.mark.parametrize("kind", ["q0", "q1"])
-    def test_per_draw_engine_matches_adaptive_kl_untruncated(self, kind):
+    def test_per_draw_engine_matches_adaptive_kl_untruncated(self, monkeypatch, kind):
         # the map y = t/(1-t) of the 200 nodes onto (0, inf)
-        self.engine_against_adaptive_kl(kind, None)
+        self.engine_against_adaptive_kl(monkeypatch, kind, None)
+
+    @pytest.mark.parametrize("window", [None, (0.0, 60.0)])
+    @pytest.mark.parametrize("kind, r2", [("q0", 3.0), ("q1", 3.0), ("q1", 2.5)])
+    @pytest.mark.parametrize("samples", [100, _BLOCK - 1, _BLOCK + 1])
+    def test_blocks_against_per_draw_oracle(self, samples, kind, r2, window):
+        # one partial block, one block short of full, and a full block plus one draw
+        shapes = ShapeConfig(r2=r2)
+        kls = risk_kls_per_draw(12.0, 6.0, shapes, kind, samples, 17, window)
+        got = frequentist_risk(12.0, 6.0, shapes, kind, samples, seed=17, window=window)
+        assert got.rejected == 0
+        assert got.risk == pytest.approx(kls.mean(), rel=1e-13)
+        assert got.std_err == pytest.approx(kls.std(ddof=1) / math.sqrt(samples), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "kind, window, value",
+        [
+            ("q0", None, math.nan),
+            ("q0", (0.0, 60.0), math.nan),
+            # q's mass on the window underflows to 0: log(mass) = -inf
+            ("q0", (0.0, 60.0), 1e300),
+            # an x1 or x2 that makes q1 itself non-finite makes its
+            # denominator non-finite too, a DomainError; only the window
+            # mass can fail alone
+            ("q1", (0.0, 60.0), 1e300),
+        ],
+    )
+    def test_rejected_draws(self, monkeypatch, kind, window, value):
+        planted = np.array([7, 1000, 1999])
+        # numpy warns on the planted draws' log(0); pytest would raise it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            plant_draws(monkeypatch, {12.0: value}, rows=planted[:1])
+            one = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
+            plant_draws(monkeypatch, {12.0: value}, rows=planted)
+            with pytest.raises(MonteCarloError):
+                frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
+        assert one.rejected == 1
+        assert math.isfinite(one.risk) and math.isfinite(one.std_err)
+
+    def test_bit_identical_across_blas_threads(self):
+        # the KL reduction is a BLAS matrix-vector product; the risk must not
+        # depend on how many threads BLAS splits it over
+        code = (
+            "from goaltime.evaluation import ShapeConfig, frequentist_risk\n"
+            "for kind in ('q0', 'q1'):\n"
+            "    for window in (None, (0.0, 60.0)):\n"
+            "        e = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, 3000, 8, window)\n"
+            "        print(e.risk.hex(), e.std_err.hex())\n"
+        )
+        src = str(Path(goaltime.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 4
+
+    @pytest.mark.parametrize("kind", ["q0", "q1"])
+    @pytest.mark.parametrize("window", [None, (0.0, 60.0)])
+    def test_working_set(self, kind, window):
+        # the blocks run in a few small preallocated arrays; numpy reports
+        # its data buffers to tracemalloc
+        frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=100, seed=0, window=window)
+        tracemalloc.start()
+        try:
+            frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=20000, seed=0, window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_unrestricted_risk_draws_no_rival(self, monkeypatch):
+        scales = []
+
+        def recording(rng, shape, scale, size):
+            scales.append(scale)
+            return draw_gamma(rng, shape, scale, size)
+
+        monkeypatch.setattr(evaluation, "draw_gamma", recording)
+        frequentist_risk(12.0, 6.0, ShapeConfig(), "q0", samples=200, seed=3)
+        assert scales == [12.0]
+        frequentist_risk(12.0, 6.0, ShapeConfig(), "q1", samples=200, seed=3)
+        assert scales == [12.0, 12.0, 6.0]
 
     def test_mc_error_scaling(self):
         shapes = ShapeConfig()

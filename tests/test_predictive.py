@@ -325,9 +325,9 @@ class TestRestricted:
         real = pred.log_betainc
         calls = []
 
-        def counting(a, b, x):
+        def counting(a, b, x, out=None):
             calls.append(a)
-            return real(a, b, x)
+            return real(a, b, x, out=out)
 
         monkeypatch.setattr(pred, "log_betainc", counting)
         d = restricted_predictive(self.problem(r2=r2))

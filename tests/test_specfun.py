@@ -128,6 +128,22 @@ class TestLogBetaincOverDomain:
                 by_cf = specfun._log_betainc_cf(a, float(b), xs)
             np.testing.assert_allclose(log_betainc(a, b, xs), by_cf, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("b", [3.0, 2.5])
+    def test_out_is_bit_identical(self, b):
+        # the integer sum (b = 3) and the continued fraction (b = 2.5), over
+        # more than one chunk and both ends of [0, 1]
+        x = np.random.default_rng(2).random((7, 10_000))
+        x[0, :2] = (0.0, 1.0)
+        want = log_betainc(6.0, b, x)
+        out = np.empty_like(x)
+        assert log_betainc(6.0, b, x, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        aliased = x.copy()
+        log_betainc(6.0, b, aliased, out=aliased)
+        assert aliased.tobytes() == want.tobytes()
+        with pytest.raises(DomainError):
+            log_betainc(6.0, b, x, out=np.empty((10_000, 7)).T)
+
     def test_unconverged_continued_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_CF_MAX_TERMS", 2)
         with pytest.raises(ConvergenceError):
