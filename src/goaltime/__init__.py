@@ -33,7 +33,6 @@ from .evaluation import (
     RiskEstimate,
     ShapeConfig,
     frequentist_risk,
-    kl_loss,
     prediction_error,
     risk_curve,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "canadiens_fixture_path",
     "frequentist_risk",
     "gamma_pdf",
-    "kl_loss",
     "parse_game_log",
     "parse_points",
     "points_fixture_path",

@@ -322,13 +322,7 @@ def cmd_prediction_error(cfg: RunConfig) -> None:
         ("q0", unrestricted_predictive(problem), unrestricted_predictive(_problem(cfg, full))),
         ("q1", restricted_predictive(problem), restricted_predictive(_problem(cfg, full))),
     ):
-        rows.append(
-            [
-                name,
-                evaluation.prediction_error(truth, trunc_d),
-                evaluation.kl_loss(truth, raw_d, truth.window),
-            ]
-        )
+        rows.append([name, evaluation.prediction_error(truth, trunc_d), evaluation.prediction_error(truth, raw_d)])
     _write(cfg, ["estimator", "pe_truncated", "pe_raw"], rows)
 
 

@@ -6,13 +6,16 @@ statistics.  The beta prime densities of the two predictive estimators are
 in ``predictive``.  Densities are evaluated in log space wherever products
 of large powers could overflow, and they accept numpy arrays.
 
-Every integral over a window comes from one composite Gauss-Legendre grid
-(``window_grid``), on which the density is evaluated once, vectorized:
+Every integral over a window comes from one composite Gauss-Legendre grid,
+on which ``truncate`` evaluates the density once, vectorized, and keeps
+the samples in ``TruncatedDensity.grid``:
 
 * panels graded geometrically toward the lower edge, each a quarter of the
   next, down to 2^-120 of the bulk panel width, so that an endpoint
   singularity ``y^(r'-1)`` with ``r' < 1`` and mass packed close to the
-  edge still integrate to near machine precision;
+  edge still integrate to near machine precision; when the edge is above
+  0, panels narrower than 1024 ulps of it are left out, so every node
+  lies strictly inside the window and no two nodes coincide;
 * uniform panels over the bulk of the window;
 * for an infinite window, one log-spaced probe of the density fixes the
   bulk (all but 2^-20 of the mass) and a finite upper edge beyond which
@@ -43,6 +46,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _BULK_PANELS = 16
 _GRADE_RATIO = 4.0
 _GRADE_STEPS = 60  # 4^-60 = 2^-120 of the first bulk panel
+_MIN_PANEL_ULPS = 1024.0  # narrowest graded panel, in ulps of lo
 _PROBE = 2.0 ** np.arange(-300.0, 301.0)  # offsets from lo of an infinite window
 _TAIL_TOL = 2.0**-60
 _BULK_TAIL = 2.0**-20
@@ -135,23 +139,14 @@ def _panel_edges(base, lo: float, hi: float) -> tuple[np.ndarray, float]:
         bulk, top = _probe_infinite(base, lo)
     h = bulk / _BULK_PANELS
     graded = h * _GRADE_RATIO ** -np.arange(_GRADE_STEPS, 0, -1.0)
+    # panels narrower than this would put their nodes on lo or on each other
+    graded = graded[graded > _MIN_PANEL_ULPS * np.spacing(lo)]
     uniform = h * np.arange(1.0, _BULK_PANELS + 1)
     growth = bulk * _GRADE_RATIO ** np.arange(1.0, np.ceil(np.log(top / bulk) / np.log(_GRADE_RATIO)) + 1)
     edges = lo + np.concatenate(([0.0], graded, uniform, growth))
     if np.isfinite(hi):
         edges[-1] = hi
     return edges, bulk
-
-
-def window_grid(base, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule on (lo, hi).
-
-    ``base`` is consulted only when ``hi`` is infinite, to place the bulk
-    and the finite upper edge (see the module docstring).
-    """
-    edges, _ = _panel_edges(base, lo, hi)
-    y, w = _gauss_panels(edges[:-1], edges[1:])
-    return y.ravel(), w.ravel()
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""KL loss, frequentist risk by Monte Carlo, and prediction error.
+"""Prediction error and frequentist risk by Monte Carlo, both KL losses.
 
 The risk of an estimator at scales (lam1, lam2) is the average KL loss over
 the sampling distribution of the observed statistics.  That outer integral
@@ -14,8 +14,8 @@ incomplete betas, the ordering probability with the node ``y`` in team a's
 data (one per draw and node) over the one without it (one per draw,
 computed once for all draws).
 The risk keeps this grid rather than the truth's window grid of
-``kl_loss``: the window grid needs two to three times the nodes, which
-would make the per-draw work of a risk block as much larger.
+``prediction_error``: the window grid needs two to three times the nodes,
+which would make the per-draw work of a risk block as much larger.
 
 The draws go through blocks of ``_BLOCK`` draws by 200 nodes.  Each block
 is evaluated in place (``out=``) in at most two arrays allocated once per
@@ -28,10 +28,10 @@ matrix-vector product per block.  On a finite window the estimate is
 renormalized to its mass on the rule, ``m = exp(log q) . w``, which adds
 ``log(m) sum(v)``.
 
-``kl_loss`` itself, for one pair of densities, is a weighted sum over the
-composite Gauss-Legendre window grid of ``distributions``, the grid that
-also gives every window mass and summary; the tests check it against
-adaptive quadrature too.
+``prediction_error``, the KL from a truncated truth to one estimate, is a
+weighted sum over the window grid ``distributions.truncate`` sampled the
+truth on, the grid of every window mass and summary; only the estimate is
+evaluated.  The tests check it against adaptive quadrature too.
 
 Risk is deterministic in (seed, samples, parameters): draws come from
 ``numpy.random.default_rng`` (PCG64) on seeds derived via ``SeedSequence``,
@@ -107,50 +107,34 @@ class RiskCurve:
     shapes: ShapeConfig = field(default_factory=ShapeConfig)
 
 
-def kl_loss(exact, estimate, window: tuple[float, float]) -> float:
-    """KL divergence of ``estimate`` from ``exact`` over ``window``.
+def prediction_error(exact, estimate) -> float:
+    """KL divergence of ``estimate`` from ``exact`` over ``exact``'s window.
 
-    Both are vectorized densities, such as a ``TruncatedDensity``.
-
-    A weighted sum over the composite Gauss-Legendre grid of
-    ``distributions.window_grid``; an infinite window is cut where
-    ``exact`` leaves no relative mass above 2^-60.  The integrand is taken
-    as 0 wherever the exact density is below 1e-15, which cannot move the
-    result beyond that level and absorbs underflowed far-tail values.
+    ``exact`` is the truncated law of the future waiting time, so the
+    estimate is compared where future values can fall.  The sum runs over
+    the window grid ``truncate`` sampled ``exact`` on (an infinite window is
+    cut where ``exact`` leaves no relative mass above 2^-60); only
+    ``estimate`` is evaluated.  The integrand is taken as 0 wherever the
+    exact density is below 1e-15, which cannot move the result beyond that
+    level and absorbs underflowed far-tail values.
 
     Raises:
+        DomainError: if ``exact`` is not a ``TruncatedDensity``.
         DivergenceError: if the estimate vanishes somewhere the exact
             density does not, making the integrand unbounded.
     """
-    lo, hi = window
-    if not lo < hi:
-        raise DomainError(f"bad window {window}")
-    y, w = dist.window_grid(exact, lo, hi)
-    pv = np.asarray(exact(y), dtype=float)
+    if not isinstance(exact, dist.TruncatedDensity):
+        raise DomainError("prediction_error needs the truth as a TruncatedDensity, which sets the window")
+    g = exact.grid
+    pv = g.f.ravel() / exact.mass
     keep = pv > _KL_FLOOR
-    y, w, pv = y[keep], w[keep], pv[keep]
+    y, w, pv = g.y.ravel()[keep], g.w.ravel()[keep], pv[keep]
     qv = np.asarray(estimate(y), dtype=float)
     if np.any(qv <= 0.0):
         raise DivergenceError(
             f"estimate vanishes at y={y[np.argmax(qv <= 0.0)]} where exact is positive"
         )
     return float(np.sum(w * pv * (np.log(pv) - np.log(qv))))
-
-
-def prediction_error(exact, estimator) -> float:
-    """KL loss over the truth's truncation window.
-
-    ``exact`` should be the (possibly truncated) law of the future waiting
-    time; the integration window is its own window, so the estimator is
-    compared on exactly the region where future values can fall.
-    """
-    if hasattr(exact, "window"):
-        window = exact.window
-    elif hasattr(estimator, "window"):
-        window = estimator.window
-    else:
-        raise DomainError("prediction_error needs a truncated density to set the window")
-    return kl_loss(exact, estimator, window)
 
 
 def draw_gamma(rng: np.random.Generator, shape: float, scale: float, size: int) -> np.ndarray:
@@ -252,21 +236,24 @@ def frequentist_risk(
     log_base = np.empty((block, y.size))
     work = np.empty_like(log_base) if estimator_kind == "q1" or truncated else None
     kls = np.empty(samples)
-    for start in range(0, samples, block):
-        stop = min(start + block, samples)
-        rows = slice(0, stop - start)
-        if estimator_kind == "q0":
-            pred.log_unrestricted_base(y, x1s[start:stop, None], shapes.r1, shapes.r_prime, out=log_base[rows])
-        else:
-            pred._log_restricted(
-                y, x1s[start:stop, None], x2s[start:stop, None], shapes.r1, shapes.r2, shapes.r_prime,
-                log_p_den[start:stop, None], out=log_base[rows], work=work[rows],
-            )
-        np.matmul(log_base[rows], v, out=kls[start:stop])
-        if truncated:
-            # q renormalized to its mass on the rule adds log(mass) sum(v)
-            mass = np.matmul(np.exp(log_base[rows], out=work[rows]), w)
-            kls[start:stop] -= np.log(mass) * v_sum
+    # a draw whose KL comes out non-finite is rejected below, so the
+    # warnings numpy raises on its way there are not errors
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, samples, block):
+            stop = min(start + block, samples)
+            rows = slice(0, stop - start)
+            if estimator_kind == "q0":
+                pred.log_unrestricted_base(y, x1s[start:stop, None], shapes.r1, shapes.r_prime, out=log_base[rows])
+            else:
+                pred._log_restricted(
+                    y, x1s[start:stop, None], x2s[start:stop, None], shapes.r1, shapes.r2, shapes.r_prime,
+                    log_p_den[start:stop, None], out=log_base[rows], work=work[rows],
+                )
+            np.matmul(log_base[rows], v, out=kls[start:stop])
+            if truncated:
+                # q renormalized to its mass on the rule adds log(mass) sum(v)
+                mass = np.matmul(np.exp(log_base[rows], out=work[rows]), w)
+                kls[start:stop] -= np.log(mass) * v_sum
     np.subtract(k, kls, out=kls)
 
     bad = ~np.isfinite(kls)

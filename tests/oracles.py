@@ -185,9 +185,10 @@ def _pdf(density):
 def kl_loss_quad(exact, estimate, window: tuple[float, float], epsrel: float = 1e-7) -> float:
     """KL divergence of ``estimate`` from ``exact`` by adaptive quadrature.
 
-    Same conventions as ``evaluation.kl_loss``: the integrand is 0 where
-    the exact density is below 1e-15, and a vanishing estimate where the
-    exact density is positive raises ``DivergenceError``.
+    Same conventions as ``evaluation.prediction_error`` over ``window``:
+    the integrand is 0 where the exact density is below 1e-15, and a
+    vanishing estimate where the exact density is positive raises
+    ``DivergenceError``.
     """
     lo, hi = window
     if not lo < hi:

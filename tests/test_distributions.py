@@ -119,6 +119,15 @@ class TestTruncate:
         want = special.gammaincc(2.0, 60.0) - special.gammaincc(2.0, 80.0)
         assert d.mass == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("window", [(0.0, 60.0), (0.0, np.inf), (5.0, 45.0), (30.0, 60.0), (2.0, np.inf)])
+    def test_grid_nodes_distinct_and_inside(self, window):
+        # a node on lo, where pdf is 0, or two equal nodes would sample the
+        # density for nothing
+        lo, hi = window
+        y = truncate(lambda v: gamma_pdf(GammaModel(3.0, 18.3), v), lo, hi).grid.y.ravel()
+        assert np.all((y > lo) & (y < hi))
+        assert np.unique(y).size == y.size
+
     def test_degenerate_window(self):
         with pytest.raises(DegenerateWindowError):
             truncate(lambda y: gamma_pdf(GammaModel(2.0, 1.0), y), 1e6, 2e6)

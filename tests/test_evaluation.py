@@ -18,7 +18,6 @@ from goaltime.evaluation import (
     ShapeConfig,
     draw_gamma,
     frequentist_risk,
-    kl_loss,
     prediction_error,
     risk_curve,
 )
@@ -43,13 +42,13 @@ def gamma_kl_closed_form(r, lam_p, lam_q):
 class TestKlLoss:
     def test_identical_densities(self):
         d = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
-        assert kl_loss(d, d, d.window) == pytest.approx(0.0, abs=1e-9)
+        assert prediction_error(d, d) == pytest.approx(0.0, abs=1e-9)
 
     def test_gamma_vs_gamma_closed_form(self):
         for lam_q in (10.0, 18.3, 25.0):
             p = GammaModel(3.0, 18.3)
             q = GammaModel(3.0, lam_q)
-            got = kl_loss(lambda y: gamma_pdf(p, y), lambda y: gamma_pdf(q, y), (0.0, np.inf))
+            got = prediction_error(truncate(lambda y: gamma_pdf(p, y), 0.0, np.inf), lambda y: gamma_pdf(q, y))
             assert got == pytest.approx(gamma_kl_closed_form(3.0, 18.3, lam_q), rel=1e-7)
 
     def test_nonnegative(self):
@@ -57,14 +56,32 @@ class TestKlLoss:
         for _ in range(10):
             p = GammaModel(rng.uniform(1, 5), rng.uniform(5, 30))
             q = GammaModel(rng.uniform(1, 5), rng.uniform(5, 30))
-            val = kl_loss(lambda y: gamma_pdf(p, y), lambda y: gamma_pdf(q, y), (0.0, np.inf))
+            val = prediction_error(truncate(lambda y: gamma_pdf(p, y), 0.0, np.inf), lambda y: gamma_pdf(q, y))
             assert val >= -1e-12
 
     def test_divergence_when_estimate_vanishes(self):
         p = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
         q = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 30.0)
         with pytest.raises(DivergenceError):
-            kl_loss(p, q, (0.0, 60.0))
+            prediction_error(p, q)
+
+    def test_plain_callable_truth_rejected(self):
+        # a plain callable carries no window to integrate over
+        with pytest.raises(DomainError):
+            prediction_error(lambda y: gamma_pdf(TRUTH, y), lambda y: gamma_pdf(TRUTH, y))
+
+    def test_truth_sampled_only_by_truncate(self):
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return gamma_pdf(TRUTH, y)
+
+        for window in ((0.0, 60.0), (0.0, np.inf), (5.0, 45.0), (2.0, np.inf)):
+            truth = truncate(counted, *window)
+            calls.clear()
+            assert prediction_error(truth, lambda y: gamma_pdf(GammaModel(3.0, 12.0), y)) > 0.0
+            assert calls == []
 
     @pytest.mark.parametrize("window", [(0.0, 60.0), (0.0, np.inf)])
     def test_grid_against_adaptive_oracle(self, window):
@@ -75,14 +92,14 @@ class TestKlLoss:
             )
             for est in (unrestricted_predictive(p), restricted_predictive(p)):
                 want = kl_loss_quad(truth, est, window, epsrel=1e-11)
-                assert kl_loss(truth, est, window) == pytest.approx(want, rel=1e-9, abs=1e-12)
+                assert prediction_error(truth, est) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_reference_prediction_error_value(self):
         truth = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
         q0_raw = unrestricted_predictive(
             PredictionProblem(obs_a=SufficientStat(35.85, 3.0), r_prime=3.0, window=(0.0, np.inf))
         )
-        assert kl_loss(truth, q0_raw, (0.0, 60.0)) == pytest.approx(0.45, abs=0.1)
+        assert prediction_error(truth, q0_raw) == pytest.approx(0.45, abs=0.1)
 
 
 class TestPredictionError:
@@ -206,13 +223,11 @@ class TestFrequentistRisk:
     )
     def test_rejected_draws(self, monkeypatch, kind, window, value):
         planted = np.array([7, 1000, 1999])
-        # numpy warns on the planted draws' log(0); pytest would raise it
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            plant_draws(monkeypatch, {12.0: value}, rows=planted[:1])
-            one = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
-            plant_draws(monkeypatch, {12.0: value}, rows=planted)
-            with pytest.raises(MonteCarloError):
-                frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
+        plant_draws(monkeypatch, {12.0: value}, rows=planted[:1])
+        one = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
+        plant_draws(monkeypatch, {12.0: value}, rows=planted)
+        with pytest.raises(MonteCarloError):
+            frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
         assert one.rejected == 1
         assert math.isfinite(one.risk) and math.isfinite(one.std_err)
 
