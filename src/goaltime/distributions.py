@@ -213,7 +213,10 @@ def truncate(base, lo: float, hi: float) -> TruncatedDensity:
 
     The window mass is the sum over the window grid (see the module
     docstring); ``hi`` may be infinite, in which case the mass is the full
-    normalization of ``base``.
+    normalization of ``base``.  The grid is graded toward ``lo`` only: an
+    endpoint singularity at a finite ``hi`` integrates to only about 1e-5
+    (the mass of Beta(4.2, 1.3) on (0, 1) is off by 1.4e-5).  q0, q1 and
+    the gamma truth have no such edge.
 
     Raises:
         DegenerateWindowError: if the window mass is zero or not finite.

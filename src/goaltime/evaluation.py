@@ -1,27 +1,27 @@
 """Prediction error and frequentist risk by Monte Carlo, both KL losses.
 
 The risk of an estimator at scales (lam1, lam2) is the average KL loss over
-the sampling distribution of the observed statistics.  That outer integral
-is estimated by Monte Carlo (it is two-dimensional for the restricted
-estimator); the inner KL integral per draw is evaluated on a fixed
-200-node Gauss-Legendre grid (on the window, or mapped onto (0, inf)
-through ``y = t/(1-t)``), vectorized over draws, which the tests pin
-against adaptive quadrature to far below the Monte Carlo noise.  Each
-estimator's log density on that grid is the one its predictive density
-truncates, ``predictive.log_unrestricted_base`` or
-``predictive._log_restricted``; q1's is q0's plus the log ratio of two
-incomplete betas, the ordering probability with the node ``y`` in team a's
-data (one per draw and node) over the one without it (one per draw,
-computed once for all draws).
-The risk keeps this grid rather than the truth's window grid of
+the sampling distribution of the observed statistics.  ``frequentist_risk``
+estimates that outer integral by Monte Carlo (two-dimensional for the
+restricted estimator): it draws the statistics and averages, with equal
+weights, the KLs the per-draw engine ``_risk_kls`` returns for them.  The
+engine takes each draw's KL on a fixed 200-node Gauss-Legendre grid (on the
+window, or mapped onto (0, inf) through ``y = t/(1-t)``), vectorized over
+draws, which the tests pin against adaptive quadrature.  Each estimator's
+log density on that grid is the one its predictive density truncates,
+``predictive.log_unrestricted_base`` or ``predictive._log_restricted``;
+q1's is q0's plus the log ratio of two incomplete betas, the ordering
+probability with the node ``y`` in team a's data (one per draw and node)
+over the one without it (one per draw, computed once for all draws).  The
+risk keeps this grid rather than the truth's window grid of
 ``prediction_error``: the window grid needs two to three times the nodes,
 which would make the per-draw work of a risk block as much larger.
 
-The draws go through blocks of ``_BLOCK`` draws by 200 nodes.  Each block
-is evaluated in place (``out=``) in at most two arrays allocated once per
-call and small enough to stay in cache: a block allocates nothing of its
-own size, only vectors of one value per draw and the incomplete beta's
-small chunk arrays.  With ``v = w p`` the truth's density times the rule's weights and
+The engine runs blocks of ``_BLOCK`` draws by 200 nodes, each evaluated in
+place (``out=``) in at most two arrays allocated once per call and small
+enough to stay in cache: a block allocates nothing of its own size, only
+vectors of one value per draw and the incomplete beta's small chunk arrays.
+With ``v = w p`` the truth's density times the rule's weights and
 ``k = v . log p``, both fixed per call, a draw's KL
 ``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``: one
 matrix-vector product per block.  On a finite window the estimate is
@@ -137,21 +137,11 @@ def prediction_error(exact, estimate) -> float:
     return float(np.sum(w * pv * (np.log(pv) - np.log(qv))))
 
 
-def draw_gamma(rng: np.random.Generator, shape: float, scale: float, size: int) -> np.ndarray:
-    """Gamma draws in the scale parameterization used throughout."""
-    if shape <= 0 or scale <= 0:
-        raise DomainError("gamma draws need positive shape and scale")
-    return rng.gamma(shape, scale, size=size)
-
-
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The risk's Gauss-Legendre rule on [-1, 1], built on first use.
-
-    ``leggauss`` solves an eigenproblem, which costs more than a small
-    risk block; the rule never changes, so a process builds it once.  Every
-    caller gets the same arrays, so they are read-only.
-    """
+    """The risk's Gauss-Legendre rule on [-1, 1], built once per process on
+    first use (``leggauss``'s eigenproblem costs more than a small risk
+    block); every caller shares the arrays, so they are read-only."""
     rule = np.polynomial.legendre.leggauss(_GL_NODES)
     for arr in rule:
         arr.flags.writeable = False
@@ -178,6 +168,51 @@ def _quad_grid(window: tuple[float, float] | None):
     return y, w
 
 
+def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) -> np.ndarray:
+    """The per-draw engine: one KL of the truth Gamma(r_prime, lambda1) to
+    estimator ``kind`` at each statistic ``(x1[i], x2[i])``, ``x2`` None for
+    q0 (module docstring); non-finite where the estimate fails."""
+    if kind == "q1":
+        log_p_den = pred._log_ordering_probability(x1, x2, shapes.r1, shapes.r2)
+    y, w = _quad_grid(window)
+    truncated = window is not None and np.isfinite(window[1])
+    truth = dist.GammaModel(shapes.r_prime, lambda1)
+    log_truth = dist.gamma_logpdf(truth, y)
+    if truncated:
+        mass = np.sum(w * np.exp(log_truth))
+        log_truth = log_truth - np.log(mass)
+    # a draw's KL is k - log q . v (module docstring)
+    v = w * np.exp(log_truth)
+    k = v @ log_truth
+    v_sum = v.sum()
+
+    samples = x1.size
+    block = min(_BLOCK, samples)
+    log_base = np.empty((block, y.size))
+    work = np.empty_like(log_base) if kind == "q1" or truncated else None
+    kls = np.empty(samples)
+    # a draw whose KL comes out non-finite is rejected by the caller, so
+    # the warnings numpy raises on its way there are not errors
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, samples, block):
+            stop = min(start + block, samples)
+            rows = slice(0, stop - start)
+            if kind == "q0":
+                pred.log_unrestricted_base(y, x1[start:stop, None], shapes.r1, shapes.r_prime, out=log_base[rows])
+            else:
+                pred._log_restricted(
+                    y, x1[start:stop, None], x2[start:stop, None], shapes.r1, shapes.r2, shapes.r_prime,
+                    log_p_den[start:stop, None], out=log_base[rows], work=work[rows],
+                )
+            np.matmul(log_base[rows], v, out=kls[start:stop])
+            if truncated:
+                # q renormalized to its mass on the rule adds log(mass) sum(v)
+                mass = np.matmul(np.exp(log_base[rows], out=work[rows]), w)
+                kls[start:stop] -= np.log(mass) * v_sum
+    np.subtract(k, kls, out=kls)
+    return kls
+
+
 def frequentist_risk(
     lambda1: float,
     lambda2: float,
@@ -190,16 +225,14 @@ def frequentist_risk(
     """Monte Carlo estimate of the KL risk of one estimator.
 
     Args:
-        lambda1, lambda2: true scales of the two populations; ``lambda1 >=
-            lambda2`` is required for the restricted estimator, whose
-            ordering assumption would otherwise be violated by design.
+        lambda1, lambda2: true scales of the two populations; the restricted
+            estimator needs ``lambda1 >= lambda2``, its ordering assumption.
         shapes: gamma shapes (r1, r2, r_prime).
         estimator_kind: "q0" (unrestricted) or "q1" (restricted).
         samples: Monte Carlo draws, at least 100.
         seed: seeds the draw streams; equal seeds give equal draws for both
             estimator kinds.
-        window: finite truncation window, or None for the untruncated
-            support.
+        window: finite truncation window, or None for the untruncated support.
 
     Returns:
         RiskEstimate with the sample mean, its standard error, and the
@@ -215,46 +248,9 @@ def frequentist_risk(
         raise DomainError("restricted risk needs lambda1 >= lambda2")
 
     child1, child2 = np.random.SeedSequence(seed).spawn(2)
-    x1s = draw_gamma(np.random.default_rng(child1), shapes.r1, lambda1, samples)
-    if estimator_kind == "q1":
-        x2s = draw_gamma(np.random.default_rng(child2), shapes.r2, lambda2, samples)
-        log_p_den = pred._log_ordering_probability(x1s, x2s, shapes.r1, shapes.r2)
-
-    y, w = _quad_grid(window)
-    truncated = window is not None and np.isfinite(window[1])
-    truth = dist.GammaModel(shapes.r_prime, lambda1)
-    log_truth = dist.gamma_logpdf(truth, y)
-    if truncated:
-        mass = np.sum(w * np.exp(log_truth))
-        log_truth = log_truth - np.log(mass)
-    # a draw's KL is k - log q . v (module docstring)
-    v = w * np.exp(log_truth)
-    k = v @ log_truth
-    v_sum = v.sum()
-
-    block = min(_BLOCK, samples)
-    log_base = np.empty((block, y.size))
-    work = np.empty_like(log_base) if estimator_kind == "q1" or truncated else None
-    kls = np.empty(samples)
-    # a draw whose KL comes out non-finite is rejected below, so the
-    # warnings numpy raises on its way there are not errors
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, samples, block):
-            stop = min(start + block, samples)
-            rows = slice(0, stop - start)
-            if estimator_kind == "q0":
-                pred.log_unrestricted_base(y, x1s[start:stop, None], shapes.r1, shapes.r_prime, out=log_base[rows])
-            else:
-                pred._log_restricted(
-                    y, x1s[start:stop, None], x2s[start:stop, None], shapes.r1, shapes.r2, shapes.r_prime,
-                    log_p_den[start:stop, None], out=log_base[rows], work=work[rows],
-                )
-            np.matmul(log_base[rows], v, out=kls[start:stop])
-            if truncated:
-                # q renormalized to its mass on the rule adds log(mass) sum(v)
-                mass = np.matmul(np.exp(log_base[rows], out=work[rows]), w)
-                kls[start:stop] -= np.log(mass) * v_sum
-    np.subtract(k, kls, out=kls)
+    x1s = np.random.default_rng(child1).gamma(shapes.r1, lambda1, samples)
+    x2s = np.random.default_rng(child2).gamma(shapes.r2, lambda2, samples) if estimator_kind == "q1" else None
+    kls = _risk_kls(estimator_kind, x1s, x2s, lambda1, shapes, window)
 
     bad = ~np.isfinite(kls)
     rejected = int(bad.sum())

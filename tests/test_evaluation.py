@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import goaltime
 from goaltime import evaluation
@@ -16,7 +17,7 @@ from goaltime.evaluation import (
     _BLOCK,
     RiskCurve,
     ShapeConfig,
-    draw_gamma,
+    _risk_kls,
     frequentist_risk,
     prediction_error,
     risk_curve,
@@ -104,8 +105,10 @@ class TestKlLoss:
 
 class TestPredictionError:
     def test_zero_against_itself(self):
-        truth = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
-        assert prediction_error(truth, truth) == pytest.approx(0.0, abs=1e-9)
+        # the infinite and lo > 0 window grids; TestKlLoss covers (0, 60)
+        for window in ((0.0, np.inf), (5.0, 45.0), (2.0, np.inf)):
+            truth = truncate(lambda y: gamma_pdf(TRUTH, y), *window)
+            assert prediction_error(truth, truth) == pytest.approx(0.0, abs=1e-9)
 
     def test_restricted_beats_unrestricted(self):
         truth = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
@@ -125,35 +128,34 @@ class TestPredictionError:
         assert pe1 == pytest.approx(0.04, abs=0.1)
 
 
-class TestGammaSampler:
-    def test_moments(self):
-        rng = np.random.default_rng(123)
-        r, lam, n = 3.0, 18.3, 100_000
-        draws = draw_gamma(rng, r, lam, n)
-        se_mean = math.sqrt(r * lam**2 / n)
-        assert abs(draws.mean() - r * lam) < 3 * se_mean
-        var = draws.var(ddof=1)
-        # var of the sample variance of a gamma: (mu4 - sigma^4 (n-3)/(n-1)) / n
-        mu4 = (3 * r**2 + 6 * r) * lam**4  # fourth central moment
-        se_var = math.sqrt((mu4 - (r * lam**2) ** 2 * (n - 3) / (n - 1)) / n)
-        assert abs(var - r * lam**2) < 3 * se_var
+class TestUnrestrictedRiskClosedForm:
+    """The untruncated q0 risk is constant in the scale, with the closed form
+    R0 = lnG(r1) - lnG(r'+r1) + (r'+r1) psi(r'+r1) - r1 psi(r1) - r'."""
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            draw_gamma(np.random.default_rng(0), -1.0, 1.0, 10)
+    @staticmethod
+    def exact_risk(r1, rp):
+        n = rp + r1
+        return math.lgamma(r1) - math.lgamma(n) + n * special.digamma(n) - r1 * special.digamma(r1) - rp
+
+    def test_value_at_shapes_3(self):
+        assert self.exact_risk(3.0, 3.0) == pytest.approx(0.3740084431, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("r1, rp", [(3.0, 3.0), (2.5, 1.5), (5.0, 0.7)])
+    @pytest.mark.parametrize("lam", [12.0, 0.5])
+    def test_monte_carlo_against_closed_form(self, lam, r1, rp, seed):
+        # scales away from 1, where drawing with a rate for a scale would show
+        e = frequentist_risk(lam, lam, ShapeConfig(r1=r1, r_prime=rp), "q0", 20000, seed)
+        assert e.rejected == 0
+        assert abs(e.risk - self.exact_risk(r1, rp)) <= 4 * e.std_err
 
 
-def plant_draws(monkeypatch, values, rows=slice(None)):
-    """Make ``evaluation.draw_gamma`` set ``rows`` of the draws at scale
-    ``s`` to ``values[s]``; the other draws stay as drawn."""
-
-    def planted(rng, shape, scale, size):
-        out = draw_gamma(rng, shape, scale, size)
-        if scale in values:
-            out[rows] = values[scale]
-        return out
-
-    monkeypatch.setattr(evaluation, "draw_gamma", planted)
+def draw_statistics(kind, samples, seed, shapes=ShapeConfig(), lambda1=12.0, lambda2=6.0):
+    """The statistics ``frequentist_risk`` draws at ``seed``: x1, and x2 for q1 only."""
+    child1, child2 = np.random.SeedSequence(seed).spawn(2)
+    x1 = np.random.default_rng(child1).gamma(shapes.r1, lambda1, samples)
+    x2 = np.random.default_rng(child2).gamma(shapes.r2, lambda2, samples) if kind == "q1" else None
+    return x1, x2
 
 
 class TestFrequentistRisk:
@@ -164,37 +166,31 @@ class TestFrequentistRisk:
         assert a.risk == b.risk and a.std_err == b.std_err
 
     @staticmethod
-    def engine_against_adaptive_kl(monkeypatch, kind, window):
-        """The per-draw KL of ``frequentist_risk`` against ``kl_loss_quad``
-        at four draws of (x1, x2), for one estimator on one window: each
-        risk is taken over 100 copies of one draw, so it is that draw's KL."""
+    def engine_against_adaptive_kl(kind, window):
+        """The engine's KLs at four statistics (x1, x2), in one call,
+        against ``kl_loss_quad``, for one estimator on one window."""
         truth = truncate(lambda v: gamma_pdf(GammaModel(3.0, 12.0), v), *(window or (0.0, np.inf)))
         rng = np.random.default_rng(5)
-        for _ in range(4):
-            x1 = float(rng.gamma(3.0, 12.0))
-            x2 = float(rng.gamma(3.0, 6.0))
-            plant_draws(monkeypatch, {12.0: x1, 6.0: x2})
+        points = [(float(rng.gamma(3.0, 12.0)), float(rng.gamma(3.0, 6.0))) for _ in range(4)]
+        x1, x2 = np.array(points).T
+        kls = _risk_kls(kind, x1, x2 if kind == "q1" else None, 12.0, ShapeConfig(), window)
+        for (a, b), kl in zip(points, kls):
             problem = PredictionProblem(
-                obs_a=SufficientStat(x1, 3.0),
-                obs_b=SufficientStat(x2, 3.0),
-                r_prime=3.0,
-                window=window or (0.0, np.inf),
+                obs_a=SufficientStat(a, 3.0), obs_b=SufficientStat(b, 3.0), r_prime=3.0, window=truth.window
             )
             est = unrestricted_predictive(problem) if kind == "q0" else restricted_predictive(problem)
-            got = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=100, seed=0, window=window)
-            assert got.std_err < 1e-15
-            assert got.risk == pytest.approx(kl_loss_quad(truth, est, truth.window), abs=1e-8)
+            assert kl == pytest.approx(kl_loss_quad(truth, est, truth.window), abs=1e-8)
 
-    def test_per_draw_engine_matches_adaptive_kl(self, monkeypatch):
-        self.engine_against_adaptive_kl(monkeypatch, "q1", (0.0, 60.0))
+    def test_per_draw_engine_matches_adaptive_kl(self):
+        self.engine_against_adaptive_kl("q1", (0.0, 60.0))
 
-    def test_per_draw_engine_matches_adaptive_kl_unrestricted(self, monkeypatch):
-        self.engine_against_adaptive_kl(monkeypatch, "q0", (0.0, 60.0))
+    def test_per_draw_engine_matches_adaptive_kl_unrestricted(self):
+        self.engine_against_adaptive_kl("q0", (0.0, 60.0))
 
     @pytest.mark.parametrize("kind", ["q0", "q1"])
-    def test_per_draw_engine_matches_adaptive_kl_untruncated(self, monkeypatch, kind):
+    def test_per_draw_engine_matches_adaptive_kl_untruncated(self, kind):
         # the map y = t/(1-t) of the 200 nodes onto (0, inf)
-        self.engine_against_adaptive_kl(monkeypatch, kind, None)
+        self.engine_against_adaptive_kl(kind, None)
 
     @pytest.mark.parametrize("window", [None, (0.0, 60.0)])
     @pytest.mark.parametrize("kind, r2", [("q0", 3.0), ("q1", 3.0), ("q1", 2.5)])
@@ -202,7 +198,12 @@ class TestFrequentistRisk:
     def test_blocks_against_per_draw_oracle(self, samples, kind, r2, window):
         # one partial block, one block short of full, and a full block plus one draw
         shapes = ShapeConfig(r2=r2)
-        kls = risk_kls_per_draw(12.0, 6.0, shapes, kind, samples, 17, window)
+        x1, x2 = draw_statistics(kind, samples, 17, shapes)
+        kls = risk_kls_per_draw(kind, x1, x2, 12.0, shapes, window)
+        # a draw's KL k - log q . v is the difference of two sums of size
+        # about 4, so it carries about 1e-15 of absolute rounding (up to
+        # 2.8e-15 here, 2e-13 relative to the smallest KLs on the window)
+        np.testing.assert_allclose(_risk_kls(kind, x1, x2, 12.0, shapes, window), kls, rtol=1e-13, atol=1e-14)
         got = frequentist_risk(12.0, 6.0, shapes, kind, samples, seed=17, window=window)
         assert got.rejected == 0
         assert got.risk == pytest.approx(kls.mean(), rel=1e-13)
@@ -223,9 +224,23 @@ class TestFrequentistRisk:
     )
     def test_rejected_draws(self, monkeypatch, kind, window, value):
         planted = np.array([7, 1000, 1999])
-        plant_draws(monkeypatch, {12.0: value}, rows=planted[:1])
+        x1, x2 = draw_statistics(kind, 2000, 4)
+        x1[planted] = value
+        kls = _risk_kls(kind, x1, x2, 12.0, ShapeConfig(), window)
+        assert np.array_equal(np.flatnonzero(~np.isfinite(kls)), planted)
+
+        engine = evaluation._risk_kls
+
+        def planting(rows):
+            def planted_engine(kind, x1, x2, *args):
+                x1[rows] = value
+                return engine(kind, x1, x2, *args)
+
+            return planted_engine
+
+        monkeypatch.setattr(evaluation, "_risk_kls", planting(planted[:1]))
         one = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
-        plant_draws(monkeypatch, {12.0: value}, rows=planted)
+        monkeypatch.setattr(evaluation, "_risk_kls", planting(planted))
         with pytest.raises(MonteCarloError):
             frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
         assert one.rejected == 1
@@ -265,17 +280,20 @@ class TestFrequentistRisk:
         assert peak < 8e6
 
     def test_unrestricted_risk_draws_no_rival(self, monkeypatch):
-        scales = []
+        calls = []
+        engine = evaluation._risk_kls
 
-        def recording(rng, shape, scale, size):
-            scales.append(scale)
-            return draw_gamma(rng, shape, scale, size)
+        def recording(kind, x1, x2, *args):
+            calls.append((x1.copy(), x2))
+            return engine(kind, x1, x2, *args)
 
-        monkeypatch.setattr(evaluation, "draw_gamma", recording)
+        monkeypatch.setattr(evaluation, "_risk_kls", recording)
         frequentist_risk(12.0, 6.0, ShapeConfig(), "q0", samples=200, seed=3)
-        assert scales == [12.0]
         frequentist_risk(12.0, 6.0, ShapeConfig(), "q1", samples=200, seed=3)
-        assert scales == [12.0, 12.0, 6.0]
+        (x1_q0, x2_q0), (x1_q1, x2_q1) = calls
+        assert x2_q0 is None and x2_q1.shape == (200,)
+        # both estimators see the same x1 (common random numbers)
+        assert x1_q1.tobytes() == x1_q0.tobytes()
 
     def test_mc_error_scaling(self):
         shapes = ShapeConfig()

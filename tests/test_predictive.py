@@ -85,6 +85,26 @@ class TestOrderingConstant:
         want = ordering_constant_quadrature(2.5, 40.0, 2.0, 36.0)
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_quadrature_against_mpmath(self):
+        # the fixed rule of ordering_constant_quadrature against mpmath's
+        # adaptive quadrature of the same defining integral
+        points = [(2.0, 1.0, 2.0, 1.0), (2.5, 40.0, 2.0, 36.0), (0.05, 3.0, 0.2, 7.0), (40.0, 30.0, 25.0, 60.0)]
+        for k1, k2, s1, s2 in points:
+            with mp.workdps(30):
+                m_k1, m_k2, m_s1, m_s2 = map(mp.mpf, (k1, k2, s1, s2))
+
+                def integrand(v):
+                    ig = mp.exp(m_k1 * mp.log(m_k2) - mp.loggamma(m_k1) - (m_k1 + 1) * mp.log(v) - m_k2 / v)
+                    return m_s1 * mp.gammainc(m_s1 + 1, m_s2 / v, mp.inf, regularized=True) / m_s2 / v * ig
+
+                want = float(mp.quad(integrand, [0, m_k2 / 10, m_k2, 10 * m_k2, mp.inf]))
+            assert ordering_constant_quadrature(k1, k2, s1, s2) == pytest.approx(want, rel=1e-12)
+        k2s = np.array([1.0, 40.0, 90.0])
+        np.testing.assert_array_equal(
+            ordering_constant_quadrature(2.5, k2s, 2.0, 36.0),
+            [ordering_constant_quadrature(2.5, k2, 2.0, 36.0) for k2 in k2s],
+        )
+
     def test_scaling_relation(self):
         # C(k1, c*k2, s1, c*s2) = c^-2 C(k1, k2, s1, s2)
         k1, k2, s1, s2 = 4.0, 70.0, 2.0, 40.0
@@ -465,6 +485,8 @@ class TestGridCoreOverDomain:
     @settings(max_examples=30, deadline=None)
     # a draw whose heavy tail made the oracle's quadrature in y warn
     @example(r1=2.0, r2=2.0, rp=1.0, log_x1=0.0, log_x2=0.0, window=(0.0, np.inf))
+    # a draw whose mean integrand underflows in the oracle's s in (100, 700)
+    @example(r1=6.0, r2=2.0, rp=1.0, log_x1=-1.0, log_x2=-1.0, window=(0.0, np.inf))
     def test_restricted_against_quadrature(self, r1, r2, rp, log_x1, log_x2, window):
         x1, x2 = 10.0**log_x1, 10.0**log_x2
         lo, hi = window
