@@ -214,8 +214,8 @@ def resolve_config(args) -> RunConfig:
             ratios = tuple(float(t) for t in args.ratios.split(","))
         except ValueError:
             raise GoaltimeError(f"bad --ratios {args.ratios!r}") from None
-        if not ratios[0] >= 1.0 or not all(b > a for a, b in zip(ratios, ratios[1:])):
-            raise GoaltimeError(f"--ratios must be ascending and start at >= 1; got {args.ratios!r}")
+        if not np.all(np.isfinite(ratios)) or not ratios[0] >= 1.0 or not all(b > a for a, b in zip(ratios, ratios[1:])):
+            raise GoaltimeError(f"--ratios must be finite, ascending and start at >= 1; got {args.ratios!r}")
         if args.samples < 100:
             raise GoaltimeError(f"--samples must be at least 100; got {args.samples}")
         extras = {"ratios": list(ratios), "lambda1": args.lambda1}

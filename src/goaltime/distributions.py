@@ -69,8 +69,8 @@ class GammaModel:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise DomainError("GammaModel requires shape > 0 and scale > 0")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise DomainError("GammaModel requires a finite shape > 0 and scale > 0")
 
     @property
     def mean(self) -> float:

@@ -8,25 +8,36 @@ weights, the KLs the per-draw engine ``_risk_kls`` returns for them.  The
 engine takes each draw's KL on a fixed 200-node Gauss-Legendre grid (on the
 window, or mapped onto (0, inf) through ``y = t/(1-t)``), vectorized over
 draws, which the tests pin against adaptive quadrature.  Each estimator's
-log density on that grid is the one its predictive density truncates,
-``predictive.log_unrestricted_base`` or ``predictive._log_restricted``;
-q1's is q0's plus the log ratio of two incomplete betas, the ordering
-probability with the node ``y`` in team a's data (one per draw and node)
-over the one without it (one per draw, computed once for all draws).  The
-risk keeps this grid rather than the truth's window grid of
-``prediction_error``: the window grid needs two to three times the nodes,
-which would make the per-draw work of a risk block as much larger.
+log density on that grid is the one its predictive density truncates, in
+the separable form of ``predictive``'s module docstring:
 
-The engine runs blocks of ``_BLOCK`` draws by 200 nodes, each evaluated in
-place (``out=``) in at most two arrays allocated once per call and small
-enough to stay in cache: a block allocates nothing of its own size, only
-vectors of one value per draw and the incomplete beta's small chunk arrays.
+    log q(y_j) = kernel_ij + (r'-1) log y_j - c_i,
+
+where only the kernel (``predictive._log_kernel``) couples the node
+``y_j`` with draw ``i``'s statistics; the statistics' term
+``c_i = log B(r', r1) + r' log x1 + log I_{x1/(x1+x2)}(r1, r2)`` (no
+ordering probability for q0) is one value per draw, its ordering
+probability computed once for all draws.  The risk keeps this grid rather
+than the truth's window grid of ``prediction_error``: the window grid
+needs two to three times the nodes, which would make the per-draw work of
+a risk block as much larger.
+
 With ``v = w p`` the truth's density times the rule's weights and
 ``k = v . log p``, both fixed per call, a draw's KL
-``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``: one
-matrix-vector product per block.  On a finite window the estimate is
+``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``.  The engine
+runs blocks of ``_BLOCK`` draws by 200 nodes, evaluated in place
+(``out=``) in three arrays allocated once per call and small enough to
+stay in cache (the kernel and q1's two intermediates).  A block computes
+the kernel and one matrix-vector product with ``v``; the node term enters
+once per call, as ``v . (r'-1) log y``, and the statistics' term once per
+draw, as ``c_i sum(v)``.  ``log q`` is taken up to the constant
+``r' log lam1``: ``c_i`` holds ``r' log(x1/lam1)``, of the size of the KL,
+and ``k`` takes up ``r' log lam1``, so that no per-draw term carries the
+size of ``log lam1`` into the sum.  On a finite window the estimate is
 renormalized to its mass on the rule, ``m = exp(log q) . w``, which adds
-``log(m) sum(v)``.
+``log(m) sum(v)``: there a block forms the whole ``log q``, reads its
+product with ``v``, and takes ``exp`` of it for the mass, and the
+renormalization cancels the constant.
 
 ``prediction_error``, the KL from a truncated truth to one estimate, is a
 weighted sum over the window grid ``distributions.truncate`` sampled the
@@ -55,6 +66,7 @@ import numpy as np
 from . import distributions as dist
 from . import predictive as pred
 from .errors import DivergenceError, DomainError, MonteCarloError
+from .specfun import log_beta
 
 log = logging.getLogger(__name__)
 
@@ -172,43 +184,56 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     """The per-draw engine: one KL of the truth Gamma(r_prime, lambda1) to
     estimator ``kind`` at each statistic ``(x1[i], x2[i])``, ``x2`` None for
     q0 (module docstring); non-finite where the estimate fails."""
-    if kind == "q1":
-        log_p_den = pred._log_ordering_probability(x1, x2, shapes.r1, shapes.r2)
+    r1, r_prime = shapes.r1, shapes.r_prime
+    log_den = 0.0 if x2 is None else pred._log_ordering_probability(x1, x2, r1, shapes.r2)
     y, w = _quad_grid(window)
     truncated = window is not None and np.isfinite(window[1])
-    truth = dist.GammaModel(shapes.r_prime, lambda1)
+    truth = dist.GammaModel(r_prime, lambda1)
     log_truth = dist.gamma_logpdf(truth, y)
+    log_node = (r_prime - 1.0) * np.log(y)
+    # a draw's KL is k - log q . v, with log q taken up to the constant
+    # r' log(lambda1) (module docstring)
     if truncated:
         mass = np.sum(w * np.exp(log_truth))
         log_truth = log_truth - np.log(mass)
-    # a draw's KL is k - log q . v (module docstring)
+        # the renormalization of q to its mass on the rule cancels the constant
+        k_truth = log_truth
+    else:
+        # k takes up the constant and the node term
+        k_truth = log_truth - log_node + r_prime * np.log(lambda1)
     v = w * np.exp(log_truth)
-    k = v @ log_truth
+    k = v @ k_truth
     v_sum = v.sum()
 
     samples = x1.size
     block = min(_BLOCK, samples)
-    log_base = np.empty((block, y.size))
-    work = np.empty_like(log_base) if kind == "q1" or truncated else None
+    kernel = np.empty((block, y.size))
+    work = np.empty((2,) + kernel.shape)
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_stat = log_beta(r_prime, r1) + r_prime * np.log(x1 / lambda1) + log_den
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             rows = slice(0, stop - start)
-            if kind == "q0":
-                pred.log_unrestricted_base(y, x1[start:stop, None], shapes.r1, shapes.r_prime, out=log_base[rows])
-            else:
-                pred._log_restricted(
-                    y, x1[start:stop, None], x2[start:stop, None], shapes.r1, shapes.r2, shapes.r_prime,
-                    log_p_den[start:stop, None], out=log_base[rows], work=work[rows],
-                )
-            np.matmul(log_base[rows], v, out=kls[start:stop])
+            x2_rows = None if x2 is None else x2[start:stop, None]
+            pred._log_kernel(
+                y, x1[start:stop, None], x2_rows, r1 + r_prime, shapes.r2, out=kernel[rows], work=work[:, rows]
+            )
             if truncated:
-                # q renormalized to its mass on the rule adds log(mass) sum(v)
-                mass = np.matmul(np.exp(log_base[rows], out=work[rows]), w)
+                # the mass takes exp of the whole log q, and q renormalized
+                # to it adds log(mass) sum(v)
+                log_q = kernel[rows]
+                log_q += log_node
+                log_q -= log_stat[start:stop, None]
+                np.matmul(log_q, v, out=kls[start:stop])
+                mass = np.matmul(np.exp(log_q, out=log_q), w)
                 kls[start:stop] -= np.log(mass) * v_sum
+            else:
+                np.matmul(kernel[rows], v, out=kls[start:stop])
+        if not truncated:
+            kls -= log_stat * v_sum
     np.subtract(k, kls, out=kls)
     return kls
 
@@ -242,8 +267,8 @@ def frequentist_risk(
         raise DomainError(f"unknown estimator kind {estimator_kind!r}")
     if samples < 100:
         raise DomainError("need at least 100 Monte Carlo samples")
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise DomainError("scales must be positive")
+    if not (0 < lambda1 < np.inf and 0 < lambda2 < np.inf):
+        raise DomainError("scales must be positive and finite")
     if estimator_kind == "q1" and lambda1 < lambda2:
         raise DomainError("restricted risk needs lambda1 >= lambda2")
 
@@ -284,8 +309,8 @@ def risk_curve(
     seed from ``seed``; within a point both estimators share draws.
     """
     ratios = tuple(float(r) for r in ratio_grid)
-    if not ratios or any(b <= a for a, b in zip(ratios, ratios[1:])) or ratios[0] < 1.0:
-        raise DomainError("ratio grid must be ascending and start at >= 1")
+    if not ratios or not np.all(np.isfinite(ratios)) or any(b <= a for a, b in zip(ratios, ratios[1:])) or ratios[0] < 1.0:
+        raise DomainError("ratio grid must be finite, ascending and start at >= 1")
     shapes = shapes or ShapeConfig()
     point_seeds = np.random.SeedSequence(seed).generate_state(len(ratios))
     q0, q1, se0, se1 = [], [], [], []

@@ -11,11 +11,9 @@ given an observed statistic ``x1 ~ Gam(r1, lam1)``, under the scale prior
   ``lam1 >= lam2``: the same beta prime reweighted by a ratio of ordering
   probabilities (``log_restricted_base``).
 
-Both log densities come from the one beta prime ``log_unrestricted_base``,
-and broadcast over their statistics: ``unrestricted_predictive`` and
-``restricted_predictive`` evaluate them on a window grid, and
-``evaluation.frequentist_risk`` on a block of Monte Carlo draws at once,
-in place in the risk's preallocated arrays (``out=``).
+Both log densities broadcast over their statistics, and
+``unrestricted_predictive`` and ``restricted_predictive`` evaluate them on
+a window grid.
 
 The paper writes the restricted estimator as
 
@@ -36,13 +34,31 @@ Under the scale prior each ``1/lam`` has a gamma posterior, so
 given ``(x1, x2)``, and the numerator is the same probability once ``y``
 joins team a's data: q1 is q0 reweighted by the ordering's posterior
 probability.  The denominator depends only on the observed statistics, so
-``restricted_predictive`` computes it once per density, when it builds it.
-Both incomplete betas come from ``specfun.log_betainc``, whose second shape
-is the rival's goal index ``r2``: at an integer ``r2``, the paper's case
-and every default, a finite sum of ``r2`` positive terms (DLMF 8.17.21),
-and otherwise a continued fraction (DLMF 8.17.22).  The beta function of
-the beta prime comes from ``specfun.log_beta``, so no module here needs
-scipy.
+``restricted_predictive`` computes it once per density, when it builds it,
+through ``specfun.log_betainc``.
+
+The numerator's second shape is the rival's goal index ``r2``.  With
+``a = r1 + r'``, ``x = (x1 + y)/(x1 + x2 + y)`` and its complement
+``u = x2/(x1 + x2 + y)``, an integer ``r2 = n`` (the paper's case and every
+default) gives ``I_x(a, n) = x^a S_n(u)`` with the finite sum
+``S_n(u) = sum_{j<n} (a)_j / j! u^j`` (DLMF 8.17.21), and q0's
+``-a log1p(y/x1)`` cancels ``a log x`` exactly:
+``a log x - a log1p(y/x1) = -a log1p((x2 + y)/x1)``.  So
+
+    log q1(y) = -log B(r', r1) - r' log x1 - log I_{x1/(x1+x2)}(r1, r2)
+                + (r'-1) log y
+                - a log1p((x2 + y)/x1) + log S_n(u),
+
+which is q0's formula with ``x2`` added inside the ``log1p``, plus one
+finite sum; at ``x2 = 0`` it is q0.  Only the last line couples ``y`` with
+the statistics: ``_log_kernel`` evaluates it (``x2=None`` gives q0's
+``-a log1p(y/x1)``), and both densities and ``evaluation``'s risk add the
+node term ``(r'-1) log y`` and the statistics' term to it.  A non-integer
+``r2`` has no sum to split off: there the kernel is q0's term plus
+``log I_x(a, r2)`` from the continued fraction of ``log_betainc`` (DLMF
+8.17.22), the same value.  The sum is ``specfun._log_int_sum``, and the
+beta function of the beta prime comes from ``specfun.log_beta``, so no
+module here needs scipy.
 
 In one hypergeometric ratio, the restricted density has the closed
 weighted-beta-prime form
@@ -61,13 +77,14 @@ densities are renormalized to the prediction window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
 from .errors import DomainError, InvalidShapeError
-from .specfun import log_beta, log_betainc
+from .specfun import _int_terms, _log_int_sum, log_beta, log_betainc
 
 _SHAPE_MARGIN = 1e-9
 
@@ -75,15 +92,18 @@ DEFAULT_WINDOW = (0.0, 60.0)
 
 
 def check_observed_shape(r: float) -> None:
-    """Raise InvalidShapeError unless an observed statistic's shape exceeds 1."""
+    """Raise InvalidShapeError unless an observed statistic's shape is finite
+    and exceeds 1."""
+    if not math.isfinite(r):
+        raise InvalidShapeError(f"shape r = {r} must be finite")
     if r <= 1.0 + _SHAPE_MARGIN:
         raise InvalidShapeError(f"shape r = {r} too small: the posterior needs r > 1")
 
 
 def check_future_shape(r_prime: float) -> None:
-    """Raise InvalidShapeError unless the future draw's shape is positive."""
-    if not r_prime > 0:
-        raise InvalidShapeError(f"future shape must be positive, got {r_prime}")
+    """Raise InvalidShapeError unless the future draw's shape is positive and finite."""
+    if not 0 < r_prime < math.inf:
+        raise InvalidShapeError(f"future shape must be positive and finite, got {r_prime}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +114,8 @@ class SufficientStat:
     r: float
 
     def __post_init__(self):
-        if not self.x > 0:
-            raise DomainError(f"statistic must be positive, got {self.x}")
+        if not 0 < self.x < math.inf:
+            raise DomainError(f"statistic must be positive and finite, got {self.x}")
         check_observed_shape(self.r)
 
 
@@ -120,29 +140,73 @@ class PredictionProblem:
             raise DomainError(f"bad window {self.window}")
 
 
-def log_unrestricted_base(y, x1, r1: float, r_prime: float, out=None):
-    """Log of the beta prime density ``B'(r', r1, x1)`` at ``y``, untruncated.
+def _log_kernel(y, x1, x2, a: float, r2, out=None, work=None):
+    """The part of a log density that couples ``y`` with the statistics, at
+    ``a = r1 + r'`` (module docstring):
 
-    In the ratio form ``-log B(r', r1) - log x1 + (r'-1) log u
-    - (r'+r1) log1p(u)``, ``u = y/x1``, with ``log u`` split into
-    ``log y - log x1`` so that only ``log1p`` runs over the broadcast of
-    ``y`` and ``x1``; it runs in place in ``out``, an optional float array
-    of that broadcast shape.  Returns -inf for y <= 0.
+        -a log1p((x2 + y)/x1) + log S(u),    u = x2/(x1 + x2 + y),
+
+    with ``S`` the integer-``r2`` sum of ``specfun._log_int_sum``.  q0's
+    ``x2=None`` leaves ``-a log1p(y/x1)``.  At any other ``r2`` there is no
+    sum to split off, and the kernel takes the same value as
+    ``-a log1p(y/x1) + log I_{1-u}(a, r2)`` through ``log_betainc``.
+
+    Broadcasts over ``y``, ``x1`` and ``x2``, which must be positive.  The
+    result goes to ``out``, an optional float array of the broadcast shape,
+    and q1's intermediates to ``work``, an optional pair of such arrays
+    (shape ``(2,) + shape``).
     """
+    shape = np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2))
+    if out is None:
+        out = np.empty(shape)
+    if x2 is None:
+        t = np.divide(y, x1, out=out)
+    else:
+        if work is None:
+            work = np.empty((2,) + shape)
+        n = _int_terms(a, r2)
+        if n:
+            # t = (x2 + y)/x1, and u = x2/(x1 + x2 + y) = (x2/x1)/(1 + t)
+            t = np.add(x2, y, out=out)
+            t /= x1
+            u = np.add(t, 1.0, out=work[1, ...])
+            np.divide(np.divide(x2, x1), u, out=u)
+            _log_int_sum(a, n, u, work[0, ...])
+        else:
+            w = np.add(x1, y, out=work[0, ...])
+            np.divide(w, np.add(w, x2, out=out), out=w)
+            log_betainc(a, r2, w, out=w)
+            t = np.divide(y, x1, out=out)
+    np.log1p(t, out=t)
+    t *= -a
+    if x2 is not None:
+        t += work[0]
+    return t
+
+
+def _log_density(y, x1, x2, r1: float, r2, r_prime: float, log_p_den=0.0):
+    """log q0 (``x2=None``) or log q1 given the log of q1's denominator:
+    the kernel, plus the node term ``(r'-1) log y``, minus the statistics'
+    term ``log B(r', r1) + r' log x1 + log_p_den``.  -inf for y <= 0."""
     y = np.asarray(y, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
     pos = y > 0
     y = np.where(pos, y, 1.0)
-    if out is None:
-        out = np.empty(np.broadcast(y, x1).shape)
-    np.divide(y, x1, out=out)
-    np.log1p(out, out=out)
-    out *= r_prime + r1
-    np.subtract((r_prime - 1.0) * np.log(y), out, out=out)
-    out -= log_beta(r_prime, r1) + r_prime * np.log(x1)
+    out = _log_kernel(y, x1, x2, r1 + r_prime, r2)
+    out += (r_prime - 1.0) * np.log(y)
+    out -= log_beta(r_prime, r1) + r_prime * np.log(x1) + log_p_den
     if not pos.all():
         np.copyto(out, -np.inf, where=~pos)
     return out
+
+
+def log_unrestricted_base(y, x1, r1: float, r_prime: float):
+    """Log of the beta prime density ``B'(r', r1, x1)`` at ``y``, untruncated.
+
+    ``-log B(r', r1) - r' log x1 + (r'-1) log y - (r'+r1) log1p(y/x1)``:
+    the kernel at ``x2=None`` (``_log_kernel``) with the node and statistic
+    terms.  Broadcasts over ``y`` and ``x1``.  Returns -inf for y <= 0.
+    """
+    return _log_density(y, x1, None, r1, None, r_prime)
 
 
 def _log_ordering_probability(x1, x2, r1: float, r2: float):
@@ -158,44 +222,20 @@ def _log_ordering_probability(x1, x2, r1: float, r2: float):
     return out
 
 
-def _log_restricted(y, x1, x2, r1: float, r2: float, r_prime: float, log_p_den, out=None, work=None):
-    """``log_restricted_base`` with the log of its denominator given: only
-    the ``y``-dependent numerator is computed here.
-
-    The numerator's weight ``(x1 + y) / (x1 + y + x2)`` is at least the
-    denominator's, so it cannot vanish where the denominator is finite.
-    q0 and the numerator's incomplete beta are both of the broadcast shape
-    of ``y``, ``x1`` and ``x2`` and alive at once: the result goes to
-    ``out`` and the weight, then its incomplete beta, to ``work``, both
-    optional float arrays of that shape.
-    """
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast(x1, y, x2).shape
-    if out is None:
-        out = np.empty(shape)
-    if work is None:
-        work = np.empty(shape)
-    w = np.add(x1, y, out=work)
-    np.divide(w, np.add(w, x2, out=out), out=w)
-    log_betainc(r1 + r_prime, r2, w, out=w)
-    out = log_unrestricted_base(y, x1, r1, r_prime, out=out)
-    out += w
-    out -= log_p_den
-    return out
-
-
 def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     """Log of the untruncated restricted predictive density.
 
     The beta prime ``B'(r', r1, x1)`` reweighted by the ratio of ordering
-    probabilities ``I_{(x1+y)/(x1+y+x2)}(r1 + r', r2) / I_{x1/(x1+x2)}(r1, r2)``.
-    Broadcasts over ``y``, ``x1`` and ``x2`` like ``log_unrestricted_base``.
+    probabilities ``I_{(x1+y)/(x1+y+x2)}(r1 + r', r2) / I_{x1/(x1+x2)}(r1, r2)``,
+    evaluated as the kernel of ``_log_kernel`` with the node and statistic
+    terms.  Broadcasts over ``y``, ``x1`` and ``x2`` like
+    ``log_unrestricted_base``.
     """
     check_observed_shape(r1)
     check_observed_shape(r2)
     check_future_shape(r_prime)
     log_p_den = _log_ordering_probability(x1, x2, r1, r2)
-    return _log_restricted(y, x1, x2, r1, r2, r_prime, log_p_den)
+    return _log_density(y, x1, x2, r1, r2, r_prime, log_p_den)
 
 
 def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -230,7 +270,7 @@ def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
     log_p_den = _log_ordering_probability(a.x, b.x, a.r, b.r)
 
     def base(y):
-        return np.exp(_log_restricted(y, a.x, b.x, a.r, b.r, problem.r_prime, log_p_den))
+        return np.exp(_log_density(y, a.x, b.x, a.r, b.r, problem.r_prime, log_p_den))
 
     lo, hi = problem.window
     return dist.truncate(base, lo, hi)

@@ -6,20 +6,23 @@ CDFs, the posterior probabilities of the scale ordering (see
 ``log_betainc``: the log of the regularized incomplete beta ``I_x(a, b)``.
 It is written in numpy alone and works in log space throughout, so it
 cannot underflow where ``I_x`` is below the smallest double.  It picks its
-method from ``b``:
+method from ``b`` (``_int_terms``):
 
 * **integer b** (``b <= 1000``, where ``S`` below cannot overflow).  Both
   ordering probabilities take ``b = r2``, a goal index, so this is the case
   of the paper's shapes and of every default.  DLMF 8.17.21 unrolled from
   ``I_x(a, 1) = x^a`` gives the finite sum
 
-      I_x(a, n) = x^a S,    S = sum_{j<n} (a)_j / j! (1-x)^j,
+      I_x(a, n) = x^a S(u),    S(u) = sum_{j<n} (a)_j / j! u^j,  u = 1 - x,
 
-  evaluated by ``n - 1`` Horner steps over positive terms and returned as
-  ``a log x + log S``: three in-place array operations a step, no
-  cancellation in the sum and nothing to converge.  Large arrays go
-  through in chunks of ``_INT_CHUNK`` points, whose two work arrays stay
-  in cache across the Horner steps.
+  and ``log_betainc`` returns ``a log x + log S(1 - x)``.  ``S`` is
+  ``_log_int_sum``: ``n - 1`` Horner steps over positive terms on the
+  precomputed coefficients ``(a)_j / j!``, two in-place array operations a
+  step, no cancellation in the sum and nothing to converge.  It takes the
+  complement ``u`` itself, because q1's numerator forms ``u`` directly and
+  cancels ``a log x`` analytically (``predictive._log_kernel``): the
+  numerator calls the sum alone, with no ``1 - x`` round trip and no
+  ``a log x``.
 * **any other b**: the continued fraction of DLMF 8.17.22,
 
       I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))),
@@ -42,8 +45,7 @@ for the argument ``x`` or ``z`` and broadcast in the numpy sense.  A scalar
 ``x`` takes the array path of either method, except that the continued
 fraction runs a lone point in Python floats (``_log_lentz_scalar``).
 ``log_betainc`` can write into a caller's array (``out=``), which may be
-``x`` itself, so that a caller evaluating it block after block allocates
-no array of the block's size.
+``x`` itself.
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ _MAX_LOG_SUM = 700.0
 _EPS = float(np.finfo(float).eps)
 _CF_MAX_TERMS = 2000
 _CF_CHUNK = 1 << 15
-# points per chunk of the integer-b sum: its two work arrays, 64 kB each,
-# stay in cache across the Horner steps
-_INT_CHUNK = 1 << 13
 # Stirling remainder of log Gamma (DLMF 5.11.1): B_2k / (2k (2k-1)),
 # enough terms for full precision from _STIRLING_MIN on
 _STIRLING = (
@@ -104,39 +103,54 @@ def log_betainc(a: float, b: float, x, out=None):
     else:
         result = out
     with np.errstate(divide="ignore", invalid="ignore"):
-        if b.is_integer() and b <= _MAX_INT_B and (
-            math.lgamma(a + b) - math.lgamma(a + 1.0) - math.lgamma(b) < _MAX_LOG_SUM
-        ):
-            _log_betainc_int(a, int(b), x, result)
+        n = _int_terms(a, b)
+        if n:
+            _log_betainc_int(a, n, x, result)
         else:
             _log_betainc_cf(a, b, x, result)
     return result if out is not None or result.ndim else float(result)
 
 
-def _log_betainc_int(a: float, n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log I_x(a, n) for integer n, as ``a log x + log S`` (module docstring),
-    written into ``out``, which may be ``x``.
+def _int_terms(a: float, b: float) -> int:
+    """``b`` as an int where ``log I_x(a, b)`` takes the finite sum, else 0."""
+    b = float(b)
+    if b.is_integer() and b <= _MAX_INT_B and (
+        math.lgamma(a + b) - math.lgamma(a + 1.0) - math.lgamma(b) < _MAX_LOG_SUM
+    ):
+        return int(b)
+    return 0
 
-    A chunk of ``x`` is read whole before its part of ``out`` is written,
-    and its Horner steps run in two work arrays of at most ``_INT_CHUNK``
-    points.
+
+def _log_int_sum(a: float, n: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log S = log sum_{j<n} (a)_j / j! u^j at the complement ``u = 1 - x``
+    (module docstring), written into ``out``, an array of ``u``'s shape
+    other than ``u`` itself.
+
+    Horner's rule on the precomputed coefficients ``(a)_j / j!``: two
+    in-place array operations a step.
     """
-    xs = x.reshape(-1)
-    outs = out.reshape(-1)
-    size = min(xs.size, _INT_CHUNK)
-    work = np.empty((2, size))
-    for start in range(0, xs.size, _INT_CHUNK):
-        chunk = xs[start:start + _INT_CHUNK]
-        y = np.subtract(1.0, chunk, out=work[0, :chunk.size])
-        s = work[1, :chunk.size]
-        s.fill(1.0)
-        for j in range(n - 1, 0, -1):
-            s *= y
-            s *= (a + j - 1.0) / j
-            s += 1.0
-        log_x = np.log(chunk, out=y)
-        log_x *= a
-        np.add(log_x, np.log(s, out=s), out=outs[start:start + _INT_CHUNK])
+    if n == 1:
+        out.fill(0.0)
+        return out
+    coef = [1.0]
+    for j in range(1, n):
+        coef.append(coef[-1] * (a + j - 1.0) / j)
+    np.multiply(u, coef[-1], out=out)
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= u
+    out += 1.0
+    return np.log(out, out=out)
+
+
+def _log_betainc_int(a: float, n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log I_x(a, n) for integer n, as ``a log x + log S(1 - x)`` (module
+    docstring), written into ``out``, which may be ``x``."""
+    u = np.subtract(1.0, x)
+    log_x = np.log(x)
+    log_x *= a
+    _log_int_sum(a, n, u, out)
+    out += log_x
     return out
 
 

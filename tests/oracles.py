@@ -9,7 +9,6 @@ carries no adaptive integrator and needs no scipy.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy import integrate, special
@@ -17,7 +16,7 @@ from scipy import integrate, special
 from goaltime import distributions as dist
 from goaltime.errors import DivergenceError, DomainError, InvalidShapeError
 from goaltime.evaluation import _quad_grid
-from goaltime.predictive import PredictionProblem, log_restricted_base, log_unrestricted_base
+from goaltime.predictive import PredictionProblem
 from goaltime.specfun import gauss_2f1, log_betainc
 
 _SHAPE_MARGIN = 1e-9
@@ -205,55 +204,76 @@ def kl_loss_quad(exact, estimate, window: tuple[float, float], epsrel: float = 1
     return float(val)
 
 
-def _quad(fn, lo: float, hi: float, epsrel: float) -> float:
-    """Adaptive quadrature of ``fn`` over (lo, hi).
+def _window_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a fixed rule for integrals over (lo, hi).
 
-    An infinite window is integrated in ``s = log(y - lo)``, where a heavy
-    tail in ``y`` becomes light, over ``s`` in [-700, 700] cut at
-    0, +-1, +-10 and +-100: beyond those ends lie ``y - lo`` below 1e-304
-    and above 1e304.  A piece where the integrand has underflowed cannot
-    reach ``epsrel`` of its own tiny value; ``quad``'s warning for a piece
-    is raised only when the piece's value and error are not both below
-    ``epsrel`` of the whole integral.
+    The trapezoid rule with step 1/8 in ``s``, with ``y = lo + (hi - lo)/(1
+    + e^-s)`` on a finite window and ``y = lo + e^s`` on an infinite one.
+    Either map takes a density with an endpoint singularity ``y^(r'-1)``
+    and a heavy tail to an integrand that decays exponentially at both
+    ends of ``s``, and the densities' singularities off the real ``y``
+    line (``y <= 0``, ``y = -x1``, ``y = -(x1 + x2)``) lie at ``Im s = pi``,
+    so the rule converges like ``exp(-2 pi^2 / step)``.  The ``s`` range
+    stops where ``y - lo`` falls below 1e-304 or, on an infinite window,
+    exceeds 1e130, past which no density here has weight in a mass or mean.
     """
     if np.isfinite(hi):
-        integrand, cuts = fn, (lo, hi)
+        s = np.arange(-700.0, 40.0, 0.125)
+        y = lo + (hi - lo) / (1.0 + np.exp(-s))
+        dy = (hi - lo) / (2.0 + 2.0 * np.cosh(s))
     else:
-        def integrand(s):
-            t = math.exp(s)
-            return fn(lo + t) * t
-
-        cuts = (-700.0, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 700.0)
-    pieces = [
-        integrate.quad(integrand, a, b, epsabs=0, epsrel=epsrel, limit=400, full_output=1)
-        for a, b in zip(cuts, cuts[1:])
-    ]
-    total = sum(piece[0] for piece in pieces)
-    for value, err, _, *message in pieces:
-        if message and abs(value) + err > epsrel * abs(total):
-            warnings.warn(message[0], integrate.IntegrationWarning)
-    return float(total)
+        s = np.arange(-700.0, 300.0, 0.125)
+        dy = np.exp(s)
+        y = lo + dy
+    return y, 0.125 * dy
 
 
-def window_mass_quad(base, lo: float, hi: float, epsrel: float = 1e-12) -> float:
-    """Integral of ``base`` over (lo, hi) by adaptive quadrature."""
-    return _quad(lambda y: float(base(np.array([y]))[0]), lo, hi, epsrel)
+def window_mass_quad(base, lo: float, hi: float) -> float:
+    """Integral of ``base`` over (lo, hi) by the fixed rule ``_window_rule``."""
+    y, w = _window_rule(lo, hi)
+    return float(w @ base(y))
 
 
-def window_mean_quad(base, lo: float, hi: float, epsrel: float = 1e-12) -> float:
-    """Mean of ``base`` renormalized to (lo, hi), by adaptive quadrature."""
-    moment = _quad(lambda y: y * float(base(np.array([y]))[0]), lo, hi, epsrel)
-    return moment / window_mass_quad(base, lo, hi, epsrel)
+def window_mean_quad(base, lo: float, hi: float) -> float:
+    """Mean of ``base`` renormalized to (lo, hi), by the fixed rule ``_window_rule``."""
+    y, w = _window_rule(lo, hi)
+    f = w * base(y)
+    return float((y @ f) / f.sum())
+
+
+def log_unrestricted_direct(y, x1: float, r1: float, r_prime: float):
+    """log of the beta prime ``B'(r', r1, x1)`` at ``y > 0`` as it reads,
+    ``-log B(r', r1) - log x1 + (r'-1) log u - (r'+r1) log1p(u)``, ``u = y/x1``."""
+    u = np.asarray(y, dtype=float) / x1
+    return -special.betaln(r_prime, r1) - np.log(x1) + (r_prime - 1.0) * np.log(u) - (r_prime + r1) * np.log1p(u)
+
+
+def log_restricted_ratio_form(y, x1: float, x2: float, r1: float, r2: float, r_prime: float):
+    """log q1 at ``y > 0`` as q0 times the ratio of ordering probabilities,
+    ``I_x(r1 + r', r2) / I_{x1/(x1+x2)}(r1, r2)`` with
+    ``x = (x1 + y)/(x1 + y + x2)``, each incomplete beta whole from
+    ``log_betainc``.
+
+    Independent of the package's kernel, which never forms ``I_x``: it
+    cancels ``x^(r1+r')`` against q0's ``log1p`` term analytically.
+    """
+    y = np.asarray(y, dtype=float)
+    x = (x1 + y) / (x1 + y + x2)
+    return (
+        log_unrestricted_direct(y, x1, r1, r_prime)
+        + log_betainc(r1 + r_prime, r2, x)
+        - log_betainc(r1, r2, x1 / (x1 + x2))
+    )
 
 
 def risk_kls_per_draw(kind: str, x1s, x2s, lambda1: float, shapes, window):
     """Per-draw KL losses of ``evaluation._risk_kls``, one draw at a time.
 
     The same 200-node rule, but each draw's log density comes from
-    ``log_unrestricted_base`` or ``log_restricted_base`` alone, and its KL
-    is the direct sum ``sum_j w_j p_j (log p_j - log q_j)``, with ``q``
-    renormalized on the rule when the window is finite.  ``x2s`` is read
-    only for q1.
+    ``log_unrestricted_direct`` or ``log_restricted_ratio_form`` alone, and
+    its KL is the direct sum ``sum_j w_j p_j (log p_j - log q_j)``, with
+    ``q`` renormalized on the rule when the window is finite.  ``x2s`` is
+    read only for q1.
     """
     y, w = _quad_grid(window)
     truncated = window is not None and np.isfinite(window[1])
@@ -264,9 +284,9 @@ def risk_kls_per_draw(kind: str, x1s, x2s, lambda1: float, shapes, window):
     kls = np.empty(len(x1s))
     for i, x1 in enumerate(x1s):
         if kind == "q0":
-            log_est = log_unrestricted_base(y, x1, shapes.r1, shapes.r_prime)
+            log_est = log_unrestricted_direct(y, x1, shapes.r1, shapes.r_prime)
         else:
-            log_est = log_restricted_base(y, x1, x2s[i], shapes.r1, shapes.r2, shapes.r_prime)
+            log_est = log_restricted_ratio_form(y, x1, x2s[i], shapes.r1, shapes.r2, shapes.r_prime)
         if truncated:
             log_est = log_est - np.log(np.sum(w * np.exp(log_est)))
         kls[i] = np.sum(w * truth_pdf * (log_truth - log_est))

@@ -127,6 +127,26 @@ class TestConfigErrors:
         assert out == ""
         assert "configuration error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["risk-curve", "--lambda1", "inf", "--samples", "200", "--ratios", "1,2"],
+            ["risk-curve", "--lambda1", "nan", "--samples", "200", "--ratios", "1,2"],
+            ["risk-curve", "--r1", "nan", "--samples", "200", "--ratios", "1,2"],
+            ["risk-curve", "--r2", "inf", "--samples", "200", "--ratios", "1,2"],
+            ["risk-curve", "--ratios", "1,inf", "--samples", "200"],
+            ["summarize", "--r1", "nan"],
+            ["summarize", "--x1", "30", "--x2", "inf"],
+            ["prediction-error", "--truth-scale", "nan"],
+            ["prediction-error", "--truth-shape", "inf"],
+        ],
+    )
+    def test_non_finite_input_is_a_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert out == ""
+        assert "configuration error" in err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

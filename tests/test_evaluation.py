@@ -7,16 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import goaltime
 from goaltime import evaluation
-from goaltime.distributions import GammaModel, gamma_pdf, truncate
+from goaltime.distributions import GammaModel, gamma_logpdf, gamma_pdf, truncate
 from goaltime.errors import DivergenceError, DomainError, InvalidShapeError, MonteCarloError
 from goaltime.evaluation import (
     _BLOCK,
     RiskCurve,
     ShapeConfig,
+    _quad_grid,
     _risk_kls,
     frequentist_risk,
     prediction_error,
@@ -29,7 +32,9 @@ from goaltime.predictive import (
     unrestricted_predictive,
 )
 
-from oracles import kl_loss_quad, risk_kls_per_draw
+from goaltime.specfun import log_betainc
+
+from oracles import kl_loss_quad, log_restricted_ratio_form, log_unrestricted_direct, risk_kls_per_draw
 
 TRUTH = GammaModel(3.0, 18.3)
 
@@ -158,6 +163,33 @@ def draw_statistics(kind, samples, seed, shapes=ShapeConfig(), lambda1=12.0, lam
     return x1, x2
 
 
+def summand_size(kind, x1, x2, lambda1, shapes, window):
+    """The size of the terms a draw's KL sums: the absolute values of the
+    terms of log p and of the oracle's log q at each node, weighted by the
+    truth's ``v`` (``evaluation._risk_kls``), plus the log masses on a
+    finite window."""
+    y, w = _quad_grid(window)
+    r1, rp = shapes.r1, shapes.r_prime
+    log_p = gamma_logpdf(GammaModel(rp, lambda1), y)
+    size = abs(rp - 1.0) * np.abs(np.log(y)) + y / lambda1 + abs(math.lgamma(rp)) + rp * abs(math.log(lambda1))
+    size += (
+        abs(special.betaln(rp, r1)) + abs(math.log(x1)) + abs(rp - 1.0) * np.abs(np.log(y / x1))
+        + (rp + r1) * np.log1p(y / x1)
+    )
+    if kind == "q1":
+        x = (x1 + y) / (x1 + y + x2)
+        size += np.abs(log_betainc(r1 + rp, shapes.r2, x)) + abs(log_betainc(r1, shapes.r2, x1 / (x1 + x2)))
+    if window is not None:
+        if kind == "q0":
+            log_q = log_unrestricted_direct(y, x1, r1, rp)
+        else:
+            log_q = log_restricted_ratio_form(y, x1, x2, r1, shapes.r2, rp)
+        log_p_mass = math.log(w @ np.exp(log_p))
+        size += abs(log_p_mass) + abs(math.log(w @ np.exp(log_q)))
+        log_p -= log_p_mass
+    return (w * np.exp(log_p)) @ size
+
+
 class TestFrequentistRisk:
     def test_reproducible_bit_for_bit(self):
         kw = dict(shapes=ShapeConfig(), estimator_kind="q1", samples=400, seed=99)
@@ -209,6 +241,37 @@ class TestFrequentistRisk:
         assert got.risk == pytest.approx(kls.mean(), rel=1e-13)
         assert got.std_err == pytest.approx(kls.std(ddof=1) / math.sqrt(samples), rel=1e-13)
 
+    @given(
+        r1=st.floats(1.05, 12.0),
+        r2=st.one_of(st.integers(2, 12).map(float), st.floats(1.05, 12.0)),
+        rp=st.floats(0.3, 12.0),
+        log_x1=st.floats(-2.0, 4.0),
+        log_x2=st.floats(-2.0, 4.0),
+        window=st.sampled_from([None, (0.0, 60.0)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # a vanishing rival statistic, where q1 tends to q0
+    @example(r1=3.0, r2=3.0, rp=3.0, log_x1=1.5, log_x2=-8.0, window=(0.0, 60.0))
+    @example(r1=2.5, r2=2.5, rp=1.5, log_x1=1.5, log_x2=-8.0, window=None)
+    # x1 far above the window, where q is nearly flat on it
+    @example(r1=3.0, r2=3.0, rp=3.0, log_x1=6.0, log_x2=1.5, window=(0.0, 60.0))
+    @example(r1=6.5, r2=2.5, rp=0.5, log_x1=6.0, log_x2=5.0, window=(0.0, 60.0))
+    def test_engine_against_ratio_form_over_domain(self, r1, r2, rp, log_x1, log_x2, window):
+        # the engine's separable kernel against the ratio-form oracle, over
+        # non-integer shapes and extreme statistics.  Both round sums of
+        # terms of size M (summand_size); up to M = 50, above its largest
+        # value at the draws of test_blocks_against_per_draw_oracle (46),
+        # the bound is that test's, and beyond it grows by 2 eps M
+        shapes = ShapeConfig(r1=r1, r2=r2, r_prime=rp)
+        x1, x2 = 10.0**log_x1, 10.0**log_x2
+        for kind in ("q0", "q1"):
+            rival = np.array([x2]) if kind == "q1" else None
+            got = _risk_kls(kind, np.array([x1]), rival, 12.0, shapes, window)[0]
+            want = risk_kls_per_draw(kind, [x1], rival, 12.0, shapes, window)[0]
+            size = summand_size(kind, x1, x2, 12.0, shapes, window)
+            tol = max(1e-13 * abs(want), 1e-14 + 2.0 * np.finfo(float).eps * max(0.0, size - 50.0))
+            assert abs(got - want) <= tol, (kind, got, want, size)
+
     @pytest.mark.parametrize(
         "kind, window, value",
         [
@@ -251,9 +314,9 @@ class TestFrequentistRisk:
         # depend on how many threads BLAS splits it over
         code = (
             "from goaltime.evaluation import ShapeConfig, frequentist_risk\n"
-            "for kind in ('q0', 'q1'):\n"
+            "for kind, r2 in (('q0', 3.0), ('q1', 3.0), ('q1', 2.5)):\n"
             "    for window in (None, (0.0, 60.0)):\n"
-            "        e = frequentist_risk(12.0, 6.0, ShapeConfig(), kind, 3000, 8, window)\n"
+            "        e = frequentist_risk(12.0, 6.0, ShapeConfig(r2=r2), kind, 3000, 8, window)\n"
             "        print(e.risk.hex(), e.std_err.hex())\n"
         )
         src = str(Path(goaltime.__file__).resolve().parents[1])
@@ -263,7 +326,8 @@ class TestFrequentistRisk:
             done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
             outs.append(done.stdout)
         assert outs[0] == outs[1]
-        assert len(outs[0].splitlines()) == 4
+        # q1 at r2 = 2.5 takes the kernel's continued fraction
+        assert len(outs[0].splitlines()) == 6
 
     @pytest.mark.parametrize("kind", ["q0", "q1"])
     @pytest.mark.parametrize("window", [None, (0.0, 60.0)])
@@ -326,10 +390,18 @@ class TestFrequentistRisk:
         with pytest.raises(DomainError):
             frequentist_risk(5.0, 1.0, ShapeConfig(), "q1", samples=50, seed=0)
 
-    @pytest.mark.parametrize("shapes", [dict(r1=0.5), dict(r2=1.0), dict(r_prime=0.0)])
+    @pytest.mark.parametrize(
+        "shapes",
+        [dict(r1=0.5), dict(r2=1.0), dict(r_prime=0.0), dict(r1=math.nan), dict(r2=math.inf), dict(r_prime=math.inf)],
+    )
     def test_shapes_out_of_domain(self, shapes):
         with pytest.raises(InvalidShapeError):
             ShapeConfig(**shapes)
+
+    @pytest.mark.parametrize("lambda1, lambda2", [(math.inf, 6.0), (math.nan, 6.0), (12.0, math.nan)])
+    def test_non_finite_scales(self, lambda1, lambda2):
+        with pytest.raises(DomainError):
+            frequentist_risk(lambda1, lambda2, ShapeConfig(), "q0", samples=200, seed=0)
 
 
 class TestRiskCurve:
@@ -355,5 +427,7 @@ class TestRiskCurve:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             risk_curve(ratio_grid=(2.0, 1.0), samples=200, seed=0)
+        with pytest.raises(DomainError):
+            risk_curve(ratio_grid=(1.0, math.inf), samples=200, seed=0)
         with pytest.raises(DomainError):
             risk_curve(ratio_grid=(0.5, 1.0), samples=200, seed=0)

@@ -218,6 +218,12 @@ class TestUnrestricted:
         with pytest.raises(InvalidShapeError):
             SufficientStat(x=10.0, r=1.0)
         with pytest.raises(InvalidShapeError):
+            SufficientStat(x=10.0, r=math.nan)
+        with pytest.raises(InvalidShapeError):
+            PredictionProblem(obs_a=SufficientStat(x=10.0, r=3.0), r_prime=math.inf)
+        with pytest.raises(DomainError):
+            SufficientStat(x=math.inf, r=3.0)
+        with pytest.raises(InvalidShapeError):
             predictive_pdf_from_marginal(1.0, 10.0, 1.0, 3.0)
 
 
@@ -341,15 +347,20 @@ class TestRestricted:
     @pytest.mark.parametrize("r2", [3.0, 2.5])
     def test_denominator_computed_once_per_density(self, monkeypatch, r2):
         # I_{x1/(x1+x2)}(r1, r2) depends only on the problem: the build
-        # computes it, and no grid, pdf or cdf evaluation repeats it
-        real = pred.log_betainc
+        # computes it, and no grid, pdf or cdf evaluation repeats it.  The
+        # numerator's shape is r1 + r': at an integer r2 it is the sum of
+        # _log_int_sum, at any other the continued fraction of log_betainc
         calls = []
 
-        def counting(a, b, x, out=None):
-            calls.append(a)
-            return real(a, b, x, out=out)
+        def counting(real):
+            def counted(a, *args, **kwargs):
+                calls.append(a)
+                return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(pred, "log_betainc", counting)
+            return counted
+
+        for name in ("log_betainc", "_log_int_sum"):
+            monkeypatch.setattr(pred, name, counting(getattr(pred, name)))
         d = restricted_predictive(self.problem(r2=r2))
         predictive_summaries(d)
         d.pdf(0.1 * (np.arange(600) + 0.5))
@@ -474,6 +485,37 @@ class TestGridCoreOverDomain:
         for prob, q in s.quantiles.items():
             assert abs(between(lo, q) / mass - prob) <= 1e-10, (prob, q)
 
+    @pytest.mark.parametrize(
+        "r1, r2, rp, x1, x2, window",
+        [
+            (2.0, 2.0, 1.0, 1.0, 1.0, (0.0, np.inf)),
+            (6.0, 2.0, 1.0, 0.1, 0.1, (0.0, np.inf)),
+            (1.5, 4.5, 0.5, 0.01, 300.0, (0.0, 60.0)),
+            (3.5, 2.5, 5.5, 2e3, 40.0, (0.0, 60.0)),
+            (4.0, 3.0, 2.0, 30.0, 0.02, (17.0, 60.0)),
+            (1.6, 5.0, 0.6, 1e4, 1e-2, (0.0, np.inf)),
+        ],
+    )
+    def test_fixed_rule_against_mpmath(self, r1, r2, rp, x1, x2, window):
+        # the fixed rule of window_mass_quad and window_mean_quad against
+        # mpmath's adaptive quadrature of the same density, in s = log(y - lo)
+        lo, hi = window
+
+        def base(y):
+            return np.exp(log_restricted_base(y, x1, x2, r1, r2, rp))
+
+        def dmass(s):
+            t = mp.exp(s)
+            return base(np.array([float(lo + t)]))[0] * t
+
+        top = math.log(hi - lo) if np.isfinite(hi) else 300.0
+        cuts = [-700.0] + [math.log(c * x1) for c in (1e-3, 0.1, 1.0, 10.0, 1e3) if math.log(c * x1) < top] + [top]
+        with mp.workdps(20):
+            mass = mp.quad(dmass, cuts)
+            mean = mp.quad(lambda s: (lo + mp.exp(s)) * dmass(s), cuts) / mass
+        assert window_mass_quad(base, lo, hi) == pytest.approx(float(mass), rel=1e-12)
+        assert window_mean_quad(base, lo, hi) == pytest.approx(float(mean), rel=1e-12)
+
     @given(
         r1=st.floats(1.5, 6.0),
         r2=st.floats(1.5, 6.0),
@@ -483,9 +525,9 @@ class TestGridCoreOverDomain:
         window=WINDOWS,
     )
     @settings(max_examples=30, deadline=None)
-    # a draw whose heavy tail made the oracle's quadrature in y warn
+    # a draw whose heavy tail made an adaptive quadrature in y warn
     @example(r1=2.0, r2=2.0, rp=1.0, log_x1=0.0, log_x2=0.0, window=(0.0, np.inf))
-    # a draw whose mean integrand underflows in the oracle's s in (100, 700)
+    # a draw whose mean integrand underflows far in the tail
     @example(r1=6.0, r2=2.0, rp=1.0, log_x1=-1.0, log_x2=-1.0, window=(0.0, np.inf))
     def test_restricted_against_quadrature(self, r1, r2, rp, log_x1, log_x2, window):
         x1, x2 = 10.0**log_x1, 10.0**log_x2
