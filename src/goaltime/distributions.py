@@ -24,11 +24,14 @@ the samples in ``TruncatedDensity.grid``:
 
 The window mass, the mean and the cumulative panel masses are sums over
 that grid; the CDF adds one Gauss-Legendre panel from the nearest panel
-edge; quantiles take safeguarded Newton steps on that CDF; the mode is the
-grid argmax, refined by shrinking a bracket around it and finished by
-Newton steps on a five-point derivative.  No adaptive integrator, root
-finder or optimizer runs.  References: Trefethen, "Is
-Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50 (2008).
+edge; quantiles take safeguarded Newton steps on that CDF, each one density
+call that samples the iterate beside its partial panel's nodes, and a lane
+ends once its Newton step falls below rounding (a lane left unconverged
+raises ``ConvergenceError``); the mode is the grid argmax, refined by
+shrinking a bracket around it and finished by Newton steps on a five-point
+derivative.  No adaptive integrator, root finder or optimizer runs.
+References: Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+SIAM Review 50 (2008).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateWindowError, DomainError
+from .errors import ConvergenceError, DegenerateWindowError, DomainError
 
 _GL_ORDER = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -192,19 +195,23 @@ class TruncatedDensity:
 
     __call__ = pdf
 
-    def _mass_below(self, t: np.ndarray) -> np.ndarray:
-        """Integral of ``base`` from lo to each t (t inside the grid)."""
+    def _partial_panel(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integral of ``base`` from lo to each t (t inside the grid), and
+        ``base(t)``, from one call of ``base``: each t rides beside the
+        Gauss-Legendre nodes of its partial panel, from the grid edge below
+        it up to t."""
         edges = self.grid.edges
         k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
         y, w = _gauss_panels(edges[k], t)
-        return self.grid.cum[k] + np.sum(w * self.base(y), axis=-1)
+        f = np.asarray(self.base(np.concatenate((y, t[..., None]), axis=-1)), dtype=float)
+        return self.grid.cum[k] + np.sum(w * f[..., :-1], axis=-1), f[..., -1]
 
     def cdf(self, t):
         """Distribution function at t (scalar or array)."""
         t = np.asarray(t, dtype=float)
         tt = np.clip(t, self.lo, self.grid.edges[-1])
         with np.errstate(invalid="ignore"):
-            out = np.where(t > self.lo, np.minimum(self._mass_below(tt) / self.mass, 1.0), 0.0)
+            out = np.where(t > self.lo, np.minimum(self._partial_panel(tt)[0] / self.mass, 1.0), 0.0)
         return out if t.ndim else float(out)
 
 
@@ -245,8 +252,15 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
     """Quantiles by safeguarded Newton steps on the grid CDF.
 
     Each quantile starts inside the panel whose cumulative mass brackets
-    it; a Newton step that leaves the current bracket is replaced by
-    bisection.
+    it.  A step makes one density call, which gives both the CDF residual
+    and the density at the iterate (``TruncatedDensity._partial_panel``).
+    A lane whose Newton step falls below rounding (``4 eps`` of the iterate)
+    has reached its root and stays there; any other Newton step that leaves
+    the current bracket is replaced by bisection, and a lane also ends once
+    that safeguarded step falls below rounding.
+
+    Raises:
+        ConvergenceError: if some lane has not ended after ``_MAX_STEPS``.
     """
     g = d.grid
     cum = g.cum
@@ -257,17 +271,24 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
         share = np.nan_to_num((target - cum[k]) / (cum[k + 1] - cum[k]))
     t = left + (right - left) * np.clip(share, 0.0, 1.0)
     for _ in range(_MAX_STEPS):
-        resid = d._mass_below(t) - target
+        below, f = d._partial_panel(t)
+        resid = below - target
         left = np.where(resid < 0, t, left)
         right = np.where(resid > 0, t, right)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = t - resid / np.asarray(d.base(t), dtype=float)
+            step = resid / f
+        # checked before the bracket: a root reached from one side sits on
+        # that bracket end, where the strict test below would bisect away
+        settled = (resid == 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(t))
+        nxt = t - step
         nxt = np.where((nxt > left) & (nxt < right), nxt, 0.5 * (left + right))
-        converged = (resid == 0) | (np.abs(nxt - t) <= 4.0 * _EPS * np.abs(nxt))
-        t = np.where(resid == 0, t, nxt)
+        converged = settled | (np.abs(nxt - t) <= 4.0 * _EPS * np.abs(nxt))
+        t = np.where(settled, t, nxt)
         if np.all(converged):
-            break
-    return t
+            return t
+    raise ConvergenceError(
+        f"quantiles at levels {probs[~converged].tolist()} not converged after {_MAX_STEPS} Newton steps"
+    )
 
 
 def _log_base(d: TruncatedDensity, y: np.ndarray) -> np.ndarray:

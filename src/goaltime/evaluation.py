@@ -26,8 +26,8 @@ With ``v = w p`` the truth's density times the rule's weights and
 ``k = v . log p``, both fixed per call, a draw's KL
 ``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``.  The engine
 runs blocks of ``_BLOCK`` draws by 200 nodes, evaluated in place
-(``out=``) in three arrays allocated once per call and small enough to
-stay in cache (the kernel and q1's two intermediates).  A block computes
+(``out=``) in arrays allocated once per call and small enough to stay
+in cache: the kernel, and for q1 its two intermediates.  A block computes
 the kernel and one matrix-vector product with ``v``; the node term enters
 once per call, as ``v . (r'-1) log y``, and the statistics' term once per
 draw, as ``c_i sum(v)``.  ``log q`` is taken up to the constant
@@ -208,7 +208,8 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     samples = x1.size
     block = min(_BLOCK, samples)
     kernel = np.empty((block, y.size))
-    work = np.empty((2,) + kernel.shape)
+    # q1's two intermediates; q0's kernel has none
+    work = None if x2 is None else np.empty((2,) + kernel.shape)
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors
@@ -217,9 +218,11 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             rows = slice(0, stop - start)
-            x2_rows = None if x2 is None else x2[start:stop, None]
+            x2_rows = work_rows = None
+            if x2 is not None:
+                x2_rows, work_rows = x2[start:stop, None], work[:, rows]
             pred._log_kernel(
-                y, x1[start:stop, None], x2_rows, r1 + r_prime, shapes.r2, out=kernel[rows], work=work[:, rows]
+                y, x1[start:stop, None], x2_rows, r1 + r_prime, shapes.r2, out=kernel[rows], work=work_rows
             )
             if truncated:
                 # the mass takes exp of the whole log q, and q renormalized

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from goaltime import cli
+from goaltime import distributions as dist
 from goaltime.distributions import GammaModel, gamma_pdf, summarize, truncate
-from goaltime.errors import DegenerateWindowError, DomainError
-from goaltime.predictive import log_unrestricted_base
+from goaltime.errors import ConvergenceError, DegenerateWindowError, DomainError
+from goaltime.ingest import canadiens_fixture_path, parse_game_log, reduce_to_stat, toronto_fixture_path
+from goaltime.predictive import (
+    PredictionProblem,
+    SufficientStat,
+    log_unrestricted_base,
+    restricted_predictive,
+    unrestricted_predictive,
+)
+
+PROBS = np.array([0.2, 0.5, 0.9])
 
 
 def beta_prime_pdf(a, b, sigma, t):
@@ -164,6 +176,88 @@ class TestSummarize:
         assert s.mean == pytest.approx(15.0, rel=1e-6)
         assert s.mode == pytest.approx(10.0, abs=1e-3)
         assert s.quantiles[0.5] == pytest.approx(stats.gamma.ppf(0.5, 3.0, scale=5.0), abs=1e-5)
+
+
+def counting(d):
+    """``d`` with its density wrapped to record each call, and the record."""
+    calls = []
+
+    def base(y):
+        calls.append(np.shape(y))
+        return d.base(y)
+
+    return dataclasses.replace(d, base=base), calls
+
+
+class TestQuantileNewton:
+    """The CDF inversion: one density call per Newton step, and a lane that
+    has reached its root stays there instead of bisecting away."""
+
+    # a lane that reached its root at step 3 used to bisect a stale bracket
+    # for 40 more steps, two density calls each: 90 calls for three levels
+    STALE_BRACKET = dict(x1=35.8482, x2=50.0, r1=2.0, r2=2.0, rp=3.0)
+    MAX_CALLS = 6
+    # the most steps seen over 23500 densities of the domain below was 13
+    # (twice), against 54 before a converged lane stayed put
+    MAX_STEPS = 16
+
+    @staticmethod
+    def q1(x1, x2, r1, r2, rp, window=(0.0, 60.0)):
+        return restricted_predictive(
+            PredictionProblem(
+                obs_a=SufficientStat(x=x1, r=r1), obs_b=SufficientStat(x=x2, r=r2), r_prime=rp, window=window
+            )
+        )
+
+    def assert_few_calls(self, d):
+        counted, calls = counting(d)
+        q = dist._quantiles(counted, PROBS)
+        assert len(calls) <= self.MAX_CALLS, calls
+        # each step samples every lane's iterate beside its partial panel's nodes
+        assert set(calls) == {(PROBS.size, dist._GL_ORDER + 1)}
+        np.testing.assert_allclose(d.cdf(q), PROBS, rtol=0, atol=1e-14)
+
+    def test_converged_lane_stays_put(self):
+        self.assert_few_calls(self.q1(**self.STALE_BRACKET))
+
+    def test_bundled_fixture(self):
+        a = reduce_to_stat(parse_game_log(toronto_fixture_path()), "Toronto Maple Leafs", r=3.0)
+        b = reduce_to_stat(parse_game_log(canadiens_fixture_path()), "Montreal Canadiens", r=3.0)
+        problem = PredictionProblem(obs_a=a, obs_b=b, r_prime=3.0, window=(0.0, 60.0))
+        self.assert_few_calls(unrestricted_predictive(problem))
+        self.assert_few_calls(restricted_predictive(problem))
+
+    @given(
+        r1=st.floats(1.5, 6.0),
+        r2=st.floats(1.5, 6.0),
+        rp=st.floats(0.5, 6.0),
+        log_x1=st.floats(-2.0, 4.0),
+        log_x2=st.floats(-2.0, 4.0),
+        lo=st.one_of(st.just(0.0), st.floats(0.01, 59.0)),
+        hi=st.sampled_from([60.0, np.inf]),
+        restricted=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_steps_bounded_over_domain(self, r1, r2, rp, log_x1, log_x2, lo, hi, restricted):
+        problem = PredictionProblem(
+            obs_a=SufficientStat(x=10.0**log_x1, r=r1),
+            obs_b=SufficientStat(x=10.0**log_x2, r=r2),
+            r_prime=rp,
+            window=(lo, hi),
+        )
+        d = (restricted_predictive if restricted else unrestricted_predictive)(problem)
+        counted, calls = counting(d)
+        q = dist._quantiles(counted, PROBS)
+        assert len(calls) <= self.MAX_STEPS
+        assert np.all(np.abs(d.cdf(q) - PROBS) <= 1e-10), q
+
+    def test_step_exhaustion_raises(self, monkeypatch, capsys):
+        d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 18.3), y), 0.0, 60.0)
+        monkeypatch.setattr(dist, "_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="Newton steps"):
+            summarize(d)
+        assert cli.main(["summarize"]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestPdfContract:
