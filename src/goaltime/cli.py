@@ -164,8 +164,6 @@ def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | No
     if explicit is not None and log_path is not None:
         raise GoaltimeError(f"give exactly one of --x{1 if side == 'a' else 2} and --team-{side}-log")
     if explicit is not None:
-        if explicit <= 0:
-            raise GoaltimeError("statistics must be positive")
         return float(explicit), {f"team_{side}_log": None}
     source = log_path
     if log_path is None:
@@ -210,14 +208,9 @@ def resolve_config(args) -> RunConfig:
     if args.command == "prediction-error":
         extras = {"truth_shape": args.truth_shape, "truth_scale": args.truth_scale}
     if args.command == "risk-curve":
-        try:
-            ratios = tuple(float(t) for t in args.ratios.split(","))
-        except ValueError:
-            raise GoaltimeError(f"bad --ratios {args.ratios!r}") from None
-        if not np.all(np.isfinite(ratios)) or not ratios[0] >= 1.0 or not all(b > a for a, b in zip(ratios, ratios[1:])):
-            raise GoaltimeError(f"--ratios must be finite, ascending and start at >= 1; got {args.ratios!r}")
-        if args.samples < 100:
-            raise GoaltimeError(f"--samples must be at least 100; got {args.samples}")
+        ratios = evaluation._ratio_grid(args.ratios.split(","))
+        if args.samples < evaluation.MIN_SAMPLES:
+            raise GoaltimeError(f"--samples must be at least {evaluation.MIN_SAMPLES}; got {args.samples}")
         extras = {"ratios": list(ratios), "lambda1": args.lambda1}
     cfg = RunConfig(
         command=args.command,

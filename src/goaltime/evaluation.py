@@ -77,6 +77,7 @@ _MAX_REJECT_FRACTION = 1e-3
 _BLOCK = 256
 
 DEFAULT_SAMPLES = 20000
+MIN_SAMPLES = 100
 DEFAULT_RATIO_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 DEFAULT_LAMBDA1 = 12.0
 
@@ -257,7 +258,7 @@ def frequentist_risk(
             estimator needs ``lambda1 >= lambda2``, its ordering assumption.
         shapes: gamma shapes (r1, r2, r_prime).
         estimator_kind: "q0" (unrestricted) or "q1" (restricted).
-        samples: Monte Carlo draws, at least 100.
+        samples: Monte Carlo draws, at least ``MIN_SAMPLES``.
         seed: seeds the draw streams; equal seeds give equal draws for both
             estimator kinds.
         window: finite truncation window, or None for the untruncated support.
@@ -268,8 +269,8 @@ def frequentist_risk(
     """
     if estimator_kind not in ("q0", "q1"):
         raise DomainError(f"unknown estimator kind {estimator_kind!r}")
-    if samples < 100:
-        raise DomainError("need at least 100 Monte Carlo samples")
+    if samples < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} Monte Carlo samples")
     if not (0 < lambda1 < np.inf and 0 < lambda2 < np.inf):
         raise DomainError("scales must be positive and finite")
     if estimator_kind == "q1" and lambda1 < lambda2:
@@ -297,6 +298,18 @@ def frequentist_risk(
     )
 
 
+def _ratio_grid(ratio_grid) -> tuple[float, ...]:
+    """``ratio_grid`` (numbers or numeric strings) as a tuple of floats;
+    DomainError unless it is finite, ascending and starts at >= 1."""
+    try:
+        ratios = tuple(float(r) for r in ratio_grid)
+    except ValueError:
+        raise DomainError(f"ratio grid must be numeric; got {list(ratio_grid)}") from None
+    if not ratios or not np.all(np.isfinite(ratios)) or any(b <= a for a, b in zip(ratios, ratios[1:])) or ratios[0] < 1.0:
+        raise DomainError(f"ratio grid must be finite, ascending and start at >= 1; got {ratios}")
+    return ratios
+
+
 def risk_curve(
     ratio_grid=DEFAULT_RATIO_GRID,
     shapes: ShapeConfig | None = None,
@@ -311,9 +324,7 @@ def risk_curve(
     ``lambda2 = lambda1 / ratio`` moves.  Each grid point derives its own
     seed from ``seed``; within a point both estimators share draws.
     """
-    ratios = tuple(float(r) for r in ratio_grid)
-    if not ratios or not np.all(np.isfinite(ratios)) or any(b <= a for a, b in zip(ratios, ratios[1:])) or ratios[0] < 1.0:
-        raise DomainError("ratio grid must be finite, ascending and start at >= 1")
+    ratios = _ratio_grid(ratio_grid)
     shapes = shapes or ShapeConfig()
     point_seeds = np.random.SeedSequence(seed).generate_state(len(ratios))
     q0, q1, se0, se1 = [], [], [], []

@@ -33,32 +33,40 @@ Under the scale prior each ``1/lam`` has a gamma posterior, so
 ``I_{x1/(x1+x2)}(r1, r2)`` is the posterior probability of ``lam1 >= lam2``
 given ``(x1, x2)``, and the numerator is the same probability once ``y``
 joins team a's data: q1 is q0 reweighted by the ordering's posterior
-probability.  The denominator depends only on the observed statistics, so
-``restricted_predictive`` computes it once per density, when it builds it,
-through ``specfun.log_betainc``.
+probability.
 
-The numerator's second shape is the rival's goal index ``r2``.  With
-``a = r1 + r'``, ``x = (x1 + y)/(x1 + x2 + y)`` and its complement
-``u = x2/(x1 + x2 + y)``, an integer ``r2 = n`` (the paper's case and every
-default) gives ``I_x(a, n) = x^a S_n(u)`` with the finite sum
-``S_n(u) = sum_{j<n} (a)_j / j! u^j`` (DLMF 8.17.21), and q0's
+Both probabilities are one function of ``y``, the kernel
+
+    K(y; a) = log I_x(a, r2) - a log1p(y/x1),    x = (x1 + y)/(x1 + x2 + y),
+
+at ``a = r1 + r'`` for the numerator, where its second term is q0's
+``log1p`` term, and at ``y = 0`` and ``a = r1`` for the denominator, which
+is ``log I_{x1/(x1+x2)}(r1, r2)`` itself.  So
+
+    log q1(y) = -log B(r', r1) - r' log x1 + (r'-1) log y
+                + K(y; r1 + r') - K(0; r1).
+
+The denominator depends only on the observed statistics, so
+``restricted_predictive`` computes it once per density, when it builds it.
+
+The second shape is the rival's goal index ``r2``.  With the complement
+``u = x2/(x1 + x2 + y)`` of ``x``, an integer ``r2 = n`` (the paper's case
+and every default) gives ``I_x(a, n) = x^a S_n(u)`` with the finite sum
+``S_n(u) = sum_{j<n} (a)_j / j! u^j`` (DLMF 8.17.21), and
 ``-a log1p(y/x1)`` cancels ``a log x`` exactly:
 ``a log x - a log1p(y/x1) = -a log1p((x2 + y)/x1)``.  So
 
-    log q1(y) = -log B(r', r1) - r' log x1 - log I_{x1/(x1+x2)}(r1, r2)
-                + (r'-1) log y
-                - a log1p((x2 + y)/x1) + log S_n(u),
+    K(y; a) = -a log1p((x2 + y)/x1) + log S_n(u),
 
-which is q0's formula with ``x2`` added inside the ``log1p``, plus one
-finite sum; at ``x2 = 0`` it is q0.  Only the last line couples ``y`` with
-the statistics: ``_log_kernel`` evaluates it (``x2=None`` gives q0's
-``-a log1p(y/x1)``), and both densities and ``evaluation``'s risk add the
-node term ``(r'-1) log y`` and the statistics' term to it.  A non-integer
-``r2`` has no sum to split off: there the kernel is q0's term plus
-``log I_x(a, r2)`` from the continued fraction of ``log_betainc`` (DLMF
-8.17.22), the same value.  The sum is ``specfun._log_int_sum``, and the
-beta function of the beta prime comes from ``specfun.log_beta``, so no
-module here needs scipy.
+q0's ``log1p`` term with ``x2`` added inside it, plus one finite sum; at
+``x2 = 0`` it is q0's.  ``_log_kernel`` evaluates it (``x2=None`` gives
+q0's ``-a log1p(y/x1)``), and both densities and ``evaluation``'s risk add
+the node term ``(r'-1) log y`` and the statistics' term to it.  A
+non-integer ``r2`` has no sum to split off: there the kernel takes
+``log I_x(a, r2)`` from the continued fraction of ``specfun.log_betainc``
+(DLMF 8.17.22).  The sum is ``specfun._log_int_sum``, and the beta
+function of the beta prime comes from ``specfun.log_beta``, so no module
+here needs scipy.
 
 In one hypergeometric ratio, the restricted density has the closed
 weighted-beta-prime form
@@ -141,20 +149,21 @@ class PredictionProblem:
 
 
 def _log_kernel(y, x1, x2, a: float, r2, out=None, work=None):
-    """The part of a log density that couples ``y`` with the statistics, at
-    ``a = r1 + r'`` (module docstring):
+    """The kernel ``K(y; a) = log I_x(a, r2) - a log1p(y/x1)`` of the
+    module docstring, the part of a log density that couples ``y`` with
+    the statistics; at ``y = 0`` it is the ordering probability itself.
+    At an integer ``r2`` it is
 
         -a log1p((x2 + y)/x1) + log S(u),    u = x2/(x1 + x2 + y),
 
-    with ``S`` the integer-``r2`` sum of ``specfun._log_int_sum``.  q0's
-    ``x2=None`` leaves ``-a log1p(y/x1)``.  At any other ``r2`` there is no
-    sum to split off, and the kernel takes the same value as
-    ``-a log1p(y/x1) + log I_{1-u}(a, r2)`` through ``log_betainc``.
+    with ``S`` the sum of ``specfun._log_int_sum``; at any other ``r2``
+    ``log I_x(a, r2)`` comes from ``log_betainc``.  q0's ``x2=None``
+    leaves ``-a log1p(y/x1)``.
 
-    Broadcasts over ``y``, ``x1`` and ``x2``, which must be positive.  The
-    result goes to ``out``, an optional float array of the broadcast shape,
-    and q1's intermediates to ``work``, an optional pair of such arrays
-    (shape ``(2,) + shape``).
+    Broadcasts over ``y``, ``x1`` and ``x2``, which must be positive
+    (``y`` non-negative).  The result goes to ``out``, an optional float
+    array of the broadcast shape, and q1's intermediates to ``work``, an
+    optional pair of such arrays (shape ``(2,) + shape``).
     """
     shape = np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2))
     if out is None:
@@ -211,12 +220,15 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
 
 def _log_ordering_probability(x1, x2, r1: float, r2: float):
     """log of the posterior probability of ``lam1 >= lam2`` given ``x1`` and
-    ``x2``, ``I_w(r1, r2)`` at ``w = x1 / (x1 + x2)``: q1's denominator."""
+    ``x2``, ``I_w(r1, r2)`` at ``w = x1 / (x1 + x2)``: q1's denominator,
+    the kernel at ``y = 0`` and ``a = r1`` (module docstring)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if np.any(x1 <= 0) or np.any(x2 <= 0):
         raise DomainError("restricted density requires positive statistics")
-    out = log_betainc(r1, r2, x1 / (x1 + x2))
+    # x2/x1 may overflow; the result is then not finite and raises below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = _log_kernel(0.0, x1, x2, r1, r2)
     if not np.all(np.isfinite(out)):
         raise DomainError("ordering probability not finite; log form unavailable")
     return out

@@ -2,28 +2,13 @@
 
 The restricted estimator reweights the beta prime by a ratio of two beta
 CDFs, the posterior probabilities of the scale ordering (see
-``predictive``), so the densities and both risks rest on one function,
-``log_betainc``: the log of the regularized incomplete beta ``I_x(a, b)``.
-It is written in numpy alone and works in log space throughout, so it
-cannot underflow where ``I_x`` is below the smallest double.  It picks its
-method from ``b`` (``_int_terms``):
+``predictive``), so the densities and both risks rest on the regularized
+incomplete beta ``I_x(a, b)``.  It is written in numpy alone and works in
+log space throughout, so it cannot underflow where ``I_x`` is below the
+smallest double.  It comes in two forms:
 
-* **integer b** (``b <= 1000``, where ``S`` below cannot overflow).  Both
-  ordering probabilities take ``b = r2``, a goal index, so this is the case
-  of the paper's shapes and of every default.  DLMF 8.17.21 unrolled from
-  ``I_x(a, 1) = x^a`` gives the finite sum
-
-      I_x(a, n) = x^a S(u),    S(u) = sum_{j<n} (a)_j / j! u^j,  u = 1 - x,
-
-  and ``log_betainc`` returns ``a log x + log S(1 - x)``.  ``S`` is
-  ``_log_int_sum``: ``n - 1`` Horner steps over positive terms on the
-  precomputed coefficients ``(a)_j / j!``, two in-place array operations a
-  step, no cancellation in the sum and nothing to converge.  It takes the
-  complement ``u`` itself, because q1's numerator forms ``u`` directly and
-  cancels ``a log x`` analytically (``predictive._log_kernel``): the
-  numerator calls the sum alone, with no ``1 - x`` round trip and no
-  ``a log x``.
-* **any other b**: the continued fraction of DLMF 8.17.22,
+* ``log_betainc``, ``log I_x(a, b)`` at every ``b``: the continued
+  fraction of DLMF 8.17.22,
 
       I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))),
 
@@ -34,6 +19,19 @@ method from ``b`` (``_int_terms``):
   terms of ``B(a, b)`` are folded into ``log1p`` terms of the distance
   from the mean and a Stirling remainder (DLMF 5.11.1), so large shapes
   lose no digits to a difference of large log-gammas.
+* the finite sum of an integer ``b`` (``b <= 1000``, where ``S`` below
+  cannot overflow; ``_int_terms``).  Both ordering probabilities take
+  ``b = r2``, a goal index, so this is the case of the paper's shapes and
+  of every default.  DLMF 8.17.21 unrolled from ``I_x(a, 1) = x^a`` gives
+
+      I_x(a, n) = x^a S(u),    S(u) = sum_{j<n} (a)_j / j! u^j,  u = 1 - x.
+
+  ``S`` is ``_log_int_sum``: ``n - 1`` Horner steps over positive terms
+  on the precomputed coefficients ``(a)_j / j!``, two in-place array
+  operations a step, no cancellation in the sum and nothing to converge.
+  It serves ``predictive._log_kernel`` only, which forms the complement
+  ``u`` itself and cancels ``a log x`` analytically against q0's
+  ``log1p`` term, for both ordering probabilities.
 
 ``gauss_2f1`` is ``scipy.special.hyp2f1`` on ``z <= 0`` with the package's
 domain checks.  No density uses it, and it imports scipy only when it is
@@ -42,7 +40,7 @@ that the tests check against (``tests/oracles.py``).
 
 All functions are pure and stateless; they accept scalars or numpy arrays
 for the argument ``x`` or ``z`` and broadcast in the numpy sense.  A scalar
-``x`` takes the array path of either method, except that the continued
+``x`` takes the array path of ``log_betainc``, except that the continued
 fraction runs a lone point in Python floats (``_log_lentz_scalar``).
 ``log_betainc`` can write into a caller's array (``out=``), which may be
 ``x`` itself.
@@ -86,8 +84,7 @@ def log_betainc(a: float, b: float, x, out=None):
         scalar input.
 
     Raises:
-        ConvergenceError: if the continued fraction (non-integer ``b``)
-            does not converge.
+        ConvergenceError: if the continued fraction does not converge.
     """
     if a <= 0 or b <= 0:
         raise DomainError("log_betainc requires a, b > 0")
@@ -102,12 +99,26 @@ def log_betainc(a: float, b: float, x, out=None):
         raise DomainError("log_betainc: out must be a C-contiguous float array of x's shape")
     else:
         result = out
+    xs = x.ravel()
+    outs = result.reshape(-1)
+    # Points past (a+1)/(a+b+2) take 1 - I_{1-x}(b, a).  The two forms
+    # share the prefactor x^a (1-x)^b / B(a, b), which is symmetric under
+    # the swap, and one Lentz iteration over all points.  Large arrays go
+    # through in chunks, which bounds the iteration's working set.
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = _int_terms(a, b)
-        if n:
-            _log_betainc_int(a, n, x, result)
-        else:
-            _log_betainc_cf(a, b, x, result)
+        for start in range(0, xs.size, _CF_CHUNK):
+            chunk = xs[start:start + _CF_CHUNK]
+            swap = chunk > (a + 1.0) / (a + b + 2.0)
+            t = np.where(swap, 1.0 - chunk, chunk)
+            part = _log_xy_over_beta(a, b, chunk)
+            if chunk.size == 1:
+                p, q = (b, a) if swap[0] else (a, b)
+                part += _log_lentz_scalar(p, q, float(t[0]))
+            else:
+                part += _log_lentz(a, b, t, swap)
+            part -= np.where(swap, math.log(b), math.log(a))
+            part[swap] = np.log1p(-np.exp(part[swap]))
+            outs[start:start + _CF_CHUNK] = part
     return result if out is not None or result.ndim else float(result)
 
 
@@ -141,46 +152,6 @@ def _log_int_sum(a: float, n: int, u: np.ndarray, out: np.ndarray) -> np.ndarray
         out *= u
     out += 1.0
     return np.log(out, out=out)
-
-
-def _log_betainc_int(a: float, n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log I_x(a, n) for integer n, as ``a log x + log S(1 - x)`` (module
-    docstring), written into ``out``, which may be ``x``."""
-    u = np.subtract(1.0, x)
-    log_x = np.log(x)
-    log_x *= a
-    _log_int_sum(a, n, u, out)
-    out += log_x
-    return out
-
-
-def _log_betainc_cf(a: float, b: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """log I_x(a, b) by the continued fraction (module docstring), written
-    into ``out`` (which may be ``x``) or a new array.
-
-    Points past ``(a+1)/(a+b+2)`` take ``1 - I_{1-x}(b, a)``.  The two
-    forms share the prefactor ``x^a (1-x)^b / B(a, b)``, which is symmetric
-    under the swap, and one Lentz iteration over all points.  Large arrays
-    go through in chunks, which bounds the iteration's working set.
-    """
-    xs = x.ravel()
-    if out is None:
-        out = np.empty(x.shape)
-    outs = out.reshape(-1)
-    for start in range(0, xs.size, _CF_CHUNK):
-        chunk = xs[start:start + _CF_CHUNK]
-        swap = chunk > (a + 1.0) / (a + b + 2.0)
-        t = np.where(swap, 1.0 - chunk, chunk)
-        part = _log_xy_over_beta(a, b, chunk)
-        if chunk.size == 1:
-            p, q = (b, a) if swap[0] else (a, b)
-            part += _log_lentz_scalar(p, q, float(t[0]))
-        else:
-            part += _log_lentz(a, b, t, swap)
-        part -= np.where(swap, math.log(b), math.log(a))
-        part[swap] = np.log1p(-np.exp(part[swap]))
-        outs[start:start + _CF_CHUNK] = part
-    return out
 
 
 def _log_lentz(a: float, b: float, t: np.ndarray, swap: np.ndarray) -> np.ndarray:

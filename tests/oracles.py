@@ -254,8 +254,11 @@ def log_restricted_ratio_form(y, x1: float, x2: float, r1: float, r2: float, r_p
     ``x = (x1 + y)/(x1 + y + x2)``, each incomplete beta whole from
     ``log_betainc``.
 
-    Independent of the package's kernel, which never forms ``I_x``: it
-    cancels ``x^(r1+r')`` against q0's ``log1p`` term analytically.
+    Independent of the kernel's finite sum at every ``r2``:
+    ``log_betainc`` is the continued fraction alone, while at integer
+    ``r2`` the kernel takes both ordering probabilities from the sum and
+    forms ``a log x - a log1p(y/x1)`` as ``-a log1p((x2 + y)/x1)``.  At a
+    non-integer ``r2`` both take ``I_x`` from the continued fraction.
     """
     y = np.asarray(y, dtype=float)
     x = (x1 + y) / (x1 + y + x2)

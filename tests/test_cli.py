@@ -114,6 +114,8 @@ class TestConfigErrors:
         "argv",
         [
             ["summarize", "--r-prime", "-1"],
+            ["summarize", "--x1", "-1"],
+            ["summarize", "--x2", "0"],
             ["risk-curve", "--lambda1", "-1"],
             ["prediction-error", "--truth-scale", "0"],
             ["risk-curve", "--r1", "0.5"],

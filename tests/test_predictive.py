@@ -19,6 +19,7 @@ from goaltime.predictive import (
     restricted_predictive,
     unrestricted_predictive,
 )
+from goaltime.specfun import log_betainc
 
 from oracles import (
     log_ordering_constant_closed,
@@ -163,8 +164,8 @@ class TestOrderingConstant:
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (k1, k2, s1, s2)
 
     def test_non_finite_result_is_a_domain_error(self):
-        # x1/x2 = 1e-400 is below every double, so q1's denominator
-        # weight x1/(x1 + x2) underflows to 0
+        # x1/x2 = 1e-400 is below every double: q1's denominator, the
+        # kernel at y = 0, takes log1p(x2/x1) of an overflowed x2/x1
         problem = PredictionProblem(
             obs_a=SufficientStat(x=1e-200, r=3.0), obs_b=SufficientStat(x=1e200, r=3.0)
         )
@@ -172,6 +173,39 @@ class TestOrderingConstant:
             restricted_predictive(problem)
         with pytest.raises(DomainError):
             log_restricted_base(1.0, 1e-200, 1e200, 3.0, 3.0, 3.0)
+
+
+class TestOrderingProbability:
+    """q1's denominator ``I_{x1/(x1+x2)}(r1, r2)``, the kernel at ``y = 0``."""
+
+    @given(a=st.floats(0.1, 400.0), b=st.integers(1, 250), logit=st.floats(-30.0, 30.0))
+    @example(a=400.0, b=250, logit=-30.0)  # I_x near 1e-5200
+    @example(a=0.1, b=1, logit=30.0)
+    @example(a=400.0, b=250, logit=30.0)
+    @example(a=215.0, b=231, logit=math.log(0.48 / 0.52))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_sum_against_mpmath(self, a, b, logit):
+        # q1's denominator at integer r2, the kernel's finite sum at y = 0,
+        # over the domain of log_betainc's test_integer_b_against_mpmath;
+        # the oracle takes x1/(x1 + x2) exactly, at 50 digits
+        x2 = math.exp(-logit)
+        got = pred._log_ordering_probability(1.0, x2, a, float(b))
+        with mp.workdps(50):
+            x = 1 / (1 + mp.mpf(x2))
+            want = float(mp.log(mp.betainc(a, b, 0, x, regularized=True)))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, logit)
+
+    @pytest.mark.parametrize("r1, r2", [(3.0, 2.5), (6.4, 0.7), (215.0, 230.5)])
+    def test_non_integer_r2_is_log_betainc(self, r1, r2):
+        # with no sum to split off, the kernel at y = 0 is log_betainc at
+        # the same x1/(x1 + x2), bit for bit
+        x1 = np.array([1e-3, 0.7, 35.85, 50.0, 4e4])
+        x2 = np.array([39.07, 1e-2, 39.07, 3e3, 2.0])
+        got = pred._log_ordering_probability(x1, x2, r1, r2)
+        assert got.tobytes() == log_betainc(r1, r2, x1 / (x1 + x2)).tobytes()
+        # one point alone takes the scalar Lentz iteration
+        lone = pred._log_ordering_probability(x1[2], x2[2], r1, r2)
+        assert float(lone) == log_betainc(r1, r2, x1[2] / (x1[2] + x2[2]))
 
 
 class TestUnrestricted:
@@ -347,8 +381,9 @@ class TestRestricted:
     @pytest.mark.parametrize("r2", [3.0, 2.5])
     def test_denominator_computed_once_per_density(self, monkeypatch, r2):
         # I_{x1/(x1+x2)}(r1, r2) depends only on the problem: the build
-        # computes it, and no grid, pdf or cdf evaluation repeats it.  The
-        # numerator's shape is r1 + r': at an integer r2 it is the sum of
+        # computes it, and no grid, pdf or cdf evaluation repeats it.  Both
+        # probabilities are the kernel, the denominator at shape r1 and the
+        # numerator at r1 + r': at an integer r2 it takes the sum of
         # _log_int_sum, at any other the continued fraction of log_betainc
         calls = []
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from goaltime import predictive as pred
 from goaltime import specfun
 from goaltime.errors import ConvergenceError, DomainError
 from goaltime.specfun import gauss_2f1, log_beta, log_betainc
@@ -83,7 +84,7 @@ def check_against_mpmath(a, b, logit):
     for x, g in zip(xs, got):
         want = mp_log_betainc(a, b, x)
         assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
-    # one point alone takes the scalar Lentz iteration at non-integer b
+    # one point alone takes the scalar Lentz iteration
     assert log_betainc(a, b, xs[0]) == pytest.approx(got[0], rel=1e-14, abs=1e-14)
 
 
@@ -121,16 +122,18 @@ class TestLogBetaincOverDomain:
         assert log_betainc(400.0, 250.0, 1.0 / (1.0 + math.exp(30.0))) < -10000.0
 
     def test_integer_sum_agrees_with_continued_fraction(self):
-        # the two methods, side by side at integer b (log 0 at the ends)
-        xs = np.linspace(0.0, 1.0, 201)
+        # the two methods side by side at integer b: the finite sum, as the
+        # kernel at y = 0 (q1's denominator), and log_betainc's continued
+        # fraction, at x = x1/(x1 + x2) inside (0, 1)
+        x1 = np.linspace(0.0, 1.0, 201)[1:-1]
+        x2 = 1.0 - x1
         for a, b in [(6.0, 3), (2.5, 1), (150.0, 40), (0.3, 7)]:
-            with np.errstate(divide="ignore"):
-                by_cf = specfun._log_betainc_cf(a, float(b), xs)
-            np.testing.assert_allclose(log_betainc(a, b, xs), by_cf, rtol=1e-13, atol=1e-13)
+            by_sum = pred._log_ordering_probability(x1, x2, a, float(b))
+            np.testing.assert_allclose(by_sum, log_betainc(a, b, x1 / (x1 + x2)), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("b", [3.0, 2.5])
     def test_out_is_bit_identical(self, b):
-        # the integer sum (b = 3) and the continued fraction (b = 2.5), over
+        # the continued fraction at an integer and a non-integer b, over
         # more than one chunk and both ends of [0, 1]
         x = np.random.default_rng(2).random((7, 10_000))
         x[0, :2] = (0.0, 1.0)
