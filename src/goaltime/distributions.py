@@ -46,6 +46,7 @@ from .errors import ConvergenceError, DegenerateWindowError, DomainError
 
 _GL_ORDER = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
+_GL_X1 = _GL_X + 1.0  # nodes shifted to [0, 2]
 _BULK_PANELS = 16
 _GRADE_RATIO = 4.0
 _GRADE_STEPS = 60  # 4^-60 = 2^-120 of the first bulk panel
@@ -56,6 +57,7 @@ _BULK_TAIL = 2.0**-20
 _MAX_STEPS = 60  # bisection from one panel to one ulp needs fewer
 _EPS = np.finfo(float).eps
 _MODE_SAMPLES = 17
+_MODE_STEPS = np.arange(float(_MODE_SAMPLES))
 # log-density steps this small are about 1e-3 of the density's width apart:
 # close enough for Newton, far enough apart that rounding in the five-point
 # derivative stays near 1e-12 of that width
@@ -103,10 +105,11 @@ def gamma_pdf(model: GammaModel, x):
 
 
 def _gauss_panels(a, b):
-    """Gauss-Legendre nodes and weights on the panels (a[i], b[i]), one row each."""
-    a = np.asarray(a, dtype=float)[..., None]
-    half = 0.5 * (np.asarray(b, dtype=float)[..., None] - a)
-    return a + half * (_GL_X + 1.0), half * _GL_W
+    """Gauss-Legendre nodes and weights on the panels (a[i], b[i]), one row
+    each; ``a`` and ``b`` are float arrays or numpy scalars."""
+    a = a[..., None]
+    half = 0.5 * (b[..., None] - a)
+    return a + half * _GL_X1, half * _GL_W
 
 
 def _share_beyond(v: np.ndarray) -> np.ndarray:
@@ -201,10 +204,10 @@ class TruncatedDensity:
         Gauss-Legendre nodes of its partial panel, from the grid edge below
         it up to t."""
         edges = self.grid.edges
-        k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+        k = np.minimum(np.maximum(edges.searchsorted(t, side="right") - 1, 0), len(edges) - 2)
         y, w = _gauss_panels(edges[k], t)
         f = np.asarray(self.base(np.concatenate((y, t[..., None]), axis=-1)), dtype=float)
-        return self.grid.cum[k] + np.sum(w * f[..., :-1], axis=-1), f[..., -1]
+        return self.grid.cum[k] + np.add.reduce(w * f[..., :-1], axis=-1), f[..., -1]
 
     def cdf(self, t):
         """Distribution function at t (scalar or array)."""
@@ -265,11 +268,13 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
     g = d.grid
     cum = g.cum
     target = probs * d.mass
-    k = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, len(g.edges) - 2)
+    k = np.minimum(np.maximum(cum.searchsorted(target, side="right") - 1, 0), len(g.edges) - 2)
     left, right = g.edges[k], g.edges[k + 1]
     with np.errstate(invalid="ignore"):
-        share = np.nan_to_num((target - cum[k]) / (cum[k + 1] - cum[k]))
-    t = left + (right - left) * np.clip(share, 0.0, 1.0)
+        share = (target - cum[k]) / (cum[k + 1] - cum[k])
+    # an empty panel's 0/0 starts at its left edge
+    share = np.where(np.isnan(share), 0.0, share)
+    t = left + (right - left) * np.minimum(np.maximum(share, 0.0), 1.0)
     for _ in range(_MAX_STEPS):
         below, f = d._partial_panel(t)
         resid = below - target
@@ -284,7 +289,7 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
         nxt = np.where((nxt > left) & (nxt < right), nxt, 0.5 * (left + right))
         converged = settled | (np.abs(nxt - t) <= 4.0 * _EPS * np.abs(nxt))
         t = np.where(settled, t, nxt)
-        if np.all(converged):
+        if converged.all():
             return t
     raise ConvergenceError(
         f"quantiles at levels {probs[~converged].tolist()} not converged after {_MAX_STEPS} Newton steps"
@@ -292,8 +297,8 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
 
 
 def _log_base(d: TruncatedDensity, y: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(d.base(y), dtype=float))
+    """log of ``base`` at ``y``; -inf where it is 0, under ``_mode``'s errstate."""
+    return np.log(np.asarray(d.base(y), dtype=float))
 
 
 def _mode(d: TruncatedDensity) -> float:
@@ -306,7 +311,9 @@ def _mode(d: TruncatedDensity) -> float:
     and keeps the two intervals around the best.
     Once neighbouring samples differ by less than ``_MODE_FLAT`` (about
     1e-3 of the density's width apart), Newton steps on a five-point
-    derivative of the log density at that spacing finish the job.
+    derivative of the log density at that spacing finish the job.  A
+    density that vanishes somewhere gives a log of -inf there, so the
+    caller ignores division by zero around the whole search.
     """
     g = d.grid
     eps = 1e-9 * g.bulk
@@ -320,7 +327,10 @@ def _mode(d: TruncatedDensity) -> float:
     i = int(np.argmax(fs))
     a, b = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
     for _ in range(_MAX_STEPS):
-        t = np.linspace(a, b, _MODE_SAMPLES)
+        # np.linspace's own arithmetic, without its Python-level set-up
+        t = _MODE_STEPS * ((b - a) / (_MODE_SAMPLES - 1))
+        t += a
+        t[-1] = b
         v = _log_base(d, t)
         j = int(np.argmax(v))
         if j in (0, _MODE_SAMPLES - 1):
@@ -359,4 +369,6 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
     g = d.grid
     mean = float(np.sum(g.w * g.y * g.f) / d.mass)
     quantiles = dict(zip(probs.tolist(), _quantiles(d, probs).tolist()))
-    return DensitySummary(mode=_mode(d), mean=mean, quantiles=quantiles)
+    with np.errstate(divide="ignore"):
+        mode = _mode(d)
+    return DensitySummary(mode=mode, mean=mean, quantiles=quantiles)

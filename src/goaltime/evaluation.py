@@ -66,7 +66,7 @@ import numpy as np
 from . import distributions as dist
 from . import predictive as pred
 from .errors import DivergenceError, DomainError, MonteCarloError
-from .specfun import log_beta
+from .specfun import _int_terms, log_beta
 
 log = logging.getLogger(__name__)
 
@@ -209,8 +209,11 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     samples = x1.size
     block = min(_BLOCK, samples)
     kernel = np.empty((block, y.size))
-    # q1's two intermediates; q0's kernel has none
-    work = None if x2 is None else np.empty((2,) + kernel.shape)
+    # q1's intermediates, two at an integer r2 and one at any other; q0's
+    # kernel has none
+    work = None
+    if x2 is not None:
+        work = np.empty((2 if _int_terms(r1 + r_prime, shapes.r2) else 1,) + kernel.shape)
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors

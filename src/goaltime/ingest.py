@@ -108,7 +108,7 @@ def parse_game_log(source) -> list[GameRecord]:
                 line=1,
             )
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != len(header):
                 raise GameLogError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
@@ -164,7 +164,7 @@ def parse_points(source) -> list[SeasonPoints]:
         if header != ["team", "points"]:
             raise GameLogError(f"header must be team,points; got {header}", line=1)
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != 2:
                 raise GameLogError(f"expected 2 fields, got {len(row)}", line=line_no)

@@ -48,6 +48,10 @@ is ``log I_{x1/(x1+x2)}(r1, r2)`` itself.  So
 
 The denominator depends only on the observed statistics, so
 ``restricted_predictive`` computes it once per density, when it builds it.
+So does the whole statistics' term, ``log B(r', r1) + r' log x1`` plus
+that log denominator (``_log_stat_term``): ``unrestricted_predictive`` and
+``restricted_predictive`` compute it once, as they compute q1's
+denominator, and a built density's call does only per-point work.
 
 The second shape is the rival's goal index ``r2``.  With the complement
 ``u = x2/(x1 + x2 + y)`` of ``x``, an integer ``r2 = n`` (the paper's case
@@ -163,17 +167,21 @@ def _log_kernel(y, x1, x2, a: float, r2, out=None, work=None):
     Broadcasts over ``y``, ``x1`` and ``x2``, which must be positive
     (``y`` non-negative).  The result goes to ``out``, an optional float
     array of the broadcast shape, and q1's intermediates to ``work``, an
-    optional pair of such arrays (shape ``(2,) + shape``).
+    optional stack of such arrays: two at an integer ``r2`` (shape
+    ``(2,) + shape``), one at any other.
     """
-    shape = np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2))
     if out is None:
-        out = np.empty(shape)
+        # a built density's statistics are scalars: y alone fixes the shape
+        if np.isscalar(x1) and (x2 is None or np.isscalar(x2)):
+            out = np.empty(np.shape(y))
+        else:
+            out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2)))
     if x2 is None:
         t = np.divide(y, x1, out=out)
     else:
-        if work is None:
-            work = np.empty((2,) + shape)
         n = _int_terms(a, r2)
+        if work is None:
+            work = np.empty((2 if n else 1,) + out.shape)
         if n:
             # t = (x2 + y)/x1, and u = x2/(x1 + x2 + y) = (x2/x1)/(1 + t)
             t = np.add(x2, y, out=out)
@@ -193,17 +201,26 @@ def _log_kernel(y, x1, x2, a: float, r2, out=None, work=None):
     return t
 
 
-def _log_density(y, x1, x2, r1: float, r2, r_prime: float, log_p_den=0.0):
-    """log q0 (``x2=None``) or log q1 given the log of q1's denominator:
-    the kernel, plus the node term ``(r'-1) log y``, minus the statistics'
-    term ``log B(r', r1) + r' log x1 + log_p_den``.  -inf for y <= 0."""
+def _log_stat_term(x1, r1: float, r_prime: float, log_p_den=0.0):
+    """The statistics' term ``log B(r', r1) + r' log x1 + log_p_den`` of
+    the log density, with ``log_p_den`` the log of q1's denominator (0 for
+    q0); it depends on no ``y``, so a built density computes it once."""
+    return log_beta(r_prime, r1) + r_prime * np.log(x1) + log_p_den
+
+
+def _log_density(y, x1, x2, r1: float, r2, r_prime: float, log_stat):
+    """log q0 (``x2=None``) or log q1 given the statistics' term of
+    ``_log_stat_term``: the kernel, plus the node term ``(r'-1) log y``,
+    minus ``log_stat``.  -inf for y <= 0."""
     y = np.asarray(y, dtype=float)
     pos = y > 0
-    y = np.where(pos, y, 1.0)
+    all_pos = pos.all()
+    if not all_pos:
+        y = np.where(pos, y, 1.0)
     out = _log_kernel(y, x1, x2, r1 + r_prime, r2)
     out += (r_prime - 1.0) * np.log(y)
-    out -= log_beta(r_prime, r1) + r_prime * np.log(x1) + log_p_den
-    if not pos.all():
+    out -= log_stat
+    if not all_pos:
         np.copyto(out, -np.inf, where=~pos)
     return out
 
@@ -215,7 +232,7 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
     the kernel at ``x2=None`` (``_log_kernel``) with the node and statistic
     terms.  Broadcasts over ``y`` and ``x1``.  Returns -inf for y <= 0.
     """
-    return _log_density(y, x1, None, r1, None, r_prime)
+    return _log_density(y, x1, None, r1, None, r_prime, _log_stat_term(x1, r1, r_prime))
 
 
 def _log_ordering_probability(x1, x2, r1: float, r2: float):
@@ -247,7 +264,7 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     check_observed_shape(r2)
     check_future_shape(r_prime)
     log_p_den = _log_ordering_probability(x1, x2, r1, r2)
-    return _log_density(y, x1, x2, r1, r2, r_prime, log_p_den)
+    return _log_density(y, x1, x2, r1, r2, r_prime, _log_stat_term(x1, r1, r_prime, log_p_den))
 
 
 def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -257,9 +274,10 @@ def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity
     result is renormalized to the problem window.
     """
     a = problem.obs_a
+    log_stat = _log_stat_term(a.x, a.r, problem.r_prime)
 
     def base(y):
-        return np.exp(log_unrestricted_base(y, a.x, a.r, problem.r_prime))
+        return np.exp(_log_density(y, a.x, None, a.r, None, problem.r_prime, log_stat))
 
     lo, hi = problem.window
     return dist.truncate(base, lo, hi)
@@ -280,9 +298,10 @@ def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
         raise DomainError("restricted_predictive needs the rival statistic obs_b")
     a, b = problem.obs_a, problem.obs_b
     log_p_den = _log_ordering_probability(a.x, b.x, a.r, b.r)
+    log_stat = _log_stat_term(a.x, a.r, problem.r_prime, log_p_den)
 
     def base(y):
-        return np.exp(_log_density(y, a.x, b.x, a.r, b.r, problem.r_prime, log_p_den))
+        return np.exp(_log_density(y, a.x, b.x, a.r, b.r, problem.r_prime, log_stat))
 
     lo, hi = problem.window
     return dist.truncate(base, lo, hi)

@@ -152,3 +152,39 @@ class TestSeasonPoints:
         with pytest.raises(GameLogError) as exc:
             parse_points(b"team,points\nA,many\n")
         assert exc.value.line == 2
+
+
+# each parser with its header, three records, the mean it feeds, and a
+# row with one non-blank cell and the wrong field count
+BLANK_ROW_CASES = [
+    pytest.param(
+        parse_game_log, "team,opponent,elapsed_minutes", ["A,B,10.0", "A,C,20.0", "A,D,40.0"],
+        lambda records: reduce_to_stat(records, "A").x, " , , , x", "expected 3 fields, got 4",
+        id="parse_game_log",
+    ),
+    pytest.param(
+        parse_points, "team,points", ["A,105", "B,71", "C,90"],
+        lambda records: sum(p.points for p in records) / len(records), " , , x", "expected 2 fields, got 3",
+        id="parse_points",
+    ),
+]
+
+
+class TestBlankRows:
+    @pytest.mark.parametrize("parse, header, rows, mean, bad_row, message", BLANK_ROW_CASES)
+    def test_blank_rows_are_skipped(self, parse, header, rows, mean, bad_row, message):
+        # an empty line, a line of blank cells and a whitespace-only line
+        plain = "\n".join([header] + rows) + "\n"
+        blanks = "\n".join([header, "", rows[0], " , , ", rows[1], "   \t ", rows[2], ""]) + "\n"
+        want = parse(plain.encode())
+        got = parse(blanks.encode())
+        assert len(got) == 3
+        assert got == want
+        assert mean(got) == mean(want)
+
+    @pytest.mark.parametrize("parse, header, rows, mean, bad_row, message", BLANK_ROW_CASES)
+    def test_one_non_blank_cell_is_a_field_count_error(self, parse, header, rows, mean, bad_row, message):
+        text = "\n".join([header, rows[0], "", bad_row, rows[1]]) + "\n"
+        with pytest.raises(GameLogError, match=message) as exc:
+            parse(text.encode())
+        assert exc.value.line == 4

@@ -19,7 +19,7 @@ from goaltime.predictive import (
     restricted_predictive,
     unrestricted_predictive,
 )
-from goaltime.specfun import log_betainc
+from goaltime.specfun import log_beta, log_betainc
 
 from oracles import (
     log_ordering_constant_closed,
@@ -378,31 +378,100 @@ class TestRestricted:
             scaled0 = np.exp(log_unrestricted_base(c * ys, c * X1_TABLE, 3.0, 3.0))
             np.testing.assert_allclose(scaled0, base0 / c, rtol=1e-12)
 
-    @pytest.mark.parametrize("r2", [3.0, 2.5])
-    def test_denominator_computed_once_per_density(self, monkeypatch, r2):
+    @pytest.mark.parametrize("kind, r2", [("q0", 3.0), ("q1", 3.0), ("q1", 2.5)])
+    def test_denominator_computed_once_per_density(self, monkeypatch, kind, r2):
         # I_{x1/(x1+x2)}(r1, r2) depends only on the problem: the build
         # computes it, and no grid, pdf or cdf evaluation repeats it.  Both
         # probabilities are the kernel, the denominator at shape r1 and the
         # numerator at r1 + r': at an integer r2 it takes the sum of
-        # _log_int_sum, at any other the continued fraction of log_betainc
-        calls = []
+        # _log_int_sum, at any other the continued fraction of log_betainc.
+        # So does the statistics' term log B(r', r1) + r' log x1 + log I of
+        # q0 and q1: one log_beta per build, and a call of the built
+        # density, with scalar statistics, broadcasts no shapes
+        calls, betas, broadcasts = [], [], []
 
-        def counting(real):
-            def counted(a, *args, **kwargs):
-                calls.append(a)
-                return real(a, *args, **kwargs)
+        def counting(real, log):
+            def counted(*args, **kwargs):
+                log.append(args[0] if args else None)
+                return real(*args, **kwargs)
 
             return counted
 
         for name in ("log_betainc", "_log_int_sum"):
-            monkeypatch.setattr(pred, name, counting(getattr(pred, name)))
-        d = restricted_predictive(self.problem(r2=r2))
+            monkeypatch.setattr(pred, name, counting(getattr(pred, name), calls))
+        monkeypatch.setattr(pred, "log_beta", counting(pred.log_beta, betas))
+        build = unrestricted_predictive if kind == "q0" else restricted_predictive
+        d = build(self.problem(r2=r2))
+        assert len(betas) == 1
+        monkeypatch.setattr(np, "broadcast_shapes", counting(np.broadcast_shapes, broadcasts))
         predictive_summaries(d)
         d.pdf(0.1 * (np.arange(600) + 0.5))
         d.cdf(np.array([5.0, 30.0, 59.0]))
         d.cdf(12.5)
-        assert calls.count(3.0) == 1
-        assert len(calls) > 10
+        assert len(betas) == 1
+        assert broadcasts == []
+        if kind == "q0":
+            assert calls == []
+        else:
+            assert calls.count(3.0) == 1
+            assert len(calls) > 10
+
+    @pytest.mark.parametrize(
+        "r1, r2, rp, x1, x2, window",
+        [
+            (3.0, 3.0, 3.0, X1_TABLE, X2_TABLE, (0.0, 60.0)),
+            (3.0, 2.5, 3.0, X1_TABLE, X2_TABLE, (0.0, 60.0)),
+            (4.5, 2.5, 0.7, 12.0, 44.0, (5.0, 45.0)),
+            (170.0, 190.0, 160.0, 1700.0, 1500.0, (0.0, np.inf)),
+            (170.0, 185.5, 150.0, 1700.0, 1500.0, (0.0, np.inf)),
+        ],
+    )
+    def test_built_density_is_the_log_base(self, r1, r2, rp, x1, x2, window):
+        # the build moves the statistics' term out of the call, and every
+        # value stays bit for bit what log_*_base computes, -inf at y <= 0
+        p = self.problem(x1=x1, x2=x2, r1=r1, r2=r2, rp=rp, window=window)
+        q0, q1 = unrestricted_predictive(p), restricted_predictive(p)
+        log_den = pred._log_ordering_probability(x1, x2, r1, r2)
+
+        def by_parts(y, x2, log_den):
+            # the kernel, plus the node term, minus the statistics' term
+            # log B(r', r1) + r' log x1 + log I, in this order
+            y = np.asarray(y, dtype=float)
+            pos = y > 0
+            y = np.where(pos, y, 1.0)
+            log_q = pred._log_kernel(y, x1, x2, r1 + rp, r2) + (rp - 1.0) * np.log(y)
+            log_q -= log_beta(rp, r1) + rp * np.log(x1) + log_den
+            return np.exp(np.where(pos, log_q, -np.inf))
+
+        scale = rp * x1 / r1
+        ys = np.concatenate(([-1.0, 0.0], scale * np.linspace(0.02, 3.0, 150), [-0.0, 1e-300]))
+        for y in (ys, ys[5], scale, 0.0):
+            want0 = np.exp(log_unrestricted_base(y, x1, r1, rp))
+            want1 = np.exp(log_restricted_base(y, x1, x2, r1, r2, rp))
+            assert np.array_equal(q0.base(y), want0)
+            assert np.array_equal(q1.base(y), want1)
+            assert np.array_equal(want0, by_parts(y, None, 0.0))
+            assert np.array_equal(want1, by_parts(y, x2, log_den))
+        assert not q0.base(ys)[[0, 1, -2]].any()
+        assert not q1.base(ys)[[0, 1, -2]].any()
+        assert q0.base(0.0) == 0.0 == q1.base(0.0)
+        assert q1.base(ys)[2:-2].all()
+
+    @pytest.mark.parametrize("r2", [2.5, 3.0])
+    def test_kernel_work_rows(self, r2):
+        # the kernel reads one work row at a non-integer r2 and two at an
+        # integer one, and given that many it computes what it computes
+        # with its own; the risk engine's block shape, nodes by draws
+        y = np.linspace(0.1, 80.0, 40)
+        x1 = np.linspace(5.0, 60.0, 8)[:, None]
+        x2 = np.linspace(70.0, 3.0, 8)[:, None]
+        rows = 1 if r2 == 2.5 else 2
+        want = pred._log_kernel(y, x1, x2, 6.0, r2)
+        got = pred._log_kernel(y, x1, x2, 6.0, r2, out=np.empty((8, 40)), work=np.empty((rows, 8, 40)))
+        assert np.array_equal(got, want)
+        assert np.all(np.isfinite(want))
+        lone = pred._log_kernel(y, 30.0, 40.0, 6.0, r2, work=np.empty((rows, 40)))
+        assert np.array_equal(lone, pred._log_kernel(y, 30.0, 40.0, 6.0, r2))
 
     def test_rejects_small_shapes(self):
         with pytest.raises(InvalidShapeError):
