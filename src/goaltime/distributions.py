@@ -327,7 +327,7 @@ def _mode(d: TruncatedDensity) -> float:
     i = int(np.argmax(fs))
     a, b = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
     for _ in range(_MAX_STEPS):
-        # np.linspace's own arithmetic, without its Python-level set-up
+        # numpy linspace's own arithmetic, without its Python-level set-up
         t = _MODE_STEPS * ((b - a) / (_MODE_SAMPLES - 1))
         t += a
         t[-1] = b
