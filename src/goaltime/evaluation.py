@@ -66,7 +66,6 @@ import numpy as np
 from . import distributions as dist
 from . import predictive as pred
 from .errors import DivergenceError, DomainError, MonteCarloError
-from .specfun import _int_terms, log_beta
 
 log = logging.getLogger(__name__)
 
@@ -208,26 +207,22 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
 
     samples = x1.size
     block = min(_BLOCK, samples)
+    log_kernel = pred._Kernel(r1 + r_prime, None if x2 is None else shapes.r2)
     kernel = np.empty((block, y.size))
-    # q1's intermediates, two at an integer r2 and one at any other; q0's
-    # kernel has none
-    work = None
-    if x2 is not None:
-        work = np.empty((2 if _int_terms(r1 + r_prime, shapes.r2) else 1,) + kernel.shape)
+    # the kernel's intermediates: q1's one or two rows, none for q0
+    work = np.empty((log_kernel.rows,) + kernel.shape) if log_kernel.rows else None
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_stat = log_beta(r_prime, r1) + r_prime * np.log(x1 / lambda1) + log_den
+        log_stat = pred._log_stat_term(x1 / lambda1, r1, r_prime, log_den)
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             rows = slice(0, stop - start)
             x2_rows = work_rows = None
             if x2 is not None:
                 x2_rows, work_rows = x2[start:stop, None], work[:, rows]
-            pred._log_kernel(
-                y, x1[start:stop, None], x2_rows, r1 + r_prime, shapes.r2, out=kernel[rows], work=work_rows
-            )
+            log_kernel(y, x1[start:stop, None], x2_rows, out=kernel[rows], work=work_rows)
             if truncated:
                 # the mass takes exp of the whole log q, and q renormalized
                 # to it adds log(mass) sum(v)

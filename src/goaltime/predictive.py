@@ -96,9 +96,13 @@ import numpy as np
 
 from . import distributions as dist
 from .errors import DomainError, InvalidShapeError
-from .specfun import _int_terms, _log_int_sum, log_beta, log_betainc
+from .specfun import log_beta, log_betainc
 
 _SHAPE_MARGIN = 1e-9
+# the integer-r2 sum is used up to this r2, and only while its bound
+# log C(a+r2-1, r2-1) on log S stays this far below the double range
+_MAX_INT_B = 1000
+_MAX_LOG_SUM = 700.0
 
 DEFAULT_WINDOW = (0.0, 60.0)
 
@@ -152,53 +156,81 @@ class PredictionProblem:
             raise DomainError(f"bad window {self.window}")
 
 
-def _log_kernel(y, x1, x2, a: float, r2, out=None, work=None):
+class _Kernel:
     """The kernel ``K(y; a) = log I_x(a, r2) - a log1p(y/x1)`` of the
     module docstring, the part of a log density that couples ``y`` with
-    the statistics; at ``y = 0`` it is the ordering probability itself.
-    At an integer ``r2`` it is
+    the statistics, set up once from its shapes ``(a, r2)``; at ``y = 0``
+    it is the ordering probability itself.  ``r2=None`` gives q0's
+    ``-a log1p(y/x1)``.
+
+    The set-up chooses the method.  At an integer ``r2 = n`` up to
+    ``_MAX_INT_B``, while the sum's bound ``log C(a+n-1, n-1)`` stays
+    ``_MAX_LOG_SUM`` below the double range, the kernel is
 
         -a log1p((x2 + y)/x1) + log S(u),    u = x2/(x1 + x2 + y),
 
-    with ``S`` the sum of ``specfun._log_int_sum``; at any other ``r2``
-    ``log I_x(a, r2)`` comes from ``log_betainc``.  q0's ``x2=None``
-    leaves ``-a log1p(y/x1)``.
+    and the set-up holds the sum's coefficients ``(a)_j / j!``; at any
+    other ``r2``, ``log I_x(a, r2)`` comes from ``log_betainc``.
+    ``rows`` is the number of work rows a call needs: none for q0, two
+    for the sum, one for the continued fraction.
 
-    Broadcasts over ``y``, ``x1`` and ``x2``, which must be positive
-    (``y`` non-negative).  The result goes to ``out``, an optional float
-    array of the broadcast shape, and q1's intermediates to ``work``, an
-    optional stack of such arrays: two at an integer ``r2`` (shape
-    ``(2,) + shape``), one at any other.
+    A call broadcasts over ``y``, ``x1`` and ``x2``, which must be
+    positive (``y`` non-negative).  The result goes to ``out``, an
+    optional float array of the broadcast shape, and q1's intermediates
+    to ``work``, an optional ``(rows,) + shape`` stack of such arrays.
     """
-    if out is None:
-        # a built density's statistics are scalars: y alone fixes the shape
-        if np.isscalar(x1) and (x2 is None or np.isscalar(x2)):
-            out = np.empty(np.shape(y))
-        else:
-            out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2)))
-    if x2 is None:
-        t = np.divide(y, x1, out=out)
-    else:
-        n = _int_terms(a, r2)
-        if work is None:
-            work = np.empty((2 if n else 1,) + out.shape)
-        if n:
+
+    def __init__(self, a: float, r2=None):
+        self.a, self.r2 = a, r2
+        self.coef = None
+        self.rows = 0 if r2 is None else 1
+        if self.rows and float(r2).is_integer() and r2 <= _MAX_INT_B and (
+            math.lgamma(a + r2) - math.lgamma(a + 1.0) - math.lgamma(r2) < _MAX_LOG_SUM
+        ):
+            self.coef = [1.0]
+            for j in range(1, int(r2)):
+                self.coef.append(self.coef[-1] * (a + j - 1.0) / j)
+            self.rows = 2
+
+    def __call__(self, y, x1, x2=None, out=None, work=None):
+        if out is None:
+            # a built density's statistics are scalars: y alone fixes the shape
+            if np.isscalar(x1) and (x2 is None or np.isscalar(x2)):
+                out = np.empty(np.shape(y))
+            else:
+                out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2)))
+        if self.rows and work is None:
+            work = np.empty((self.rows,) + out.shape)
+        coef = self.coef
+        if not self.rows:
+            t = np.divide(y, x1, out=out)
+        elif coef:
             # t = (x2 + y)/x1, and u = x2/(x1 + x2 + y) = (x2/x1)/(1 + t)
             t = np.add(x2, y, out=out)
             t /= x1
             u = np.add(t, 1.0, out=work[1, ...])
             np.divide(np.divide(x2, x1), u, out=u)
-            _log_int_sum(a, n, u, work[0, ...])
+            # log S(u) by Horner's rule, two in-place operations a step
+            s = work[0, ...]
+            if len(coef) == 1:
+                s.fill(0.0)
+            else:
+                np.multiply(u, coef[-1], out=s)
+                for c in coef[-2:0:-1]:
+                    s += c
+                    s *= u
+                s += 1.0
+                np.log(s, out=s)
         else:
             w = np.add(x1, y, out=work[0, ...])
             np.divide(w, np.add(w, x2, out=out), out=w)
-            log_betainc(a, r2, w, out=w)
+            log_betainc(self.a, self.r2, w, out=w)
             t = np.divide(y, x1, out=out)
-    np.log1p(t, out=t)
-    t *= -a
-    if x2 is not None:
-        t += work[0]
-    return t
+        np.log1p(t, out=t)
+        t *= -self.a
+        if self.rows:
+            t += work[0]
+        return t
 
 
 def _log_stat_term(x1, r1: float, r_prime: float, log_p_den=0.0):
@@ -206,33 +238,6 @@ def _log_stat_term(x1, r1: float, r_prime: float, log_p_den=0.0):
     the log density, with ``log_p_den`` the log of q1's denominator (0 for
     q0); it depends on no ``y``, so a built density computes it once."""
     return log_beta(r_prime, r1) + r_prime * np.log(x1) + log_p_den
-
-
-def _log_density(y, x1, x2, r1: float, r2, r_prime: float, log_stat):
-    """log q0 (``x2=None``) or log q1 given the statistics' term of
-    ``_log_stat_term``: the kernel, plus the node term ``(r'-1) log y``,
-    minus ``log_stat``.  -inf for y <= 0."""
-    y = np.asarray(y, dtype=float)
-    pos = y > 0
-    all_pos = pos.all()
-    if not all_pos:
-        y = np.where(pos, y, 1.0)
-    out = _log_kernel(y, x1, x2, r1 + r_prime, r2)
-    out += (r_prime - 1.0) * np.log(y)
-    out -= log_stat
-    if not all_pos:
-        np.copyto(out, -np.inf, where=~pos)
-    return out
-
-
-def log_unrestricted_base(y, x1, r1: float, r_prime: float):
-    """Log of the beta prime density ``B'(r', r1, x1)`` at ``y``, untruncated.
-
-    ``-log B(r', r1) - r' log x1 + (r'-1) log y - (r'+r1) log1p(y/x1)``:
-    the kernel at ``x2=None`` (``_log_kernel``) with the node and statistic
-    terms.  Broadcasts over ``y`` and ``x1``.  Returns -inf for y <= 0.
-    """
-    return _log_density(y, x1, None, r1, None, r_prime, _log_stat_term(x1, r1, r_prime))
 
 
 def _log_ordering_probability(x1, x2, r1: float, r2: float):
@@ -245,10 +250,46 @@ def _log_ordering_probability(x1, x2, r1: float, r2: float):
         raise DomainError("restricted density requires positive statistics")
     # x2/x1 may overflow; the result is then not finite and raises below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _log_kernel(0.0, x1, x2, r1, r2)
+        out = _Kernel(r1, r2)(0.0, x1, x2)
     if not np.all(np.isfinite(out)):
         raise DomainError("ordering probability not finite; log form unavailable")
     return out
+
+
+def _log_density(x1, x2, r1: float, r2, r_prime: float):
+    """log q0 (``x2=None``) or log q1 at the given statistics, built once:
+    the kernel is set up and the statistics' term of ``_log_stat_term``,
+    q1's denominator included, computed here, so the returned function of
+    ``y`` does only per-point work, the kernel plus the node term
+    ``(r'-1) log y`` minus that term.  -inf for y <= 0."""
+    kernel = _Kernel(r1 + r_prime, None if x2 is None else r2)
+    log_p_den = 0.0 if x2 is None else _log_ordering_probability(x1, x2, r1, r2)
+    log_stat = _log_stat_term(x1, r1, r_prime, log_p_den)
+
+    def log_q(y):
+        y = np.asarray(y, dtype=float)
+        pos = y > 0
+        all_pos = pos.all()
+        if not all_pos:
+            y = np.where(pos, y, 1.0)
+        out = kernel(y, x1, x2)
+        out += (r_prime - 1.0) * np.log(y)
+        out -= log_stat
+        if not all_pos:
+            np.copyto(out, -np.inf, where=~pos)
+        return out
+
+    return log_q
+
+
+def log_unrestricted_base(y, x1, r1: float, r_prime: float):
+    """Log of the beta prime density ``B'(r', r1, x1)`` at ``y``, untruncated.
+
+    ``-log B(r', r1) - r' log x1 + (r'-1) log y - (r'+r1) log1p(y/x1)``:
+    q0's kernel with the node and statistic terms (``_log_density``).
+    Broadcasts over ``y`` and ``x1``.  Returns -inf for y <= 0.
+    """
+    return _log_density(x1, None, r1, None, r_prime)(y)
 
 
 def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
@@ -256,15 +297,23 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
 
     The beta prime ``B'(r', r1, x1)`` reweighted by the ratio of ordering
     probabilities ``I_{(x1+y)/(x1+y+x2)}(r1 + r', r2) / I_{x1/(x1+x2)}(r1, r2)``,
-    evaluated as the kernel of ``_log_kernel`` with the node and statistic
-    terms.  Broadcasts over ``y``, ``x1`` and ``x2`` like
+    evaluated as q1's kernel with the node and statistic terms
+    (``_log_density``).  Broadcasts over ``y``, ``x1`` and ``x2`` like
     ``log_unrestricted_base``.
     """
     check_observed_shape(r1)
     check_observed_shape(r2)
     check_future_shape(r_prime)
-    log_p_den = _log_ordering_probability(x1, x2, r1, r2)
-    return _log_density(y, x1, x2, r1, r2, r_prime, _log_stat_term(x1, r1, r_prime, log_p_den))
+    return _log_density(x1, x2, r1, r2, r_prime)(y)
+
+
+def _truncated(problem: PredictionProblem, obs_b: SufficientStat | None) -> dist.TruncatedDensity:
+    """q0 (``obs_b=None``) or q1 of ``problem``, renormalized to its window."""
+    a = problem.obs_a
+    x2, r2 = (None, None) if obs_b is None else (obs_b.x, obs_b.r)
+    log_q = _log_density(a.x, x2, a.r, r2, problem.r_prime)
+    lo, hi = problem.window
+    return dist.truncate(lambda y: np.exp(log_q(y)), lo, hi)
 
 
 def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -273,14 +322,7 @@ def unrestricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity
     The flat scale prior gives the beta prime ``B'(r', r1, x1)``; the
     result is renormalized to the problem window.
     """
-    a = problem.obs_a
-    log_stat = _log_stat_term(a.x, a.r, problem.r_prime)
-
-    def base(y):
-        return np.exp(_log_density(y, a.x, None, a.r, None, problem.r_prime, log_stat))
-
-    lo, hi = problem.window
-    return dist.truncate(base, lo, hi)
+    return _truncated(problem, None)
 
 
 def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
@@ -296,15 +338,7 @@ def restricted_predictive(problem: PredictionProblem) -> dist.TruncatedDensity:
     """
     if problem.obs_b is None:
         raise DomainError("restricted_predictive needs the rival statistic obs_b")
-    a, b = problem.obs_a, problem.obs_b
-    log_p_den = _log_ordering_probability(a.x, b.x, a.r, b.r)
-    log_stat = _log_stat_term(a.x, a.r, problem.r_prime, log_p_den)
-
-    def base(y):
-        return np.exp(_log_density(y, a.x, b.x, a.r, b.r, problem.r_prime, log_stat))
-
-    lo, hi = problem.window
-    return dist.truncate(base, lo, hi)
+    return _truncated(problem, problem.obs_b)
 
 
 @dataclass(frozen=True)

@@ -5,33 +5,20 @@ CDFs, the posterior probabilities of the scale ordering (see
 ``predictive``), so the densities and both risks rest on the regularized
 incomplete beta ``I_x(a, b)``.  It is written in numpy alone and works in
 log space throughout, so it cannot underflow where ``I_x`` is below the
-smallest double.  It comes in two forms:
+smallest double.  ``log_betainc`` is ``log I_x(a, b)`` at every ``b``:
+the continued fraction of DLMF 8.17.22,
 
-* ``log_betainc``, ``log I_x(a, b)`` at every ``b``: the continued
-  fraction of DLMF 8.17.22,
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))),
 
-      I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))),
-
-  by the modified Lentz method, which converges fast for
-  ``x < (a+1)/(a+b+2)``; past that point it uses
-  ``I_x(a, b) = 1 - I_{1-x}(b, a)``.  The prefactor is taken in the form
-  of Didonato & Morris, ACM TOMS 708 (1992), ``brcomp``: the log-gamma
-  terms of ``B(a, b)`` are folded into ``log1p`` terms of the distance
-  from the mean and a Stirling remainder (DLMF 5.11.1), so large shapes
-  lose no digits to a difference of large log-gammas.
-* the finite sum of an integer ``b`` (``b <= 1000``, where ``S`` below
-  cannot overflow; ``_int_terms``).  Both ordering probabilities take
-  ``b = r2``, a goal index, so this is the case of the paper's shapes and
-  of every default.  DLMF 8.17.21 unrolled from ``I_x(a, 1) = x^a`` gives
-
-      I_x(a, n) = x^a S(u),    S(u) = sum_{j<n} (a)_j / j! u^j,  u = 1 - x.
-
-  ``S`` is ``_log_int_sum``: ``n - 1`` Horner steps over positive terms
-  on the precomputed coefficients ``(a)_j / j!``, two in-place array
-  operations a step, no cancellation in the sum and nothing to converge.
-  It serves ``predictive._log_kernel`` only, which forms the complement
-  ``u`` itself and cancels ``a log x`` analytically against q0's
-  ``log1p`` term, for both ordering probabilities.
+by the modified Lentz method, which converges fast for
+``x < (a+1)/(a+b+2)``; past that point it uses
+``I_x(a, b) = 1 - I_{1-x}(b, a)``.  The prefactor is taken in the form of
+Didonato & Morris, ACM TOMS 708 (1992), ``brcomp``: the log-gamma terms of
+``B(a, b)`` are folded into ``log1p`` terms of the distance from the mean
+and a Stirling remainder (DLMF 5.11.1), so large shapes lose no digits to
+a difference of large log-gammas.  The finite sum of an integer ``b``
+(DLMF 8.17.21) is not here: the densities' kernel holds it
+(``predictive._Kernel``), where it cancels against q0's ``log1p`` term.
 
 ``gauss_2f1`` is ``scipy.special.hyp2f1`` on ``z <= 0`` with the package's
 domain checks.  No density uses it, and it imports scipy only when it is
@@ -54,10 +41,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# the integer-b sum is used up to this b, and only while its bound
-# log C(a+b-1, b-1) on log S stays this far below the double range
-_MAX_INT_B = 1000
-_MAX_LOG_SUM = 700.0
 _EPS = float(np.finfo(float).eps)
 _CF_MAX_TERMS = 2000
 _CF_CHUNK = 1 << 15
@@ -120,38 +103,6 @@ def log_betainc(a: float, b: float, x, out=None):
             part[swap] = np.log1p(-np.exp(part[swap]))
             outs[start:start + _CF_CHUNK] = part
     return result if out is not None or result.ndim else float(result)
-
-
-def _int_terms(a: float, b: float) -> int:
-    """``b`` as an int where ``log I_x(a, b)`` takes the finite sum, else 0."""
-    b = float(b)
-    if b.is_integer() and b <= _MAX_INT_B and (
-        math.lgamma(a + b) - math.lgamma(a + 1.0) - math.lgamma(b) < _MAX_LOG_SUM
-    ):
-        return int(b)
-    return 0
-
-
-def _log_int_sum(a: float, n: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log S = log sum_{j<n} (a)_j / j! u^j at the complement ``u = 1 - x``
-    (module docstring), written into ``out``, an array of ``u``'s shape
-    other than ``u`` itself.
-
-    Horner's rule on the precomputed coefficients ``(a)_j / j!``: two
-    in-place array operations a step.
-    """
-    if n == 1:
-        out.fill(0.0)
-        return out
-    coef = [1.0]
-    for j in range(1, n):
-        coef.append(coef[-1] * (a + j - 1.0) / j)
-    np.multiply(u, coef[-1], out=out)
-    for c in coef[-2:0:-1]:
-        out += c
-        out *= u
-    out += 1.0
-    return np.log(out, out=out)
 
 
 def _log_lentz(a: float, b: float, t: np.ndarray, swap: np.ndarray) -> np.ndarray:

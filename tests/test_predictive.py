@@ -383,12 +383,15 @@ class TestRestricted:
         # I_{x1/(x1+x2)}(r1, r2) depends only on the problem: the build
         # computes it, and no grid, pdf or cdf evaluation repeats it.  Both
         # probabilities are the kernel, the denominator at shape r1 and the
-        # numerator at r1 + r': at an integer r2 it takes the sum of
-        # _log_int_sum, at any other the continued fraction of log_betainc.
-        # So does the statistics' term log B(r', r1) + r' log x1 + log I of
-        # q0 and q1: one log_beta per build, and a call of the built
-        # density, with scalar statistics, broadcasts no shapes
-        calls, betas, broadcasts = [], [], []
+        # numerator at r1 + r': at an integer r2 it takes its finite sum,
+        # at any other the continued fraction of log_betainc.  So does the
+        # statistics' term log B(r', r1) + r' log x1 + log I of q0 and q1:
+        # one log_beta per build, and a call of the built density, with
+        # scalar statistics, broadcasts no shapes.  The kernels are set up
+        # at the build too, one per probability, which is where their
+        # lgamma bound and their coefficient list are computed: no later
+        # call sets one up, and none calls lgamma outside log_betainc
+        calls, betaincs, betas, broadcasts, setups, lgammas = [], [], [], [], [], []
 
         def counting(real, log):
             def counted(*args, **kwargs):
@@ -397,12 +400,33 @@ class TestRestricted:
 
             return counted
 
-        for name in ("log_betainc", "_log_int_sum"):
-            monkeypatch.setattr(pred, name, counting(getattr(pred, name), calls))
+        def counting_setup(real):
+            def counted(kernel, *args):
+                setups.append(args)
+                real(kernel, *args)
+
+            return counted
+
+        def counting_call(real):
+            def counted(kernel, *args, **kwargs):
+                calls.append(kernel.a)
+                return real(kernel, *args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(pred._Kernel, "__init__", counting_setup(pred._Kernel.__init__))
+        monkeypatch.setattr(pred._Kernel, "__call__", counting_call(pred._Kernel.__call__))
+        monkeypatch.setattr(pred, "log_betainc", counting(pred.log_betainc, betaincs))
         monkeypatch.setattr(pred, "log_beta", counting(pred.log_beta, betas))
+        monkeypatch.setattr(math, "lgamma", counting(math.lgamma, lgammas))
         build = unrestricted_predictive if kind == "q0" else restricted_predictive
         d = build(self.problem(r2=r2))
         assert len(betas) == 1
+        if kind == "q0":
+            assert setups == [(6.0, None)]
+        else:
+            assert sorted(setups) == [(3.0, r2), (6.0, r2)]
+        built_setups, built_lgammas, built_betaincs = list(setups), len(lgammas), len(betaincs)
         monkeypatch.setattr(np, "broadcast_shapes", counting(np.broadcast_shapes, broadcasts))
         predictive_summaries(d)
         d.pdf(0.1 * (np.arange(600) + 0.5))
@@ -410,11 +434,18 @@ class TestRestricted:
         d.cdf(12.5)
         assert len(betas) == 1
         assert broadcasts == []
+        assert setups == built_setups
+        # past the build lgamma runs only in log_betainc's prefactor
+        # log B(a, r2), three times a call at these small shapes
+        assert len(lgammas) - built_lgammas == 3 * (len(betaincs) - built_betaincs)
         if kind == "q0":
-            assert calls == []
+            assert set(calls) == {6.0}
+            assert betaincs == []
         else:
             assert calls.count(3.0) == 1
             assert len(calls) > 10
+            # the continued fraction runs at a non-integer r2 alone
+            assert (betaincs.count(3.0) == 1) == (r2 == 2.5) == bool(betaincs)
 
     @pytest.mark.parametrize(
         "r1, r2, rp, x1, x2, window",
@@ -432,6 +463,7 @@ class TestRestricted:
         p = self.problem(x1=x1, x2=x2, r1=r1, r2=r2, rp=rp, window=window)
         q0, q1 = unrestricted_predictive(p), restricted_predictive(p)
         log_den = pred._log_ordering_probability(x1, x2, r1, r2)
+        kernels = {None: pred._Kernel(r1 + rp), x2: pred._Kernel(r1 + rp, r2)}
 
         def by_parts(y, x2, log_den):
             # the kernel, plus the node term, minus the statistics' term
@@ -439,7 +471,7 @@ class TestRestricted:
             y = np.asarray(y, dtype=float)
             pos = y > 0
             y = np.where(pos, y, 1.0)
-            log_q = pred._log_kernel(y, x1, x2, r1 + rp, r2) + (rp - 1.0) * np.log(y)
+            log_q = kernels[x2](y, x1, x2) + (rp - 1.0) * np.log(y)
             log_q -= log_beta(rp, r1) + rp * np.log(x1) + log_den
             return np.exp(np.where(pos, log_q, -np.inf))
 
@@ -460,18 +492,22 @@ class TestRestricted:
     @pytest.mark.parametrize("r2", [2.5, 3.0])
     def test_kernel_work_rows(self, r2):
         # the kernel reads one work row at a non-integer r2 and two at an
-        # integer one, and given that many it computes what it computes
-        # with its own; the risk engine's block shape, nodes by draws
+        # integer one, as its set-up says, and given that many it computes
+        # what it computes with its own; the risk engine's block shape,
+        # nodes by draws
         y = np.linspace(0.1, 80.0, 40)
         x1 = np.linspace(5.0, 60.0, 8)[:, None]
         x2 = np.linspace(70.0, 3.0, 8)[:, None]
         rows = 1 if r2 == 2.5 else 2
-        want = pred._log_kernel(y, x1, x2, 6.0, r2)
-        got = pred._log_kernel(y, x1, x2, 6.0, r2, out=np.empty((8, 40)), work=np.empty((rows, 8, 40)))
+        kernel = pred._Kernel(6.0, r2)
+        assert kernel.rows == rows
+        assert pred._Kernel(6.0).rows == 0
+        want = kernel(y, x1, x2)
+        got = kernel(y, x1, x2, out=np.empty((8, 40)), work=np.empty((rows, 8, 40)))
         assert np.array_equal(got, want)
         assert np.all(np.isfinite(want))
-        lone = pred._log_kernel(y, 30.0, 40.0, 6.0, r2, work=np.empty((rows, 40)))
-        assert np.array_equal(lone, pred._log_kernel(y, 30.0, 40.0, 6.0, r2))
+        lone = kernel(y, 30.0, 40.0, work=np.empty((rows, 40)))
+        assert np.array_equal(lone, kernel(y, 30.0, 40.0))
 
     def test_rejects_small_shapes(self):
         with pytest.raises(InvalidShapeError):
