@@ -209,8 +209,7 @@ def resolve_config(args) -> RunConfig:
         extras = {"truth_shape": args.truth_shape, "truth_scale": args.truth_scale}
     if args.command == "risk-curve":
         ratios = evaluation._ratio_grid(args.ratios.split(","))
-        if args.samples < evaluation.MIN_SAMPLES:
-            raise GoaltimeError(f"--samples must be at least {evaluation.MIN_SAMPLES}; got {args.samples}")
+        evaluation._check_draws(args.samples, args.seed)
         extras = {"ratios": list(ratios), "lambda1": args.lambda1}
     cfg = RunConfig(
         command=args.command,
@@ -360,6 +359,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GoaltimeError as exc:
         print(f"goaltime: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # the commands read no file: this is an --out path that cannot be opened
+        print(f"goaltime: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,17 +161,18 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _quad_grid(window: tuple[float, float] | None):
+def _quad_grid(window: tuple[float, float] | None, scale: float):
     """Gauss-Legendre nodes/weights on the window, or on (0, inf) mapped
-    through y = t/(1-t)."""
+    through y = scale t/(1-t), with ``scale`` the truth's, so that the
+    rule follows the truth at any scale."""
     nodes, weights = _legendre_rule()
     if window is None or not np.isfinite(window[1]):
         lo = 0.0 if window is None else window[0]
         if lo != 0.0:
             raise DomainError("infinite windows must start at 0")
         t = 0.5 * (nodes + 1.0)
-        y = t / (1.0 - t)
-        w = 0.5 * weights / (1.0 - t) ** 2
+        y = scale * t / (1.0 - t)
+        w = scale * 0.5 * weights / (1.0 - t) ** 2
     else:
         lo, hi = window
         if not 0 <= lo < hi:
@@ -186,7 +188,7 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     q0 (module docstring); non-finite where the estimate fails."""
     r1, r_prime = shapes.r1, shapes.r_prime
     log_den = 0.0 if x2 is None else pred._log_ordering_probability(x1, x2, r1, shapes.r2)
-    y, w = _quad_grid(window)
+    y, w = _quad_grid(window, lambda1)
     truncated = window is not None and np.isfinite(window[1])
     truth = dist.GammaModel(r_prime, lambda1)
     log_truth = dist.gamma_logpdf(truth, y)
@@ -240,6 +242,14 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     return kls
 
 
+def _check_draws(samples, seed) -> None:
+    """DomainError unless ``samples`` is an integer of at least
+    ``MIN_SAMPLES`` and ``seed`` a non-negative integer."""
+    for name, value, least in (("samples", samples, MIN_SAMPLES), ("seed", seed, 0)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise DomainError(f"{name} must be an integer of at least {least}; got {value!r}")
+
+
 def frequentist_risk(
     lambda1: float,
     lambda2: float,
@@ -256,9 +266,9 @@ def frequentist_risk(
             estimator needs ``lambda1 >= lambda2``, its ordering assumption.
         shapes: gamma shapes (r1, r2, r_prime).
         estimator_kind: "q0" (unrestricted) or "q1" (restricted).
-        samples: Monte Carlo draws, at least ``MIN_SAMPLES``.
-        seed: seeds the draw streams; equal seeds give equal draws for both
-            estimator kinds.
+        samples: Monte Carlo draws, an integer of at least ``MIN_SAMPLES``.
+        seed: a non-negative integer that seeds the draw streams; equal
+            seeds give equal draws for both estimator kinds.
         window: finite truncation window, or None for the untruncated support.
 
     Returns:
@@ -267,8 +277,7 @@ def frequentist_risk(
     """
     if estimator_kind not in ("q0", "q1"):
         raise DomainError(f"unknown estimator kind {estimator_kind!r}")
-    if samples < MIN_SAMPLES:
-        raise DomainError(f"need at least {MIN_SAMPLES} Monte Carlo samples")
+    _check_draws(samples, seed)
     if not (0 < lambda1 < np.inf and 0 < lambda2 < np.inf):
         raise DomainError("scales must be positive and finite")
     if estimator_kind == "q1" and lambda1 < lambda2:
@@ -323,6 +332,7 @@ def risk_curve(
     seed from ``seed``; within a point both estimators share draws.
     """
     ratios = _ratio_grid(ratio_grid)
+    _check_draws(samples, seed)
     shapes = shapes or ShapeConfig()
     point_seeds = np.random.SeedSequence(seed).generate_state(len(ratios))
     q0, q1, se0, se1 = [], [], [], []

@@ -278,7 +278,7 @@ def risk_kls_per_draw(kind: str, x1s, x2s, lambda1: float, shapes, window):
     ``q`` renormalized on the rule when the window is finite.  ``x2s`` is
     read only for q1.
     """
-    y, w = _quad_grid(window)
+    y, w = _quad_grid(window, lambda1)
     truncated = window is not None and np.isfinite(window[1])
     log_truth = dist.gamma_logpdf(dist.GammaModel(shapes.r_prime, lambda1), y)
     if truncated:

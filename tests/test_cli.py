@@ -121,6 +121,7 @@ class TestConfigErrors:
             ["risk-curve", "--r1", "0.5"],
             # the risk's untruncated grid covers (0, inf) only
             ["risk-curve", "--window", "5,inf"],
+            ["risk-curve", "--seed", "-1", "--samples", "200", "--ratios", "1,2"],
         ],
     )
     def test_out_of_domain_input(self, capsys, argv):
@@ -148,6 +149,14 @@ class TestConfigErrors:
         assert code == 2, err
         assert out == ""
         assert "configuration error" in err
+
+    def test_unopenable_out_path(self, capsys, tmp_path):
+        dest = tmp_path / "no-such-dir" / "x.csv"
+        code, out, err = run(capsys, "summarize", "--out", str(dest))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("goaltime: configuration error: ") and err.count("\n") == 1
+        assert not dest.parent.exists()
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

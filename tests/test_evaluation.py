@@ -168,7 +168,7 @@ def summand_size(kind, x1, x2, lambda1, shapes, window):
     terms of log p and of the oracle's log q at each node, weighted by the
     truth's ``v`` (``evaluation._risk_kls``), plus the log masses on a
     finite window."""
-    y, w = _quad_grid(window)
+    y, w = _quad_grid(window, lambda1)
     r1, rp = shapes.r1, shapes.r_prime
     log_p = gamma_logpdf(GammaModel(rp, lambda1), y)
     size = abs(rp - 1.0) * np.abs(np.log(y)) + y / lambda1 + abs(math.lgamma(rp)) + rp * abs(math.log(lambda1))
@@ -384,6 +384,17 @@ class TestFrequentistRisk:
         b = frequentist_risk(5.0, 5.0, shapes, "q0", samples=4000, seed=32)
         assert abs(a.risk - b.risk) <= 2 * math.hypot(a.std_err, b.std_err)
 
+    @pytest.mark.parametrize("kind", ["q0", "q1"])
+    def test_untruncated_risk_at_any_scale(self, kind):
+        # at one seed the draws are lambda1 times the same standard gamma
+        # draws, and the untruncated rule follows lambda1, so the risks
+        # agree up to rounding at every scale; a rule in absolute units
+        # read -0.0 at 1e-6 and 1e8, and 0.2759 for q1's 0.2957 at 1e3
+        lambdas = (1e-6, 1e-3, 12.0, 1e3, 1e5, 1e8)
+        risks = [frequentist_risk(lam, lam / 2, ShapeConfig(), kind, 2000, seed=1) for lam in lambdas]
+        assert all(e.rejected == 0 for e in risks)
+        np.testing.assert_allclose([e.risk for e in risks], risks[2].risk, rtol=1e-9)
+
     def test_ordering_precondition(self):
         with pytest.raises(DomainError):
             frequentist_risk(5.0, 10.0, ShapeConfig(), "q1", samples=200, seed=0)
@@ -397,6 +408,17 @@ class TestFrequentistRisk:
     def test_shapes_out_of_domain(self, shapes):
         with pytest.raises(InvalidShapeError):
             ShapeConfig(**shapes)
+
+    @pytest.mark.parametrize(
+        "samples, seed", [(200, -1), (200, 1.5), (200, 2.0), (150.5, 0), (200.0, 0), (99, 0), (-200, 0)]
+    )
+    def test_draw_counts_out_of_domain(self, samples, seed):
+        # a seed is a non-negative integer, and samples an integer of at
+        # least MIN_SAMPLES, for the risk and the curve alike
+        with pytest.raises(DomainError):
+            frequentist_risk(12.0, 6.0, ShapeConfig(), "q0", samples=samples, seed=seed)
+        with pytest.raises(DomainError):
+            risk_curve(ratio_grid=(1.0, 2.0), samples=samples, seed=seed)
 
     @pytest.mark.parametrize("lambda1, lambda2", [(math.inf, 6.0), (math.nan, 6.0), (12.0, math.nan)])
     def test_non_finite_scales(self, lambda1, lambda2):
