@@ -240,7 +240,8 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _write(cfg: RunConfig, columns: list[str], rows: list[list]) -> None:
+def _render(cfg: RunConfig, columns: list[str], rows: list[list]) -> str:
+    """The command's output: the metadata block, then the table."""
     meta = {"version": __version__, "config": cfg.as_dict(), "seed": cfg.seed}
     if cfg.fmt == "csv":
         lines = [
@@ -251,21 +252,15 @@ def _write(cfg: RunConfig, columns: list[str], rows: list[list]) -> None:
         ]
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "meta": meta,
-            "columns": columns,
-            "rows": [
-                [float(_fmt(v)) if isinstance(v, float) else v for v in row] for row in rows
-            ],
-        }
-        text = _json(payload, indent=1) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return "\n".join(lines) + "\n"
+    payload = {
+        "meta": meta,
+        "columns": columns,
+        "rows": [
+            [float(_fmt(v)) if isinstance(v, float) else v for v in row] for row in rows
+        ],
+    }
+    return _json(payload, indent=1) + "\n"
 
 
 def _problem(cfg: RunConfig, window=None) -> PredictionProblem:
@@ -277,7 +272,7 @@ def _problem(cfg: RunConfig, window=None) -> PredictionProblem:
     )
 
 
-def cmd_densities(cfg: RunConfig) -> None:
+def cmd_densities(cfg: RunConfig) -> str:
     """Both densities at the midpoints of ``cfg.grid`` cells over the window:
     renormalized to it (``predict``) or untruncated (``density-table``)."""
     lo, hi = cfg.window
@@ -288,10 +283,10 @@ def cmd_densities(cfg: RunConfig) -> None:
     q0 = unrestricted_predictive(problem)
     q1 = restricted_predictive(problem)
     rows = [[float(y), float(a), float(b)] for y, a, b in zip(ys, q0.pdf(ys), q1.pdf(ys))]
-    _write(cfg, ["y", "q0", "q1"], rows)
+    return _render(cfg, ["y", "q0", "q1"], rows)
 
 
-def cmd_summarize(cfg: RunConfig) -> None:
+def cmd_summarize(cfg: RunConfig) -> str:
     problem = _problem(cfg)
     rows = []
     for name, density in (
@@ -300,10 +295,10 @@ def cmd_summarize(cfg: RunConfig) -> None:
     ):
         row = predictive_summaries(density)
         rows.append([name, row.mode, row.mean, row.p20, row.p50, row.p90])
-    _write(cfg, ["estimator", "mode", "mean", "p20", "p50", "p90"], rows)
+    return _render(cfg, ["estimator", "mode", "mean", "p20", "p50", "p90"], rows)
 
 
-def cmd_prediction_error(cfg: RunConfig) -> None:
+def cmd_prediction_error(cfg: RunConfig) -> str:
     lo, hi = cfg.window
     truth_model = GammaModel(cfg.extras["truth_shape"], cfg.extras["truth_scale"])
     truth = truncate(lambda y: gamma_pdf(truth_model, y), lo, hi)
@@ -315,10 +310,10 @@ def cmd_prediction_error(cfg: RunConfig) -> None:
         ("q1", restricted_predictive(problem), restricted_predictive(_problem(cfg, full))),
     ):
         rows.append([name, evaluation.prediction_error(truth, trunc_d), evaluation.prediction_error(truth, raw_d)])
-    _write(cfg, ["estimator", "pe_truncated", "pe_raw"], rows)
+    return _render(cfg, ["estimator", "pe_truncated", "pe_raw"], rows)
 
 
-def cmd_risk_curve(cfg: RunConfig) -> None:
+def cmd_risk_curve(cfg: RunConfig) -> str:
     window = None if not np.isfinite(cfg.window[1]) else cfg.window
     curve = evaluation.risk_curve(
         ratio_grid=cfg.extras["ratios"],
@@ -334,7 +329,7 @@ def cmd_risk_curve(cfg: RunConfig) -> None:
             curve.ratios, curve.risk_q0, curve.std_err_q0, curve.risk_q1, curve.std_err_q1
         )
     ]
-    _write(cfg, ["ratio", "risk_q0", "std_err_q0", "risk_q1", "std_err_q1"], rows)
+    return _render(cfg, ["ratio", "risk_q0", "std_err_q0", "risk_q1", "std_err_q1"], rows)
 
 
 _COMMANDS = {
@@ -355,12 +350,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"goaltime: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _COMMANDS[cfg.command](cfg)
+        text = _COMMANDS[cfg.command](cfg)
     except GoaltimeError as exc:
         print(f"goaltime: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if not cfg.out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
-        # the commands read no file: this is an --out path that cannot be opened
         print(f"goaltime: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

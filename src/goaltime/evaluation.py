@@ -6,18 +6,19 @@ estimates that outer integral by Monte Carlo (two-dimensional for the
 restricted estimator): it draws the statistics and averages, with equal
 weights, the KLs the per-draw engine ``_risk_kls`` returns for them.  The
 engine takes each draw's KL on a fixed 200-node Gauss-Legendre grid (on the
-window, or mapped onto (0, inf) through ``y = t/(1-t)``), vectorized over
-draws, which the tests pin against adaptive quadrature.  Each estimator's
+window, or mapped onto (0, inf) through ``y = lam1 t/(1-t)``, so that the
+rule follows the truth at any scale), vectorized over draws, which the
+tests pin against adaptive quadrature.  Each estimator's
 log density on that grid is the one its predictive density truncates, in
 the separable form of ``predictive``'s module docstring:
 
     log q(y_j) = kernel_ij + (r'-1) log y_j - c_i,
 
-where only the kernel (``predictive._log_kernel``) couples the node
-``y_j`` with draw ``i``'s statistics; the statistics' term
-``c_i = log B(r', r1) + r' log x1 + log I_{x1/(x1+x2)}(r1, r2)`` (no
-ordering probability for q0) is one value per draw, its ordering
-probability computed once for all draws.  The risk keeps this grid rather
+where only the kernel (``predictive._Kernel``, set up once per call)
+couples the node ``y_j`` with draw ``i``'s statistics; the statistics'
+term ``c_i = log B(r', r1) + r' log x1 + log I_{x1/(x1+x2)}(r1, r2)`` (no
+ordering probability for q0, ``predictive._log_stat_term``) is one value
+per draw, its ordering probability computed once for all draws.  The risk keeps this grid rather
 than the truth's window grid of ``prediction_error``: the window grid
 needs two to three times the nodes, which would make the per-draw work of
 a risk block as much larger.
@@ -27,7 +28,7 @@ With ``v = w p`` the truth's density times the rule's weights and
 ``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``.  The engine
 runs blocks of ``_BLOCK`` draws by 200 nodes, evaluated in place
 (``out=``) in arrays allocated once per call and small enough to stay
-in cache: the kernel, and for q1 its two intermediates.  A block computes
+in cache: the kernel, and for q1 the work rows its set-up asks for.  A block computes
 the kernel and one matrix-vector product with ``v``; the node term enters
 once per call, as ``v . (r'-1) log y``, and the statistics' term once per
 draw, as ``c_i sum(v)``.  ``log q`` is taken up to the constant
@@ -52,7 +53,9 @@ estimators at a grid point share the same draws (common random numbers).
 Unless a finite window is supplied, risks are computed on the untruncated
 support: the unrestricted estimator is then minimum-risk equivariant and
 its risk is exactly constant in the scale, and both estimators carry equal
-risk when the two scales coincide.
+risk when the two scales coincide.  There the draws at one seed are
+``lam1`` times the same standard draws, and the rule scales with ``lam1``,
+so both risks agree at every ``lam1`` up to rounding.
 """
 
 from __future__ import annotations

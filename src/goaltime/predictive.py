@@ -46,12 +46,13 @@ is ``log I_{x1/(x1+x2)}(r1, r2)`` itself.  So
     log q1(y) = -log B(r', r1) - r' log x1 + (r'-1) log y
                 + K(y; r1 + r') - K(0; r1).
 
-The denominator depends only on the observed statistics, so
-``restricted_predictive`` computes it once per density, when it builds it.
-So does the whole statistics' term, ``log B(r', r1) + r' log x1`` plus
-that log denominator (``_log_stat_term``): ``unrestricted_predictive`` and
-``restricted_predictive`` compute it once, as they compute q1's
-denominator, and a built density's call does only per-point work.
+The denominator depends only on the observed statistics, and so does
+the whole statistics' term, ``log B(r', r1) + r' log x1`` plus that log
+denominator (``_log_stat_term``).  Both densities are built by one path
+(``_log_density``), which sets the kernel up, computes that term once,
+and returns a function of ``y`` that does only per-point work:
+``unrestricted_predictive`` and ``restricted_predictive`` truncate it, and
+``log_unrestricted_base`` and ``log_restricted_base`` evaluate it.
 
 The second shape is the rival's goal index ``r2``.  With the complement
 ``u = x2/(x1 + x2 + y)`` of ``x``, an integer ``r2 = n`` (the paper's case
@@ -63,12 +64,15 @@ and every default) gives ``I_x(a, n) = x^a S_n(u)`` with the finite sum
     K(y; a) = -a log1p((x2 + y)/x1) + log S_n(u),
 
 q0's ``log1p`` term with ``x2`` added inside it, plus one finite sum; at
-``x2 = 0`` it is q0's.  ``_log_kernel`` evaluates it (``x2=None`` gives
-q0's ``-a log1p(y/x1)``), and both densities and ``evaluation``'s risk add
-the node term ``(r'-1) log y`` and the statistics' term to it.  A
-non-integer ``r2`` has no sum to split off: there the kernel takes
-``log I_x(a, r2)`` from the continued fraction of ``specfun.log_betainc``
-(DLMF 8.17.22).  The sum is ``specfun._log_int_sum``, and the beta
+``x2 = 0`` it is q0's.  ``S_n`` is a sum of positive terms with nothing to
+converge, taken by Horner's rule on the coefficients ``(a)_j / j!``.
+``_Kernel`` evaluates ``K`` (``r2=None`` gives q0's ``-a log1p(y/x1)``),
+and both densities and ``evaluation``'s risk add the node term
+``(r'-1) log y`` and the statistics' term to it.  It is set up once from
+its shapes ``(a, r2)``: the set-up chooses between the sum and, at a
+non-integer ``r2``, which has no sum to split off, the continued fraction
+of ``specfun.log_betainc`` (DLMF 8.17.22); it holds the sum's
+coefficients; and it says how many work rows a call needs.  The beta
 function of the beta prime comes from ``specfun.log_beta``, so no module
 here needs scipy.
 
