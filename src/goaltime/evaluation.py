@@ -8,9 +8,9 @@ weights, the KLs the per-draw engine ``_risk_kls`` returns for them.  The
 engine takes each draw's KL on a fixed 200-node Gauss-Legendre grid (on the
 window, or mapped onto (0, inf) through ``y = lam1 t/(1-t)``, so that the
 rule follows the truth at any scale), vectorized over draws, which the
-tests pin against adaptive quadrature.  Each estimator's
-log density on that grid is the one its predictive density truncates, in
-the separable form of ``predictive``'s module docstring:
+tests pin against adaptive quadrature.  Each estimator's log density on
+that grid is the one its predictive density truncates, in the separable
+form of ``predictive``'s module docstring:
 
     log q(y_j) = kernel_ij + (r'-1) log y_j - c_i,
 
@@ -18,20 +18,20 @@ where only the kernel (``predictive._Kernel``, set up once per call)
 couples the node ``y_j`` with draw ``i``'s statistics; the statistics'
 term ``c_i = log B(r', r1) + r' log x1 + log I_{x1/(x1+x2)}(r1, r2)`` (no
 ordering probability for q0, ``predictive._log_stat_term``) is one value
-per draw, its ordering probability computed once for all draws.  The risk keeps this grid rather
-than the truth's window grid of ``prediction_error``: the window grid
-needs two to three times the nodes, which would make the per-draw work of
-a risk block as much larger.
+per draw, its ordering probability computed once for all draws.  The
+risk keeps this grid rather than the truth's window grid of
+``prediction_error``: the window grid needs two to three times the nodes,
+which would make the per-draw work of a risk block as much larger.
 
 With ``v = w p`` the truth's density times the rule's weights and
 ``k = v . log p``, both fixed per call, a draw's KL
 ``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``.  The engine
 runs blocks of ``_BLOCK`` draws by 200 nodes, evaluated in place
 (``out=``) in arrays allocated once per call and small enough to stay
-in cache: the kernel, and for q1 the work rows its set-up asks for.  A block computes
-the kernel and one matrix-vector product with ``v``; the node term enters
-once per call, as ``v . (r'-1) log y``, and the statistics' term once per
-draw, as ``c_i sum(v)``.  ``log q`` is taken up to the constant
+in cache: the kernel, and for q1 the work rows its set-up asks for.  A
+block computes the kernel and one matrix-vector product with ``v``; the
+node term enters once per call, as ``v . (r'-1) log y``, and the
+statistics' term once per draw, as ``c_i sum(v)``.  ``log q`` is taken up to the constant
 ``r' log lam1``: ``c_i`` holds ``r' log(x1/lam1)``, of the size of the KL,
 and ``k`` takes up ``r' log lam1``, so that no per-draw term carries the
 size of ``log lam1`` into the sum.  On a finite window the estimate is

@@ -67,10 +67,10 @@ def _feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
-def _call(h, fn, *args, **kwargs) -> None:
-    """Hash ``fn(*args, **kwargs)``, or the class of what it raises."""
+def _call(h, fn, *args) -> None:
+    """Hash ``fn(*args)``, or the class of what it raises."""
     try:
-        value = fn(*args, **kwargs)
+        value = fn(*args)
     except Exception as exc:  # noqa: BLE001 - the failure itself is hashed
         value = type(exc).__name__
     if isinstance(value, tuple):
