@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -186,6 +187,20 @@ def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | No
     return stat.x, {f"team_{side}_log": str(source), f"team_{side}": team}
 
 
+def _check_out(path: str) -> None:
+    """GoaltimeError unless ``path`` can be written: an existing file that is
+    writable, or a new name in an existing writable directory.  Checked
+    before the command runs, without opening the file, so that nothing is
+    created or truncated by a run that then fails."""
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or os.curdir
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise GoaltimeError(f"--out {path!r} cannot be written")
+
+
 def resolve_config(args) -> RunConfig:
     x2_mode = args.x2_mode.replace("-", "_")
     default_window = None if args.command == "risk-curve" else DEFAULT_WINDOW
@@ -200,6 +215,8 @@ def resolve_config(args) -> RunConfig:
         sources.update(src_b)
     if args.grid < 2:
         raise GoaltimeError("--grid must be at least 2")
+    if args.out:
+        _check_out(args.out)
     if args.command in ("predict", "density-table") and window is not None and not np.isfinite(window[1]):
         raise GoaltimeError(f"{args.command} needs a finite window")
     if args.command == "risk-curve" and window is not None and not np.isfinite(window[1]) and window[0] > 0:
@@ -357,6 +374,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not cfg.out:
         sys.stdout.write(text)
         return EXIT_OK
+    # resolve_config checked the path; it may still fail to open
     try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -30,8 +30,13 @@ ends once its Newton step falls below rounding (a lane left unconverged
 raises ``ConvergenceError``); the mode is the grid argmax, refined by
 shrinking a bracket around it and finished by Newton steps on a five-point
 derivative.  No adaptive integrator, root finder or optimizer runs.
-References: Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
-SIAM Review 50 (2008).
+
+``_gauss_jacobi`` builds the Gauss rule of the weight ``(1+x)^beta`` by
+Golub and Welsch, in numpy alone; the risk's rule (``evaluation``) takes
+its head panel from it, so that the truth's ``y^(r'-1)`` is carried by
+the weights.  References: Trefethen, "Is Gauss quadrature better than
+Clenshaw-Curtis?", SIAM Review 50 (2008); Golub and Welsch, "Calculation
+of Gauss quadrature rules", Math. Comp. 23 (1969).
 """
 
 from __future__ import annotations
@@ -110,6 +115,31 @@ def _gauss_panels(a, b):
     a = a[..., None]
     half = 0.5 * (b[..., None] - a)
     return a + half * _GL_X1, half * _GL_W
+
+
+def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log weights of the n-node Gauss rule on [-1, 1] for the
+    weight ``(1+x)^beta``, ``beta > -1``: it integrates ``(1+x)^beta g(x)``
+    exactly for every polynomial ``g`` of degree below ``2n``.
+
+    Golub and Welsch (1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the weight's orthogonal
+    (Jacobi, alpha = 0) polynomials, and each weight is the weight's
+    total mass ``2^(beta+1)/(beta+1)`` times the squared first component
+    of its eigenvector.  Nodes come out ascending.  The weights are
+    returned as logs: the total mass overflows from ``beta = 1023``,
+    while a weight divided by ``(1+x)^beta`` stays of moderate size.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(vec[0] ** 2) + ((beta + 1.0) * math.log(2.0) - math.log1p(beta))
+    return x, log_w
 
 
 def _share_beyond(v: np.ndarray) -> np.ndarray:

@@ -4,13 +4,43 @@ The risk of an estimator at scales (lam1, lam2) is the average KL loss over
 the sampling distribution of the observed statistics.  ``frequentist_risk``
 estimates that outer integral by Monte Carlo (two-dimensional for the
 restricted estimator): it draws the statistics and averages, with equal
-weights, the KLs the per-draw engine ``_risk_kls`` returns for them.  The
-engine takes each draw's KL on a fixed 200-node Gauss-Legendre grid (on the
-window, or mapped onto (0, inf) through ``y = lam1 t/(1-t)``, so that the
-rule follows the truth at any scale), vectorized over draws, which the
-tests pin against adaptive quadrature.  Each estimator's log density on
-that grid is the one its predictive density truncates, in the separable
-form of ``predictive``'s module docstring:
+weights, the KLs the per-draw engine ``_risk_kls`` returns for them.
+
+The KL does not depend on the scale, so the engine works in units of
+``lam1``: the truth is ``Gam(r', 1)``, and the window and, block by
+block, the statistics are divided by ``lam1``, so that no scale that a
+double holds can overflow the rule (q1's ordering probability depends on
+``x1/(x1 + x2)`` alone and reads the statistics as drawn).  It takes each
+draw's KL on one rule of 116 nodes
+(``_risk_rule``), built once per call from ``r'`` and shared by all
+draws, vectorized over draws, which the tests pin against adaptive
+quadrature and against a regularized mpmath reference:
+
+* a head panel of 16 nodes on [lo, lo + h], ``h = 1/128`` (``1/128`` of
+  the window on windows narrower than ``lam1``).  At ``lo = 0`` it is the
+  Gauss-Jacobi rule of the weight ``y^(r'-1)`` (Golub and Welsch,
+  ``distributions._gauss_jacobi``), which carries the truth's
+  singularity at 0, where nearly all its mass lies when ``r'`` is small;
+  its weights ``(h/2) w_j (1+x_j)^(1-r')`` are divided by ``y^(r'-1)``
+  again, so the arithmetic below is that of any other node.  Above 0
+  there is no singularity, and it is a Gauss-Legendre panel.  The width
+  balances the draws' scale against the truth's: the estimate's pole at
+  ``y = -x1`` must stay clear of the head, and the truth's ``y^(r'-1)``
+  of the mapped nodes.  At ``h = 1/64`` a draw at ``x1 = 3e-3`` read
+  1e-7 off on (0, 60) at ``r' = 6``; at ``1/256`` one at ``r' = 0.3``
+  read 1e-12 off at every ``x1``;
+* 100 Gauss-Legendre nodes on [lo + h, hi], mapped through
+  ``y = lo + h + c s/(1-s)`` with ``c = max(1, r'/4)``, so that they
+  follow the truth's bulk and reach to infinity on the untruncated
+  support.
+
+Against mpmath, each draw's KL is then within about 3e-14 over ``r'`` in
+[0.01, 6] and ``x1`` in [1e-2, 1e4] ``lam1``, on (0, inf), (0, 60) and
+(5, 45); without the head, even 200 Gauss-Legendre nodes are off by up
+to 5e-2 below ``r' = 1``.  From ``r'`` of about 500 the truth's bulk, of
+width ``sqrt(r')``, outgrows the mapped nodes.  Each estimator's log
+density on the rule is the one its predictive density truncates, in the
+separable form of ``predictive``'s module docstring:
 
     log q(y_j) = kernel_ij + (r'-1) log y_j - c_i,
 
@@ -19,26 +49,23 @@ couples the node ``y_j`` with draw ``i``'s statistics; the statistics'
 term ``c_i = log B(r', r1) + r' log x1 + log I_{x1/(x1+x2)}(r1, r2)`` (no
 ordering probability for q0, ``predictive._log_stat_term``) is one value
 per draw, its ordering probability computed once for all draws.  The
-risk keeps this grid rather than the truth's window grid of
-``prediction_error``: the window grid needs two to three times the nodes,
+risk keeps this rule rather than the truth's window grid of
+``prediction_error``: the window grid needs five to twelve times the nodes,
 which would make the per-draw work of a risk block as much larger.
 
 With ``v = w p`` the truth's density times the rule's weights and
 ``k = v . log p``, both fixed per call, a draw's KL
 ``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``.  The engine
-runs blocks of ``_BLOCK`` draws by 200 nodes, evaluated in place
+runs blocks of ``_BLOCK`` draws by the rule's nodes, evaluated in place
 (``out=``) in arrays allocated once per call and small enough to stay
 in cache: the kernel, and for q1 the work rows its set-up asks for.  A
 block computes the kernel and one matrix-vector product with ``v``; the
 node term enters once per call, as ``v . (r'-1) log y``, and the
-statistics' term once per draw, as ``c_i sum(v)``.  ``log q`` is taken up to the constant
-``r' log lam1``: ``c_i`` holds ``r' log(x1/lam1)``, of the size of the KL,
-and ``k`` takes up ``r' log lam1``, so that no per-draw term carries the
-size of ``log lam1`` into the sum.  On a finite window the estimate is
-renormalized to its mass on the rule, ``m = exp(log q) . w``, which adds
-``log(m) sum(v)``: there a block forms the whole ``log q``, reads its
-product with ``v``, and takes ``exp`` of it for the mass, and the
-renormalization cancels the constant.
+statistics' term once per draw, as ``c_i sum(v)``.  On a finite window
+the estimate is renormalized to its mass on the rule,
+``m = exp(log q) . w``, which adds ``log(m) sum(v)``: there a block forms
+the whole ``log q``, reads its product with ``v``, and takes ``exp`` of
+it for the mass.
 
 ``prediction_error``, the KL from a truncated truth to one estimate, is a
 weighted sum over the window grid ``distributions.truncate`` sampled the
@@ -54,8 +81,8 @@ Unless a finite window is supplied, risks are computed on the untruncated
 support: the unrestricted estimator is then minimum-risk equivariant and
 its risk is exactly constant in the scale, and both estimators carry equal
 risk when the two scales coincide.  There the draws at one seed are
-``lam1`` times the same standard draws, and the rule scales with ``lam1``,
-so both risks agree at every ``lam1`` up to rounding.
+``lam1`` times the same standard draws, which the engine divides by
+``lam1`` again, so both risks agree at every ``lam1`` up to rounding.
 """
 
 from __future__ import annotations
@@ -74,7 +101,12 @@ from .errors import DivergenceError, DomainError, MonteCarloError
 log = logging.getLogger(__name__)
 
 _KL_FLOOR = 1e-15
-_GL_NODES = 200
+# the risk's rule, in units of lambda1 (``_risk_rule``): a head panel of
+# this width (narrower on windows narrower than lambda1) and node count,
+# then the mapped Gauss-Legendre nodes
+_HEAD_WIDTH = 1.0 / 128.0
+_HEAD_NODES = 16
+_TAIL_NODES = 100
 _MAX_REJECT_FRACTION = 1e-3
 # draws per risk block: its few (draws x nodes) work arrays stay in L2
 _BLOCK = 256
@@ -154,34 +186,48 @@ def prediction_error(exact, estimate) -> float:
 
 
 @functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The risk's Gauss-Legendre rule on [-1, 1], built once per process on
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], built once per process on
     first use (``leggauss``'s eigenproblem costs more than a small risk
     block); every caller shares the arrays, so they are read-only."""
-    rule = np.polynomial.legendre.leggauss(_GL_NODES)
+    rule = np.polynomial.legendre.leggauss(n)
     for arr in rule:
         arr.flags.writeable = False
     return rule
 
 
-def _quad_grid(window: tuple[float, float] | None, scale: float):
-    """Gauss-Legendre nodes/weights on the window, or on (0, inf) mapped
-    through y = scale t/(1-t), with ``scale`` the truth's, so that the
-    rule follows the truth at any scale."""
-    nodes, weights = _legendre_rule()
-    if window is None or not np.isfinite(window[1]):
-        lo = 0.0 if window is None else window[0]
-        if lo != 0.0:
-            raise DomainError("infinite windows must start at 0")
-        t = 0.5 * (nodes + 1.0)
-        y = scale * t / (1.0 - t)
-        w = scale * 0.5 * weights / (1.0 - t) ** 2
+def _risk_rule(r_prime: float, window: tuple[float, float] | None):
+    """The risk's nodes and weights on ``window`` (None for (0, inf)), in
+    units of lambda1: ``_HEAD_NODES`` on a head panel [lo, lo + h] and
+    ``_TAIL_NODES`` Gauss-Legendre nodes on [lo + h, hi] mapped through
+    ``y = lo + h + c s/(1-s)`` (module docstring).
+
+    At ``lo = 0`` the head is the Gauss-Jacobi rule of the weight
+    ``y^(r'-1)``, its weights divided by ``y^(r'-1)`` again, so that they
+    integrate any density that carries that factor; above 0 it is a
+    Gauss-Legendre panel."""
+    lo, hi = (0.0, np.inf) if window is None else window
+    if not 0 <= lo < hi:
+        raise DomainError(f"bad window {window}")
+    if lo != 0.0 and not np.isfinite(hi):
+        raise DomainError("infinite windows must start at 0")
+    h = min(1.0, hi - lo) * _HEAD_WIDTH
+    if lo == 0.0:
+        x, log_w = dist._gauss_jacobi(_HEAD_NODES, r_prime - 1.0)
+        # (h/2) w (1+x)^(1-r'), not (h/2)^r' w / y^(r'-1), which underflows
+        w = 0.5 * h * np.exp(log_w + (1.0 - r_prime) * np.log1p(x))
     else:
-        lo, hi = window
-        if not 0 <= lo < hi:
-            raise DomainError(f"bad window {window}")
-        y = lo + 0.5 * (hi - lo) * (nodes + 1.0)
-        w = 0.5 * (hi - lo) * weights
+        x, w = _legendre(_HEAD_NODES)
+        w = 0.5 * h * w
+    head = lo + 0.5 * h * (1.0 + x)
+    # the map's scale follows the truth's bulk, at y = r' for large r'
+    c = max(1.0, 0.25 * r_prime)
+    a = lo + h
+    top = 1.0 if not np.isfinite(hi) else (hi - a) / (c + hi - a)
+    x, wt = _legendre(_TAIL_NODES)
+    s = 0.5 * top * (x + 1.0)
+    y = np.concatenate((head, a + c * s / (1.0 - s)))
+    w = np.concatenate((w, 0.5 * c * top * wt / (1.0 - s) ** 2))
     return y, w
 
 
@@ -190,22 +236,23 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     estimator ``kind`` at each statistic ``(x1[i], x2[i])``, ``x2`` None for
     q0 (module docstring); non-finite where the estimate fails."""
     r1, r_prime = shapes.r1, shapes.r_prime
+    # the ordering probability depends on x1/(x1 + x2) alone; the rest works
+    # in units of lambda1, the statistics divided block by block
     log_den = 0.0 if x2 is None else pred._log_ordering_probability(x1, x2, r1, shapes.r2)
-    y, w = _quad_grid(window, lambda1)
+    if window is not None:
+        window = (window[0] / lambda1, window[1] / lambda1)
+    y, w = _risk_rule(r_prime, window)
     truncated = window is not None and np.isfinite(window[1])
-    truth = dist.GammaModel(r_prime, lambda1)
-    log_truth = dist.gamma_logpdf(truth, y)
+    log_truth = dist.gamma_logpdf(dist.GammaModel(r_prime, 1.0), y)
     log_node = (r_prime - 1.0) * np.log(y)
-    # a draw's KL is k - log q . v, with log q taken up to the constant
-    # r' log(lambda1) (module docstring)
+    # a draw's KL is k - log q . v (module docstring)
     if truncated:
         mass = np.sum(w * np.exp(log_truth))
         log_truth = log_truth - np.log(mass)
-        # the renormalization of q to its mass on the rule cancels the constant
         k_truth = log_truth
     else:
-        # k takes up the constant and the node term
-        k_truth = log_truth - log_node + r_prime * np.log(lambda1)
+        # k takes up the node term
+        k_truth = log_truth - log_node
     v = w * np.exp(log_truth)
     k = v @ k_truth
     v_sum = v.sum()
@@ -216,6 +263,8 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     kernel = np.empty((block, y.size))
     # the kernel's intermediates: q1's one or two rows, none for q0
     work = np.empty((log_kernel.rows,) + kernel.shape) if log_kernel.rows else None
+    # a block's x1 and x2 in units of lambda1
+    stats = np.empty((2, block, 1))
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors
@@ -224,10 +273,12 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             rows = slice(0, stop - start)
+            x1_rows = np.divide(x1[start:stop, None], lambda1, out=stats[0, rows])
             x2_rows = work_rows = None
             if x2 is not None:
-                x2_rows, work_rows = x2[start:stop, None], work[:, rows]
-            log_kernel(y, x1[start:stop, None], x2_rows, out=kernel[rows], work=work_rows)
+                x2_rows = np.divide(x2[start:stop, None], lambda1, out=stats[1, rows])
+                work_rows = work[:, rows]
+            log_kernel(y, x1_rows, x2_rows, out=kernel[rows], work=work_rows)
             if truncated:
                 # the mass takes exp of the whole log q, and q renormalized
                 # to it adds log(mass) sum(v)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
+
 import numpy as np
 from scipy import integrate, special
 
 from goaltime import distributions as dist
 from goaltime.errors import DivergenceError, DomainError, InvalidShapeError
-from goaltime.evaluation import _quad_grid
+from goaltime.evaluation import _risk_rule
 from goaltime.predictive import PredictionProblem
 from goaltime.specfun import gauss_2f1, log_betainc
 
@@ -272,25 +274,96 @@ def log_restricted_ratio_form(y, x1: float, x2: float, r1: float, r2: float, r_p
 def risk_kls_per_draw(kind: str, x1s, x2s, lambda1: float, shapes, window):
     """Per-draw KL losses of ``evaluation._risk_kls``, one draw at a time.
 
-    The same 200-node rule, but each draw's log density comes from
+    The same rule, ``_risk_rule`` at ``shapes.r_prime``, and the same units
+    of ``lambda1``, but each draw's log density comes from
     ``log_unrestricted_direct`` or ``log_restricted_ratio_form`` alone, and
     its KL is the direct sum ``sum_j w_j p_j (log p_j - log q_j)``, with
     ``q`` renormalized on the rule when the window is finite.  ``x2s`` is
     read only for q1.
     """
-    y, w = _quad_grid(window, lambda1)
+    if window is not None:
+        window = (window[0] / lambda1, window[1] / lambda1)
+    y, w = _risk_rule(shapes.r_prime, window)
     truncated = window is not None and np.isfinite(window[1])
-    log_truth = dist.gamma_logpdf(dist.GammaModel(shapes.r_prime, lambda1), y)
+    log_truth = dist.gamma_logpdf(dist.GammaModel(shapes.r_prime, 1.0), y)
     if truncated:
         log_truth = log_truth - np.log(np.sum(w * np.exp(log_truth)))
     truth_pdf = np.exp(log_truth)
     kls = np.empty(len(x1s))
     for i, x1 in enumerate(x1s):
+        x1 = x1 / lambda1
         if kind == "q0":
             log_est = log_unrestricted_direct(y, x1, shapes.r1, shapes.r_prime)
         else:
-            log_est = log_restricted_ratio_form(y, x1, x2s[i], shapes.r1, shapes.r2, shapes.r_prime)
+            log_est = log_restricted_ratio_form(y, x1, x2s[i] / lambda1, shapes.r1, shapes.r2, shapes.r_prime)
         if truncated:
             log_est = log_est - np.log(np.sum(w * np.exp(log_est)))
         kls[i] = np.sum(w * truth_pdf * (log_truth - log_est))
     return kls
+
+
+def risk_kl_mpmath(kind: str, x1: float, x2, lambda1: float, shapes, window, dps: int = 30) -> float:
+    """One draw's KL of the truth ``Gam(r', lambda1)`` to q0 or q1 at
+    ``(x1, x2)`` on ``window`` (None for (0, inf)), by mpmath.
+
+    Regularized so that ``mpmath.quad`` sees smooth integrands at every
+    ``r'``: the node term ``(r'-1) log y`` cancels between ``log p`` and
+    ``log q`` before integrating, and on the piece that starts at 0 the
+    substitution ``u = y^r'`` takes up the truth's ``y^(r'-1) dy = du/r'``,
+    so no integrand has a power or a log singularity there.  On a window,
+    the KL of the renormalized densities is
+    ``E_W[log p - log q] - log P(W) + log Q(W)``: the truth's mass ``P`` is
+    ``gammainc``, q0's ``Q`` is ``betainc``, and q1's ``Q``, like q1's
+    ordering probabilities, is a quadrature of ``betainc``.  Works in units
+    of ``lambda1``, since the KL does not depend on it.
+    """
+    with mp.workdps(dps):
+        rp, r1 = mp.mpf(shapes.r_prime), mp.mpf(shapes.r1)
+        x1 = mp.mpf(x1) / mp.mpf(lambda1)
+        lo, hi = (0, mp.inf) if window is None else (mp.mpf(v) / mp.mpf(lambda1) for v in window)
+        a = r1 + rp
+        log_b = mp.log(mp.beta(rp, r1))
+        if kind == "q0":
+            def log_ratio(y):
+                return 0
+        else:
+            x2, r2 = mp.mpf(x2) / mp.mpf(lambda1), mp.mpf(shapes.r2)
+            log_den = mp.log(mp.betainc(r1, r2, 0, x1 / (x1 + x2), regularized=True))
+
+            def log_ratio(y):
+                return mp.log(mp.betainc(a, r2, 0, (x1 + y) / (x1 + y + x2), regularized=True)) - log_den
+
+        ys = sorted({lo, hi} | {v for v in (x1, mp.mpf(1), 4 * rp + 16) if lo < v < hi})
+
+        def integral(f):
+            # the integral of y^(r'-1) f(y) over the window, piece by piece
+            total = 0
+            for y0, y1 in zip(ys, ys[1:]):
+                if y0 == 0:
+                    total += mp.quad(lambda u: f(u ** (1 / rp)), [0, y1**rp]) / rp
+                else:
+                    total += mp.quad(lambda y: y ** (rp - 1) * f(y), [y0, y1])
+            return total
+
+        def g(y):
+            # log p - log q without the node term
+            return -y - mp.loggamma(rp) + log_b + rp * mp.log(x1) + a * mp.log1p(y / x1) - log_ratio(y)
+
+        p_mass = mp.gammainc(rp, lo, hi, regularized=True)
+        e_g = integral(lambda y: mp.exp(-y) * g(y)) / (mp.gamma(rp) * p_mass)
+        if window is None or hi == mp.inf:
+            log_q_mass = 0
+        elif kind == "q0":
+            log_q_mass = mp.log(mp.betainc(rp, r1, lo / (x1 + lo), hi / (x1 + hi), regularized=True))
+        else:
+            # q's log without the statistics' term, taken relative to its
+            # value at the window's midpoint: mpmath.quad's error is
+            # absolute, and q's mass may be far from 1
+            def log_f(y):
+                return -a * mp.log1p(y / x1) + log_ratio(y)
+
+            mid = (lo + hi) / 2
+            c = log_f(mid) + (rp - 1) * mp.log(mid)
+            q_mass = integral(lambda y: mp.exp(log_f(y) - c))
+            log_q_mass = mp.log(q_mass) + c - log_b - rp * mp.log(x1)
+        return float(e_g - mp.log(p_mass) + log_q_mass)

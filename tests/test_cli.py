@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import goaltime
-from goaltime.cli import main
+from goaltime.cli import build_parser, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -157,6 +157,28 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("goaltime: configuration error: ") and err.count("\n") == 1
         assert not dest.parent.exists()
+
+    def test_out_path_checked_before_the_command(self, capsys, monkeypatch, tmp_path):
+        # an --out that cannot be written exits 2 before any work is done
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(goaltime.evaluation, "risk_curve", never)
+        for dest in (tmp_path / "no-such-dir" / "x.csv", tmp_path):
+            code, out, err = run(capsys, "risk-curve", "--samples", "200", "--ratios", "1", "--out", str(dest))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("goaltime: configuration error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_path_check_leaves_the_file(self, tmp_path):
+        # the check neither creates nor truncates the file
+        dest = tmp_path / "x.csv"
+        resolve_config(build_parser().parse_args(["summarize", "--out", str(dest)]))
+        assert not dest.exists()
+        dest.write_text("keep")
+        resolve_config(build_parser().parse_args(["summarize", "--out", str(dest)]))
+        assert dest.read_text() == "keep"
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -103,6 +103,26 @@ class TestGeneralizedBetaPrime:
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
+class TestGaussJacobi:
+    @pytest.mark.parametrize("r_prime", [0.01, 0.3, 1.0, 5.0])
+    def test_moments_against_beta_function(self, r_prime):
+        # on [0, 1], with y = (1+x)/2, the rule of the weight y^(r'-1)
+        # integrates y^(r'-1) y^k to B(r'+k, 1) = 1/(r'+k) for every k < 2n
+        x, log_w = dist._gauss_jacobi(16, r_prime - 1.0)
+        w = np.exp(log_w) / 2.0**r_prime
+        y = 0.5 * (1.0 + x)
+        for k in range(32):
+            want = math.exp(special.betaln(r_prime + k, 1.0))
+            assert w @ y**k == pytest.approx(want, rel=5e-14), k
+
+    def test_large_exponent_stays_finite(self):
+        # the total mass 2^(beta+1)/(beta+1) overflows a double here; the
+        # log weights do not
+        x, log_w = dist._gauss_jacobi(16, 4999.0)
+        assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+        assert np.all(np.isfinite(log_w))
+
+
 class TestTruncate:
     def test_window_mass_matches_incomplete_beta(self):
         d = truncate(lambda y: beta_prime_pdf(3.0, 3.0, 35.85, y), 0.0, 60.0)

@@ -19,8 +19,8 @@ from goaltime.evaluation import (
     _BLOCK,
     RiskCurve,
     ShapeConfig,
-    _quad_grid,
     _risk_kls,
+    _risk_rule,
     frequentist_risk,
     prediction_error,
     risk_curve,
@@ -34,7 +34,13 @@ from goaltime.predictive import (
 
 from goaltime.specfun import log_betainc
 
-from oracles import kl_loss_quad, log_restricted_ratio_form, log_unrestricted_direct, risk_kls_per_draw
+from oracles import (
+    kl_loss_quad,
+    log_restricted_ratio_form,
+    log_unrestricted_direct,
+    risk_kl_mpmath,
+    risk_kls_per_draw,
+)
 
 TRUTH = GammaModel(3.0, 18.3)
 
@@ -154,6 +160,15 @@ class TestUnrestrictedRiskClosedForm:
         assert e.rejected == 0
         assert abs(e.risk - self.exact_risk(r1, rp)) <= 4 * e.std_err
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_monte_carlo_below_unit_future_shape(self, seed):
+        # at r' = 0.1 nearly all of the truth's mass lies in the rule's
+        # Gauss-Jacobi head; a rule that misses y^(r'-1) biased the risk by
+        # +2.7% there, about 16 standard errors at these draws
+        e = frequentist_risk(12.0, 6.0, ShapeConfig(r_prime=0.1), "q0", 1_000_000, seed)
+        assert e.rejected == 0
+        assert abs(e.risk - self.exact_risk(3.0, 0.1)) <= 4 * e.std_err
+
 
 def draw_statistics(kind, samples, seed, shapes=ShapeConfig(), lambda1=12.0, lambda2=6.0):
     """The statistics ``frequentist_risk`` draws at ``seed``: x1, and x2 for q1 only."""
@@ -164,14 +179,18 @@ def draw_statistics(kind, samples, seed, shapes=ShapeConfig(), lambda1=12.0, lam
 
 
 def summand_size(kind, x1, x2, lambda1, shapes, window):
-    """The size of the terms a draw's KL sums: the absolute values of the
-    terms of log p and of the oracle's log q at each node, weighted by the
-    truth's ``v`` (``evaluation._risk_kls``), plus the log masses on a
-    finite window."""
-    y, w = _quad_grid(window, lambda1)
+    """The size of the terms a draw's KL sums, in the engine's units of
+    ``lambda1``: the absolute values of the terms of log p and of the
+    oracle's log q at each node of ``_risk_rule``, weighted by the truth's
+    ``v`` (``evaluation._risk_kls``), plus the log masses on a finite
+    window."""
+    x1, x2 = x1 / lambda1, x2 / lambda1
+    if window is not None:
+        window = (window[0] / lambda1, window[1] / lambda1)
     r1, rp = shapes.r1, shapes.r_prime
-    log_p = gamma_logpdf(GammaModel(rp, lambda1), y)
-    size = abs(rp - 1.0) * np.abs(np.log(y)) + y / lambda1 + abs(math.lgamma(rp)) + rp * abs(math.log(lambda1))
+    y, w = _risk_rule(rp, window)
+    log_p = gamma_logpdf(GammaModel(rp, 1.0), y)
+    size = abs(rp - 1.0) * np.abs(np.log(y)) + y + abs(math.lgamma(rp))
     size += (
         abs(special.betaln(rp, r1)) + abs(math.log(x1)) + abs(rp - 1.0) * np.abs(np.log(y / x1))
         + (rp + r1) * np.log1p(y / x1)
@@ -221,7 +240,7 @@ class TestFrequentistRisk:
 
     @pytest.mark.parametrize("kind", ["q0", "q1"])
     def test_per_draw_engine_matches_adaptive_kl_untruncated(self, kind):
-        # the map y = t/(1-t) of the 200 nodes onto (0, inf)
+        # the head panel and the map y = h + s/(1-s) of the rule onto (0, inf)
         self.engine_against_adaptive_kl(kind, None)
 
     @pytest.mark.parametrize("window", [None, (0.0, 60.0)])
@@ -234,17 +253,52 @@ class TestFrequentistRisk:
         kls = risk_kls_per_draw(kind, x1, x2, 12.0, shapes, window)
         # a draw's KL k - log q . v is the difference of two sums of size
         # about 4, so it carries about 1e-15 of absolute rounding (up to
-        # 2.8e-15 here, 2e-13 relative to the smallest KLs on the window)
+        # 5.3e-15 here, 9e-14 relative to the smallest KLs on the window)
         np.testing.assert_allclose(_risk_kls(kind, x1, x2, 12.0, shapes, window), kls, rtol=1e-13, atol=1e-14)
         got = frequentist_risk(12.0, 6.0, shapes, kind, samples, seed=17, window=window)
         assert got.rejected == 0
         assert got.risk == pytest.approx(kls.mean(), rel=1e-13)
         assert got.std_err == pytest.approx(kls.std(ddof=1) / math.sqrt(samples), rel=1e-13)
 
+    @pytest.mark.parametrize("window", [None, (0.0, 60.0), (5.0, 45.0)])
+    @pytest.mark.parametrize("kind", ["q0", "q1"])
+    def test_per_draw_kl_against_mpmath(self, kind, window):
+        # the rule against a regularized mpmath reference over r' in
+        # [0.01, 6] and x1 in [1e-2, 1e4] lambda1: the domain's corners and
+        # one inner point, integer and non-integer r2; a rule without the
+        # y^(r'-1) head was off by up to 5e-2 at r' = 0.3
+        lam = 12.0
+        points = [
+            # r1, r2, r', x1 / lambda1, x2 / lambda1
+            (3.0, 3.0, 0.01, 1e-2, 0.5),
+            (3.0, 2.5, 0.01, 1e4, 1e-2),
+            (1.5, 3.0, 6.0, 1e-2, 1e4),
+            (3.0, 2.5, 6.0, 1e4, 30.0),
+            (2.5, 4.0, 0.4, 1.0, 0.5),
+        ]
+        for r1, r2, rp, x1, x2 in points:
+            shapes = ShapeConfig(r1=r1, r2=r2, r_prime=rp)
+            rival = np.array([lam * x2]) if kind == "q1" else None
+            got = _risk_kls(kind, np.array([lam * x1]), rival, lam, shapes, window)[0]
+            want = risk_kl_mpmath(kind, lam * x1, lam * x2, lam, shapes, window)
+            assert abs(got - want) <= 2e-13 * max(1.0, abs(want)), (r1, r2, rp, x1, x2, got, want)
+
+    @pytest.mark.parametrize("r_prime", [0.01, 1.0, 6.0])
+    @pytest.mark.parametrize("window", [None, (0.0, 5.0), (0.0, 1e-3), (0.4, 3.75), (0.0, 1e4)])
+    def test_rule_layout(self, r_prime, window):
+        # one set of at most 120 nodes per call, inside the window, ascending,
+        # with positive weights that integrate the truth to its mass there
+        y, w = _risk_rule(r_prime, window)
+        lo, hi = window or (0.0, np.inf)
+        assert y.size <= 120
+        assert np.all((y > lo) & (y < hi)) and np.all(np.diff(y) > 0) and np.all(w > 0)
+        want = special.gammainc(r_prime, hi) - special.gammainc(r_prime, lo)
+        assert w @ gamma_pdf(GammaModel(r_prime, 1.0), y) == pytest.approx(want, rel=1e-13)
+
     @given(
         r1=st.floats(1.05, 12.0),
         r2=st.one_of(st.integers(2, 12).map(float), st.floats(1.05, 12.0)),
-        rp=st.floats(0.3, 12.0),
+        rp=st.floats(0.01, 12.0),
         log_x1=st.floats(-2.0, 4.0),
         log_x2=st.floats(-2.0, 4.0),
         window=st.sampled_from([None, (0.0, 60.0)]),
@@ -260,7 +314,7 @@ class TestFrequentistRisk:
         # the engine's separable kernel against the ratio-form oracle, over
         # non-integer shapes and extreme statistics.  Both round sums of
         # terms of size M (summand_size); up to M = 50, above its largest
-        # value at the draws of test_blocks_against_per_draw_oracle (46),
+        # value at the draws of test_blocks_against_per_draw_oracle (33),
         # the bound is that test's, and beyond it grows by 2 eps M
         shapes = ShapeConfig(r1=r1, r2=r2, r_prime=rp)
         x1, x2 = 10.0**log_x1, 10.0**log_x2
@@ -389,11 +443,13 @@ class TestFrequentistRisk:
         # at one seed the draws are lambda1 times the same standard gamma
         # draws, and the untruncated rule follows lambda1, so the risks
         # agree up to rounding at every scale; a rule in absolute units
-        # read -0.0 at 1e-6 and 1e8, and 0.2759 for q1's 0.2957 at 1e3
-        lambdas = (1e-6, 1e-3, 12.0, 1e3, 1e5, 1e8)
+        # read -0.0 at 1e-6 and 1e8, and 0.2759 for q1's 0.2957 at 1e3, and
+        # one scaled by lambda1 overflowed at 1e304; the engine works in
+        # units of lambda1
+        lambdas = (1e-300, 1e-6, 1e-3, 12.0, 1e3, 1e5, 1e8, 1e304)
         risks = [frequentist_risk(lam, lam / 2, ShapeConfig(), kind, 2000, seed=1) for lam in lambdas]
         assert all(e.rejected == 0 for e in risks)
-        np.testing.assert_allclose([e.risk for e in risks], risks[2].risk, rtol=1e-9)
+        np.testing.assert_allclose([e.risk for e in risks], risks[3].risk, rtol=1e-9)
 
     def test_ordering_precondition(self):
         with pytest.raises(DomainError):
