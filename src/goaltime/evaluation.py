@@ -26,9 +26,9 @@ quadrature and against a regularized mpmath reference:
   there is no singularity, and it is a Gauss-Legendre panel.  The width
   balances the draws' scale against the truth's: the estimate's pole at
   ``y = -x1`` must stay clear of the head, and the truth's ``y^(r'-1)``
-  of the mapped nodes.  At ``h = 1/64`` a draw at ``x1 = 3e-3`` read
-  1e-7 off on (0, 60) at ``r' = 6``; at ``1/256`` one at ``r' = 0.3``
-  read 1e-12 off at every ``x1``;
+  of the mapped nodes.  At ``h = 1/64`` a draw at ``x1 = 3e-3 lam1``
+  read 1e-7 off on (0, 60) at ``r' = 6``; at ``1/256`` draws at
+  ``r' = 0.3`` read up to 4e-12 off at every ``x1``;
 * 100 Gauss-Legendre nodes on [lo + h, hi], mapped through
   ``y = lo + h + c s/(1-s)`` with ``c = max(1, r'/4)``, so that they
   follow the truth's bulk and reach to infinity on the untruncated
