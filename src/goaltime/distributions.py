@@ -22,14 +22,22 @@ the samples in ``TruncatedDensity.grid``:
   neither the mass nor the mean has a relative share above 2^-60, and
   panels growing fourfold span the tail up to that edge.
 
-The window mass, the mean and the cumulative panel masses are sums over
-that grid; the CDF adds one Gauss-Legendre panel from the nearest panel
-edge; quantiles take safeguarded Newton steps on that CDF, each one density
-call that samples the iterate beside its partial panel's nodes, and a lane
-ends once its Newton step falls below rounding (a lane left unconverged
-raises ``ConvergenceError``); the mode is the grid argmax, refined by
-shrinking a bracket around it and finished by Newton steps on a five-point
-derivative.  No adaptive integrator, root finder or optimizer runs.
+The same call samples the density at the mode's two edge candidates, just
+inside the window and the grid's top.  The window mass, the mean and the
+cumulative panel masses are sums over that grid, and the mass below each
+node is one product of the panel values with a fixed 16 x 16 integration
+matrix (``_GL_CUM``, which integrates the panel's interpolating polynomial
+from its lower edge to each node; built at import from the Legendre
+recurrence).  The CDF adds one Gauss-Legendre panel from the nearest panel
+edge.  Quantiles take safeguarded Newton steps on that CDF, each one
+density call that samples the iterate beside its partial panel's nodes;
+each starts between the two nodes whose mass brackets its level, by inverse
+cubic Hermite interpolation with ``dy/dF = 1/f``, so most end after two
+calls, and a lane ends once its Newton step falls below rounding (a lane
+left unconverged raises ``ConvergenceError``).  The mode is the grid
+argmax, refined by shrinking a bracket around it and finished by Newton
+steps on a five-point derivative.  No adaptive integrator, root finder or
+optimizer runs.
 
 ``_gauss_jacobi`` builds the Gauss rule of the weight ``(1+x)^beta`` by
 Golub and Welsch, in numpy alone; the risk's rule (``evaluation``) takes
@@ -117,6 +125,32 @@ def _gauss_panels(a, b):
     return a + half * _GL_X1, half * _GL_W
 
 
+def _integration_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The matrix ``M`` whose row ``j`` integrates, from -1 to ``x[j]``, the
+    polynomial that interpolates values at the n Gauss-Legendre nodes ``x``
+    (weights ``w``): ``M @ f`` is that integral at every node.
+
+    The interpolant's Legendre coefficients are ``(m + 1/2) sum_k w_k
+    P_m(x_k) f_k`` (the rule is exact for ``P_m P_k``, degree below 2n),
+    and ``P_m`` integrates from -1 to ``(P_{m+1} - P_{m-1}) / (2m + 1)``
+    (``x + 1`` for ``m = 0``); the ``P_m(x_k)`` come from the three-term
+    recurrence.
+    """
+    n = x.size
+    p = np.empty((n + 1, n))
+    p[0], p[1] = 1.0, x
+    for m in range(1, n):
+        p[m + 1] = ((2 * m + 1) * x * p[m] - m * p[m - 1]) / (m + 1)
+    m = np.arange(1.0, n)[:, None]
+    integral = np.concatenate(([x + 1.0], (p[2:] - p[:-2]) / (2.0 * m + 1.0)))
+    coef = (np.arange(n)[:, None] + 0.5) * p[:-1] * w
+    return integral.T @ coef
+
+
+_GL_CUM = _integration_matrix(_GL_X, _GL_W)
+_PAIR = np.array([-1, 0])  # a node's offset from the first node above a level
+
+
 def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and log weights of the n-node Gauss rule on [-1, 1] for the
     weight ``(1+x)^beta``, ``beta > -1``: it integrates ``(1+x)^beta g(x)``
@@ -188,14 +222,19 @@ def _panel_edges(base, lo: float, hi: float) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class DensityGrid:
     """A density sampled on its window grid: panel edges, nodes, weights,
-    values, and ``cum``, the mass below each panel edge."""
+    values, ``cum``, the mass below each panel edge, ``node_cum``, the mass
+    below each node (flat, in the nodes' order), and the density at
+    ``ends``, the mode's two edge candidates."""
 
     edges: np.ndarray
     y: np.ndarray
     w: np.ndarray
     f: np.ndarray
     cum: np.ndarray
+    node_cum: np.ndarray
     bulk: float
+    ends: np.ndarray
+    f_ends: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -265,12 +304,24 @@ def truncate(base, lo: float, hi: float) -> TruncatedDensity:
         raise DomainError(f"empty window ({lo}, {hi})")
     edges, bulk = _panel_edges(base, lo, hi)
     y, w = _gauss_panels(edges[:-1], edges[1:])
-    f = np.asarray(base(y.ravel()), dtype=float).reshape(y.shape)
-    mass = float(np.sum(w * f))
+    # the mode's edge candidates, eps inside the window and its grid's top,
+    # ride along in the one density call
+    eps = 1e-9 * bulk
+    ends = np.array([lo + eps, edges[-1] - eps])
+    f = np.asarray(base(np.concatenate((y.ravel(), ends))), dtype=float)
+    f, f_ends = f[:-2].reshape(y.shape), f[-2:]
+    wf = w * f
+    mass = float(np.sum(wf))
     if not (np.isfinite(mass) and mass > 0):
         raise DegenerateWindowError(f"window ({lo}, {hi}) has mass {mass}")
-    cum = np.concatenate(([0.0], np.cumsum(np.sum(w * f, axis=1))))
-    grid = DensityGrid(edges=edges, y=y, w=w, f=f, cum=cum, bulk=bulk)
+    cum = np.concatenate(([0.0], np.cumsum(np.sum(wf, axis=1))))
+    # the mass below each node: its panel's, plus the integral of the
+    # interpolant of f from the panel's lower edge (w / _GL_W is half its width)
+    node_cum = (wf / _GL_W) @ _GL_CUM.T
+    node_cum += cum[:-1, None]
+    grid = DensityGrid(
+        edges=edges, y=y, w=w, f=f, cum=cum, node_cum=node_cum.ravel(), bulk=bulk, ends=ends, f_ends=f_ends
+    )
     return TruncatedDensity(base=base, lo=float(lo), hi=float(hi), mass=mass, grid=grid)
 
 
@@ -281,12 +332,46 @@ class DensitySummary:
     quantiles: dict[float, float]
 
 
+def _newton_start(d: TruncatedDensity, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and bracket of each quantile's Newton steps.
+
+    The bracket is the panel whose cumulative mass holds ``target``.  The
+    start lies between the two grid nodes whose CDF (``DensityGrid.node_cum``)
+    brackets it, by inverse cubic Hermite interpolation of ``y(F)`` with
+    ``dy/dF = 1/f``.  Where that point is not finite or leaves the panel (a
+    level before the grid's first node or past its last, or beside a node
+    where the density is 0), the start is linear in cumulative mass across
+    the whole panel, and an empty panel's 0/0 starts at its left edge.
+    """
+    g = d.grid
+    cum = g.cum
+    k = cum[1:-1].searchsorted(target, side="right")
+    left, right = g.edges[k], g.edges[k + 1]
+    pair = g.node_cum.searchsorted(target, side="right")[:, None] + _PAIR
+    c0, c1 = g.node_cum.take(pair, mode="clip").T
+    y0, y1 = g.y.take(pair, mode="clip").T
+    f0, f1 = g.f.take(pair, mode="clip").T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dc = c1 - c0
+        s = (target - c0) / dc
+        t = y0 + s * s * (3.0 - 2.0 * s) * (y1 - y0) + s * (s - 1.0) * ((s - 1.0) * dc / f0 + s * dc / f1)
+        ok = (t > left) & (t < right)
+        if not ok.all():
+            share = (target - cum[k]) / (cum[k + 1] - cum[k])
+            # an empty panel's 0/0 starts at its left edge
+            share = np.where(np.isnan(share), 0.0, share)
+            linear = left + (right - left) * np.minimum(np.maximum(share, 0.0), 1.0)
+            t = np.where(ok, t, linear)
+    return t, left, right
+
+
 def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
     """Quantiles by safeguarded Newton steps on the grid CDF.
 
     Each quantile starts inside the panel whose cumulative mass brackets
-    it.  A step makes one density call, which gives both the CDF residual
-    and the density at the iterate (``TruncatedDensity._partial_panel``).
+    it, from the CDF at the grid's nodes (``_newton_start``).  A step
+    makes one density call, which gives both the CDF residual and the
+    density at the iterate (``TruncatedDensity._partial_panel``).
     A lane whose Newton step falls below rounding (``4 eps`` of the iterate)
     has reached its root and stays there; any other Newton step that leaves
     the current bracket is replaced by bisection, and a lane also ends once
@@ -295,16 +380,8 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
     Raises:
         ConvergenceError: if some lane has not ended after ``_MAX_STEPS``.
     """
-    g = d.grid
-    cum = g.cum
     target = probs * d.mass
-    k = np.minimum(np.maximum(cum.searchsorted(target, side="right") - 1, 0), len(g.edges) - 2)
-    left, right = g.edges[k], g.edges[k + 1]
-    with np.errstate(invalid="ignore"):
-        share = (target - cum[k]) / (cum[k + 1] - cum[k])
-    # an empty panel's 0/0 starts at its left edge
-    share = np.where(np.isnan(share), 0.0, share)
-    t = left + (right - left) * np.minimum(np.maximum(share, 0.0), 1.0)
+    t, left, right = _newton_start(d, target)
     for _ in range(_MAX_STEPS):
         below, f = d._partial_panel(t)
         resid = below - target
@@ -346,14 +423,12 @@ def _mode(d: TruncatedDensity) -> float:
     caller ignores division by zero around the whole search.
     """
     g = d.grid
-    eps = 1e-9 * g.bulk
-    top = min(d.hi, g.edges[-1])
-    lo, hi = d.lo + eps, top - eps
+    top = g.edges[-1]
+    lo, hi = g.ends
     y, f = g.y.ravel(), g.f.ravel()
     inside = (y > lo) & (y < hi)
-    ys = np.concatenate(([lo], y[inside], [hi]))
-    f_lo, f_hi = d.base(np.array([lo, hi]))
-    fs = np.concatenate(([f_lo], f[inside], [f_hi]))
+    ys = np.concatenate((g.ends[:1], y[inside], g.ends[1:]))
+    fs = np.concatenate((g.f_ends[:1], f[inside], g.f_ends[1:]))
     i = int(np.argmax(fs))
     a, b = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
     for _ in range(_MAX_STEPS):
@@ -383,14 +458,16 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
     """Mode, mean, and quantiles of a truncated density, from its window grid.
 
     The mean is a weighted sum over the grid; each quantile inverts the
-    grid CDF to a few ulps.  Over r' in [0.5, 6], r1, r2 in [1.5, 6] and
-    statistics in [1e-2, 1e4], on finite and infinite windows, the window
-    mass and the mean agree with closed forms and adaptive quadrature to
-    about 1e-14 relative, and every quantile's CDF with its level to about
-    1e-14.  The mode is the grid argmax, with both window edges as
-    candidates, refined to about 1e-11 of the density's width: on the
-    fixtures it is within 2e-10 min of the closed-form (q0) and mpmath
-    (q1) modes.
+    grid CDF to a few ulps, by Newton steps that start from the CDF at the
+    grid's nodes (mostly two density calls for all levels together).  Over
+    r' in [0.5, 6], r1, r2 in [1.5, 6] and statistics in [1e-2, 1e4], on
+    finite and infinite windows, the window mass and the mean agree with
+    closed forms and adaptive quadrature to about 1e-14 relative, and every
+    quantile's CDF with its level to about 1e-14.  The mode is the grid
+    argmax, with both window edges as candidates (sampled by ``truncate``
+    in the grid's own density call), refined to about 1e-11 of the
+    density's width: on the fixtures it is within 2e-10 min of the
+    closed-form (q0) and mpmath (q1) modes.
     """
     probs = np.asarray(probs, dtype=float)
     bad = probs[~((probs > 0.0) & (probs < 1.0))]

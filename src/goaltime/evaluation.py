@@ -96,7 +96,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import predictive as pred
-from .errors import DivergenceError, DomainError, MonteCarloError
+from .errors import DegenerateWindowError, DivergenceError, DomainError, MonteCarloError
 
 log = logging.getLogger(__name__)
 
@@ -236,18 +236,21 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     estimator ``kind`` at each statistic ``(x1[i], x2[i])``, ``x2`` None for
     q0 (module docstring); non-finite where the estimate fails."""
     r1, r_prime = shapes.r1, shapes.r_prime
-    # the ordering probability depends on x1/(x1 + x2) alone; the rest works
-    # in units of lambda1, the statistics divided block by block
-    log_den = 0.0 if x2 is None else pred._log_ordering_probability(x1, x2, r1, shapes.r2)
-    if window is not None:
-        window = (window[0] / lambda1, window[1] / lambda1)
-    y, w = _risk_rule(r_prime, window)
-    truncated = window is not None and np.isfinite(window[1])
+    # the engine works in units of lambda1, the statistics divided block by
+    # block
+    scaled = None if window is None else (window[0] / lambda1, window[1] / lambda1)
+    y, w = _risk_rule(r_prime, scaled)
+    truncated = scaled is not None and np.isfinite(scaled[1])
     log_truth = dist.gamma_logpdf(dist.GammaModel(r_prime, 1.0), y)
     log_node = (r_prime - 1.0) * np.log(y)
     # a draw's KL is k - log q . v (module docstring)
     if truncated:
         mass = np.sum(w * np.exp(log_truth))
+        # the truth's window mass depends on no draw
+        if not mass > 0:
+            raise DegenerateWindowError(
+                f"the truth Gamma(r' = {r_prime}, lambda1 = {lambda1}) has no mass in doubles on the window {window}"
+            )
         log_truth = log_truth - np.log(mass)
         k_truth = log_truth
     else:
@@ -256,6 +259,8 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     v = w * np.exp(log_truth)
     k = v @ k_truth
     v_sum = v.sum()
+    # the ordering probability depends on x1/(x1 + x2) alone
+    log_den = 0.0 if x2 is None else pred._log_ordering_probability(x1, x2, r1, shapes.r2)
 
     samples = x1.size
     block = min(_BLOCK, samples)
@@ -328,6 +333,11 @@ def frequentist_risk(
     Returns:
         RiskEstimate with the sample mean, its standard error, and the
         count of rejected draws (evaluation failures, at most 0.1%).
+
+    Raises:
+        DegenerateWindowError: if the truth has no mass in doubles on the
+            window, before any draw is scored.
+        MonteCarloError: if more than 0.1% of the draws fail.
     """
     if estimator_kind not in ("q0", "q1"):
         raise DomainError(f"unknown estimator kind {estimator_kind!r}")

@@ -5,6 +5,15 @@ run the script in both checkouts and compare the printed hashes,
 
     PYTHONPATH=src python tests/digest.py
 
+A change that moves some output at rounding level says how far: dump the
+raw values in one checkout and compare them in the other,
+
+    PYTHONPATH=src python tests/digest.py --dump parent.npz
+    PYTHONPATH=src python tests/digest.py --against parent.npz
+
+``--against`` prints, after the hash lines, each section's largest
+relative and ulp difference and how many values differ.
+
 It reads only public names (``goaltime`` and the ``log_*_base`` functions
 of ``goaltime.predictive``), so it runs unchanged in an older checkout.
 The sweep covers integer and non-integer shapes and the windows (0, 60),
@@ -26,6 +35,7 @@ exception's class name.  The pytest run does not collect this file.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 
 import numpy as np
@@ -62,13 +72,27 @@ STATS_PER_SHAPE = 4
 LAMBDA1, LAMBDA2 = 12.0, 6.0
 
 
+class Sink:
+    """One section's hash and, in the order fed, its raw float values and
+    the reprs of everything else."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.floats = []
+        self.other = []
+
+
 def _feed(h, value) -> None:
     """Hash ``value`` bit for bit: float arrays by their bytes, anything
     else by its repr."""
     if isinstance(value, (float, np.floating, np.ndarray)):
-        h.update(np.ascontiguousarray(value, dtype=float).tobytes())
+        value = np.ascontiguousarray(value, dtype=float)
+        h.hash.update(value.tobytes())
+        h.floats.append(value.ravel())
     else:
-        h.update(repr(value).encode())
+        text = repr(value)
+        h.hash.update(text.encode())
+        h.other.append(text)
 
 
 def _call(h, fn, *args) -> None:
@@ -170,15 +194,52 @@ SECTIONS = {
 }
 
 
-def main() -> None:
+def _ordered(x: np.ndarray) -> np.ndarray:
+    """Doubles as integers in the same order, one apart per ulp."""
+    i = x.view(np.int64)
+    return np.where(i < 0, np.int64(-(2**63)) - i, i)
+
+
+def compare(ours: dict, theirs: dict) -> str:
+    """One line per section: the largest relative and ulp difference of its
+    float values, and how many of them differ (NaN equals NaN)."""
+    lines = []
+    for name in SECTIONS:
+        a, b = ours[f"{name}.floats"], theirs[f"{name}.floats"]
+        if a.shape != b.shape or not np.array_equal(ours[f"{name}.other"], theirs[f"{name}.other"]):
+            lines.append(f"{name:18s} differs in structure: {a.size} against {b.size} values")
+            continue
+        differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
+        a, b = a[differ], b[differ]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.max(np.abs(a - b) / np.abs(b), initial=0.0)
+        ulp = max((abs(int(u) - int(v)) for u, v in zip(_ordered(a), _ordered(b))), default=0)
+        lines.append(f"{name:18s} max rel {rel:.3g}  max ulp {ulp}  ({a.size} of {differ.size} values differ)")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="SHA-256 hashes over a seeded sweep of the public API")
+    parser.add_argument("--dump", metavar="PATH", help="write each section's raw values to PATH (.npz)")
+    parser.add_argument("--against", metavar="PATH", help="compare the raw values with a --dump file")
+    args = parser.parse_args(argv)
     total = hashlib.sha256()
+    values = {}
     with np.errstate(all="ignore"):
         for name, sweep in SECTIONS.items():
-            h = hashlib.sha256()
+            h = Sink()
             sweep(h)
-            total.update(h.digest())
-            print(f"{name:18s} {h.hexdigest()}")
+            total.update(h.hash.digest())
+            print(f"{name:18s} {h.hash.hexdigest()}")
+            values[f"{name}.floats"] = np.concatenate(h.floats) if h.floats else np.empty(0)
+            values[f"{name}.other"] = np.array(h.other, dtype=str)
     print(f"{'total':18s} {total.hexdigest()}")
+    if args.dump:
+        with open(args.dump, "wb") as fh:
+            np.savez(fh, **values)
+    if args.against:
+        with np.load(args.against) as theirs:
+            print(compare(values, dict(theirs)))
 
 
 if __name__ == "__main__":

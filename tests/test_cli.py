@@ -196,6 +196,18 @@ class TestNumericalFailure:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_risk_window_without_truth_mass_exits_3(self, capsys):
+        # one precise error, raised before any draw, and no numpy warning
+        code, out, err = run(
+            capsys, "risk-curve", "--r-prime", "1000", "--window", "0,60", "--samples", "200", "--ratios", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "goaltime: numerical failure: the truth Gamma(r' = 1000.0, lambda1 = 12.0)"
+            " has no mass in doubles on the window (0.0, 60.0)\n"
+        )
+
 
 class TestSummarize:
     def test_reference_rows(self, capsys):

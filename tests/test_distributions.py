@@ -123,6 +123,21 @@ class TestGaussJacobi:
         assert np.all(np.isfinite(log_w))
 
 
+class TestIntegrationMatrix:
+    def test_integrates_monomials(self):
+        # row j integrates the interpolant from -1 to node j, so it is exact
+        # for x^k, k below the node count
+        x = dist._GL_X
+        for k in range(dist._GL_ORDER):
+            want = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            np.testing.assert_allclose(dist._GL_CUM @ x**k, want, rtol=0, atol=1e-15, err_msg=str(k))
+
+    def test_node_cum_matches_cdf(self):
+        d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 18.3), y), 0.0, 60.0)
+        g = d.grid
+        np.testing.assert_allclose(g.node_cum / d.mass, d.cdf(g.y.ravel()), rtol=0, atol=1e-14)
+
+
 class TestTruncate:
     def test_window_mass_matches_incomplete_beta(self):
         d = truncate(lambda y: beta_prime_pdf(3.0, 3.0, 35.85, y), 0.0, 60.0)
@@ -216,10 +231,13 @@ class TestQuantileNewton:
     # a lane that reached its root at step 3 used to bisect a stale bracket
     # for 40 more steps, two density calls each: 90 calls for three levels
     STALE_BRACKET = dict(x1=35.8482, x2=50.0, r1=2.0, r2=2.0, rp=3.0)
-    MAX_CALLS = 6
-    # the most steps seen over 23500 densities of the domain below was 13
-    # (twice), against 54 before a converged lane stayed put
-    MAX_STEPS = 16
+    # the most calls measured on these three densities since each level
+    # starts from the node-level CDF (6 before)
+    MAX_CALLS = 2
+    # the most steps seen over 24000 seeded densities of the domain below
+    # is 10 (three times) since each level starts from the node-level CDF;
+    # it was 13 from a linear start, 54 before a converged lane stayed put
+    MAX_STEPS = 13
 
     @staticmethod
     def q1(x1, x2, r1, r2, rp, window=(0.0, 60.0)):
@@ -271,6 +289,77 @@ class TestQuantileNewton:
         assert len(calls) <= self.MAX_STEPS
         assert np.all(np.abs(d.cdf(q) - PROBS) <= 1e-10), q
 
+    # fixed before the run: the mean density calls per _quantiles over q0 and
+    # q1 at seeded points of the domain above; measured 2.37 and 3.29 (4.75
+    # and 6.85 from a linear start across the whole panel)
+    MEAN_CALLS = {60.0: 2.5, np.inf: 3.5}
+
+    @pytest.mark.parametrize("hi", [60.0, np.inf])
+    def test_mean_calls(self, hi):
+        rng = np.random.default_rng(2026)
+        counts = []
+        for _ in range(150):
+            r1, r2, rp = rng.uniform(1.5, 6.0), rng.uniform(1.5, 6.0), rng.uniform(0.5, 6.0)
+            x1, x2 = 10.0 ** rng.uniform(-2.0, 4.0, 2)
+            problem = PredictionProblem(
+                obs_a=SufficientStat(x=x1, r=r1), obs_b=SufficientStat(x=x2, r=r2), r_prime=rp, window=(0.0, hi)
+            )
+            for build in (unrestricted_predictive, restricted_predictive):
+                counted, calls = counting(build(problem))
+                dist._quantiles(counted, PROBS)
+                counts.append(len(calls))
+        assert np.mean(counts) <= self.MEAN_CALLS[hi]
+
+    @staticmethod
+    def assert_levels_met(d, probs):
+        q = dist._quantiles(d, probs)
+        np.testing.assert_allclose(d.cdf(q), probs, rtol=0, atol=1e-14)
+        return q
+
+    def test_level_in_an_empty_panel(self):
+        # the last growth panel of gamma(3, 5) on (0, inf), [256, 1024],
+        # holds no mass in doubles, and the largest level below 1 falls in it
+        d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 5.0), y), 0.0, np.inf)
+        g = d.grid
+        p = np.array([1.0 - 2.0**-53])
+        assert g.cum[-1] == g.cum[-2] <= p[0] * d.mass
+        t, left, _ = dist._newton_start(d, p * d.mass)
+        assert t[0] == left[0] == g.edges[-2]
+        self.assert_levels_met(d, p)
+
+    def test_levels_in_the_last_growth_panel_with_mass(self):
+        d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 5.0), y), 0.0, np.inf)
+        g = d.grid
+        probs = np.array([0.9999, 1.0 - 1e-9, 1.0 - 1e-13])
+        # the panel [64, 256], after which no mass is left in doubles
+        assert np.all(g.cum[1:-1].searchsorted(probs * d.mass, side="right") == len(g.edges) - 3)
+        self.assert_levels_met(d, probs)
+
+    def test_levels_before_a_panels_first_node(self):
+        d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 18.3), y), 0.0, 60.0)
+        g = d.grid
+        n = dist._GL_ORDER
+        # halfway in mass from a panel's lower edge to its first node: in
+        # the grid's first panel, where no node lies below, and in a bulk panel
+        panels = np.array([0, len(g.edges) - 9])
+        target = 0.5 * (g.cum[panels] + g.node_cum[n * panels])
+        t, left, right = dist._newton_start(d, target)
+        assert np.all((t >= left) & (t <= right))
+        self.assert_levels_met(d, target / d.mass)
+
+    def test_levels_in_graded_panels(self):
+        # r' = 0.3: the mass piles up at 0, and the levels below about 0.1
+        # fall in the panels graded toward it
+        problem = PredictionProblem(
+            obs_a=SufficientStat(x=50.0, r=3.0), obs_b=SufficientStat(x=50.0, r=3.0), r_prime=0.3, window=(0.0, 60.0)
+        )
+        d = unrestricted_predictive(problem)
+        g = d.grid
+        probs = 10.0 ** np.arange(-11.0, 0.0)
+        graded = len(g.edges) - 1 - dist._BULK_PANELS
+        assert np.sum(g.cum[1:-1].searchsorted(probs * d.mass, side="right") < graded) >= 8
+        self.assert_levels_met(d, probs)
+
     def test_step_exhaustion_raises(self, monkeypatch, capsys):
         d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 18.3), y), 0.0, 60.0)
         monkeypatch.setattr(dist, "_MAX_STEPS", 1)
@@ -278,6 +367,53 @@ class TestQuantileNewton:
             summarize(d)
         assert cli.main(["summarize"]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestModeEdgeSamples:
+    """The mode's two edge candidates are sampled in the build's density
+    call, not in a call of their own."""
+
+    @pytest.mark.parametrize("hi, build_calls", [(60.0, 1), (np.inf, 2)])
+    def test_one_call_per_build(self, hi, build_calls):
+        # the grid's own call, after the probe on an infinite window
+        calls = []
+
+        def base(y):
+            calls.append(np.shape(y))
+            return gamma_pdf(GammaModel(3.0, 18.3), y)
+
+        d = truncate(base, 0.0, hi)
+        assert len(calls) == build_calls
+        assert calls[-1] == (d.grid.y.size + 2,)
+
+    def test_no_call_of_two_points(self):
+        a = reduce_to_stat(parse_game_log(toronto_fixture_path()), "Toronto Maple Leafs", r=3.0)
+        b = reduce_to_stat(parse_game_log(canadiens_fixture_path()), "Montreal Canadiens", r=3.0)
+        for window in [(0.0, 60.0), (5.0, 45.0), (0.0, np.inf)]:
+            problem = PredictionProblem(obs_a=a, obs_b=b, r_prime=3.0, window=window)
+            for build in (unrestricted_predictive, restricted_predictive):
+                counted, calls = counting(build(problem))
+                summarize(counted)
+                assert (2,) not in calls
+
+    def test_modes_as_from_a_call_of_their_own(self):
+        # the edge samples, and so every mode, are bit-identical to a
+        # separate call of the density at the two edge candidates, as the
+        # mode search made before; over the statistics of tests/digest.py
+        import digest
+
+        for (r1, r2, rp), x1, x2 in digest._statistics():
+            for window in digest.WINDOWS:
+                problem = PredictionProblem(
+                    obs_a=SufficientStat(x1, r1), obs_b=SufficientStat(x2, r2), r_prime=rp, window=window
+                )
+                for build in (unrestricted_predictive, restricted_predictive):
+                    d = build(problem)
+                    own = np.asarray(d.base(np.array(d.grid.ends)), dtype=float)
+                    assert own.tobytes() == d.grid.f_ends.tobytes()
+                    apart = dataclasses.replace(d, grid=dataclasses.replace(d.grid, f_ends=own))
+                    with np.errstate(divide="ignore"):
+                        assert dist._mode(apart) == dist._mode(d)
 
 
 class TestPdfContract:

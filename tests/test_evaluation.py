@@ -14,7 +14,7 @@ from scipy import special
 import goaltime
 from goaltime import evaluation
 from goaltime.distributions import GammaModel, gamma_logpdf, gamma_pdf, truncate
-from goaltime.errors import DivergenceError, DomainError, InvalidShapeError, MonteCarloError
+from goaltime.errors import DegenerateWindowError, DivergenceError, DomainError, InvalidShapeError, MonteCarloError
 from goaltime.evaluation import (
     _BLOCK,
     RiskCurve,
@@ -231,6 +231,22 @@ class TestFrequentistRisk:
             )
             est = unrestricted_predictive(problem) if kind == "q0" else restricted_predictive(problem)
             assert kl == pytest.approx(kl_loss_quad(truth, est, truth.window), abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["q0", "q1"])
+    def test_window_without_truth_mass(self, monkeypatch, kind):
+        # Gamma(1000, 12) has its bulk near y = 12000: on (0, 60) its mass
+        # underflows to 0, which no draw can change, so the risk fails once,
+        # before any kernel is set up, and without a numpy warning (pytest
+        # makes a RuntimeWarning an error)
+        def no_kernel(*args):
+            raise AssertionError("the draws were scored")
+
+        monkeypatch.setattr(evaluation.pred, "_Kernel", no_kernel)
+        shapes = ShapeConfig(r_prime=1000.0)
+        with pytest.raises(DegenerateWindowError, match=r"r' = 1000\.0.*\(0\.0, 60\.0\)"):
+            frequentist_risk(12.0, 6.0, shapes, kind, samples=200, seed=0, window=(0.0, 60.0))
+        with pytest.raises(DegenerateWindowError):
+            risk_curve((1.0,), shapes, samples=200, window=(0.0, 60.0))
 
     def test_per_draw_engine_matches_adaptive_kl(self):
         self.engine_against_adaptive_kl("q1", (0.0, 60.0))
