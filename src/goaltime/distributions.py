@@ -223,8 +223,8 @@ def _panel_edges(base, lo: float, hi: float) -> tuple[np.ndarray, float]:
 class DensityGrid:
     """A density sampled on its window grid: panel edges, nodes, weights,
     values, ``cum``, the mass below each panel edge, ``node_cum``, the mass
-    below each node (flat, in the nodes' order), and the density at
-    ``ends``, the mode's two edge candidates."""
+    below each node (flat, in the nodes' order), ``ends``, the mode's two
+    edge candidates, and ``f_ends``, the density there."""
 
     edges: np.ndarray
     y: np.ndarray
@@ -232,7 +232,6 @@ class DensityGrid:
     f: np.ndarray
     cum: np.ndarray
     node_cum: np.ndarray
-    bulk: float
     ends: np.ndarray
     f_ends: np.ndarray
 
@@ -319,9 +318,7 @@ def truncate(base, lo: float, hi: float) -> TruncatedDensity:
     # interpolant of f from the panel's lower edge (w / _GL_W is half its width)
     node_cum = (wf / _GL_W) @ _GL_CUM.T
     node_cum += cum[:-1, None]
-    grid = DensityGrid(
-        edges=edges, y=y, w=w, f=f, cum=cum, node_cum=node_cum.ravel(), bulk=bulk, ends=ends, f_ends=f_ends
-    )
+    grid = DensityGrid(edges=edges, y=y, w=w, f=f, cum=cum, node_cum=node_cum.ravel(), ends=ends, f_ends=f_ends)
     return TruncatedDensity(base=base, lo=float(lo), hi=float(hi), mass=mass, grid=grid)
 
 
