@@ -7,89 +7,71 @@ team's record through the prior knowledge that the stronger team's scale
 dominates.  Evaluation utilities measure both by Kullback-Leibler loss,
 Monte Carlo frequentist risk, and prediction error against a reference
 season.
+
+The public names are loaded lazily (PEP 562): ``import goaltime`` runs no
+submodule, and each name in ``__all__``, or a submodule such as
+``goaltime.evaluation``, is imported on first access.  So a process loads
+only the modules it uses: a CLI command that draws no risk never loads the
+risk engine.
 """
 
-from .distributions import (
-    DensitySummary,
-    GammaModel,
-    TruncatedDensity,
-    gamma_pdf,
-    summarize,
-    truncate,
-)
-from .errors import (
-    ConvergenceError,
-    DegenerateWindowError,
-    DivergenceError,
-    DomainError,
-    EmptySelectionError,
-    GameLogError,
-    GoaltimeError,
-    InvalidShapeError,
-    MonteCarloError,
-)
-from .evaluation import (
-    RiskCurve,
-    RiskEstimate,
-    ShapeConfig,
-    frequentist_risk,
-    prediction_error,
-    risk_curve,
-)
-from .ingest import (
-    GameRecord,
-    SeasonPoints,
-    canadiens_fixture_path,
-    parse_game_log,
-    parse_points,
-    points_fixture_path,
-    reduce_to_stat,
-    toronto_fixture_path,
-)
-from .predictive import (
-    PredictionProblem,
-    SufficientStat,
-    SummaryRow,
-    predictive_summaries,
-    restricted_predictive,
-    unrestricted_predictive,
-)
+import importlib
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DegenerateWindowError",
-    "DensitySummary",
-    "DivergenceError",
-    "DomainError",
-    "EmptySelectionError",
-    "GameLogError",
-    "GameRecord",
-    "GammaModel",
-    "GoaltimeError",
-    "InvalidShapeError",
-    "MonteCarloError",
-    "PredictionProblem",
-    "RiskCurve",
-    "RiskEstimate",
-    "SeasonPoints",
-    "ShapeConfig",
-    "SufficientStat",
-    "SummaryRow",
-    "TruncatedDensity",
-    "canadiens_fixture_path",
-    "frequentist_risk",
-    "gamma_pdf",
-    "parse_game_log",
-    "parse_points",
-    "points_fixture_path",
-    "prediction_error",
-    "predictive_summaries",
-    "reduce_to_stat",
-    "restricted_predictive",
-    "risk_curve",
-    "summarize",
-    "toronto_fixture_path",
-    "truncate",
-    "unrestricted_predictive",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "DensitySummary": "distributions",
+    "GammaModel": "distributions",
+    "TruncatedDensity": "distributions",
+    "gamma_pdf": "distributions",
+    "summarize": "distributions",
+    "truncate": "distributions",
+    "ConvergenceError": "errors",
+    "DegenerateWindowError": "errors",
+    "DivergenceError": "errors",
+    "DomainError": "errors",
+    "EmptySelectionError": "errors",
+    "GameLogError": "errors",
+    "GoaltimeError": "errors",
+    "InvalidShapeError": "errors",
+    "MonteCarloError": "errors",
+    "RiskCurve": "evaluation",
+    "RiskEstimate": "evaluation",
+    "ShapeConfig": "evaluation",
+    "frequentist_risk": "evaluation",
+    "prediction_error": "evaluation",
+    "risk_curve": "evaluation",
+    "GameRecord": "ingest",
+    "SeasonPoints": "ingest",
+    "canadiens_fixture_path": "ingest",
+    "parse_game_log": "ingest",
+    "parse_points": "ingest",
+    "points_fixture_path": "ingest",
+    "reduce_to_stat": "ingest",
+    "toronto_fixture_path": "ingest",
+    "PredictionProblem": "predictive",
+    "SufficientStat": "predictive",
+    "SummaryRow": "predictive",
+    "predictive_summaries": "predictive",
+    "restricted_predictive": "predictive",
+    "unrestricted_predictive": "predictive",
+}
+_SUBMODULES = ("cli", "distributions", "errors", "evaluation", "ingest", "predictive", "specfun")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # the import binds the submodule as a package attribute itself
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -6,6 +6,10 @@ the package version, the fully resolved configuration, and the seed, so a
 run can be reproduced byte for byte.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure.
+
+A command loads only what it runs: ``evaluation`` (the risk engine) is
+imported by ``prediction-error`` and ``risk-curve`` alone, and ``ingest``
+only when a game log is read, so the other commands' cold start skips both.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -20,10 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, evaluation, ingest
+from . import __version__
 from .distributions import GammaModel, gamma_pdf, truncate
 from .errors import GoaltimeError
-from .evaluation import ShapeConfig
 from .predictive import (
     DEFAULT_WINDOW,
     PredictionProblem,
@@ -37,8 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULT_RATIOS = ",".join(f"{r:g}" for r in evaluation.DEFAULT_RATIO_GRID)
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -46,10 +48,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cell(value):
+    """A JSON table cell: a float rounded to 10 significant digits, as in
+    CSV, or None (JSON null) if it is not finite; anything else as is."""
+    if isinstance(value, float):
+        return float(f"{value:.10g}") if math.isfinite(value) else None
+    return value
+
+
 def _strict(value):
     """``value`` with every non-finite float replaced by None (JSON null)."""
     if isinstance(value, float):
-        return value if np.isfinite(value) else None
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _strict(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -58,7 +68,7 @@ def _strict(value):
 
 
 def _json(value, **kwargs) -> str:
-    return json.dumps(_strict(value), sort_keys=True, allow_nan=False, **kwargs)
+    return json.dumps(value, sort_keys=True, allow_nan=False, **kwargs)
 
 
 @dataclass
@@ -87,6 +97,40 @@ class RunConfig:
         return d
 
 
+def _shared_options() -> tuple[argparse.ArgumentParser, ...]:
+    """The options every subcommand takes, as parent parsers: the model and
+    data options, the Monte Carlo ones (``risk-curve`` only), and the
+    output ones, in the order ``--help`` lists them."""
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--r1", type=float, default=3.0, help="shape of the own-team statistic")
+    model.add_argument("--r2", type=float, default=3.0, help="shape of the rival statistic")
+    model.add_argument("--r-prime", type=float, default=3.0, help="shape of the future draw")
+    model.add_argument("--x1", type=float, help="own-team statistic in minutes")
+    model.add_argument("--x2", type=float, help="rival statistic in minutes (pre-scaled)")
+    model.add_argument("--team-a-log", metavar="PATH", help="own-team game log CSV")
+    model.add_argument("--team-b-log", metavar="PATH", help="rival game log CSV")
+    model.add_argument("--team-a", help="team name in --team-a-log (default: first row's team)")
+    model.add_argument("--team-b", help="team name in --team-b-log (default: first row's team)")
+    model.add_argument("--points-a", type=int, help="own team's season points")
+    model.add_argument("--points-b", type=int, help="rival's season points")
+    model.add_argument(
+        "--x2-mode",
+        choices=["raw", "points-ratio", "points-ratio-squared"],
+        default="raw",
+        help="rescaling of the rival mean by season points",
+    )
+    model.add_argument("--window", default=None, help="truncation window LO,HI (HI may be inf)")
+    model.add_argument("--grid", type=int, default=600, help="number of density grid points")
+    # the defaults are evaluation's, filled in by resolve_config
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--samples", type=int)
+    mc.add_argument("--seed", type=int, default=0)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    output.add_argument("--out", metavar="PATH", help="output path (default: standard output)")
+    return model, mc, output
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goaltime",
@@ -94,52 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"goaltime {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    model, mc, output = _shared_options()
+    common = [model, output]
 
-    def add_common(p: argparse.ArgumentParser, with_mc: bool = False):
-        p.add_argument("--r1", type=float, default=3.0, help="shape of the own-team statistic")
-        p.add_argument("--r2", type=float, default=3.0, help="shape of the rival statistic")
-        p.add_argument("--r-prime", type=float, default=3.0, help="shape of the future draw")
-        p.add_argument("--x1", type=float, help="own-team statistic in minutes")
-        p.add_argument("--x2", type=float, help="rival statistic in minutes (pre-scaled)")
-        p.add_argument("--team-a-log", metavar="PATH", help="own-team game log CSV")
-        p.add_argument("--team-b-log", metavar="PATH", help="rival game log CSV")
-        p.add_argument("--team-a", help="team name in --team-a-log (default: first row's team)")
-        p.add_argument("--team-b", help="team name in --team-b-log (default: first row's team)")
-        p.add_argument("--points-a", type=int, help="own team's season points")
-        p.add_argument("--points-b", type=int, help="rival's season points")
-        p.add_argument(
-            "--x2-mode",
-            choices=["raw", "points-ratio", "points-ratio-squared"],
-            default="raw",
-            help="rescaling of the rival mean by season points",
-        )
-        p.add_argument("--window", default=None, help="truncation window LO,HI (HI may be inf)")
-        p.add_argument("--grid", type=int, default=600, help="number of density grid points")
-        if with_mc:
-            p.add_argument("--samples", type=int, default=evaluation.DEFAULT_SAMPLES)
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", metavar="PATH", help="output path (default: standard output)")
+    sub.add_parser("predict", parents=common, help="densities of both estimators on a grid")
+    sub.add_parser("density-table", parents=common, help="untruncated density values on a grid")
+    sub.add_parser("summarize", parents=common, help="mode, mean and percentiles of both estimators")
 
-    p = sub.add_parser("predict", help="densities of both estimators on a grid")
-    add_common(p)
-
-    p = sub.add_parser("density-table", help="untruncated density values on a grid")
-    add_common(p)
-
-    p = sub.add_parser("summarize", help="mode, mean and percentiles of both estimators")
-    add_common(p)
-
-    p = sub.add_parser("prediction-error", help="KL distance of each estimator from a reference law")
-    add_common(p)
+    p = sub.add_parser("prediction-error", parents=common, help="KL distance of each estimator from a reference law")
     p.add_argument("--truth-shape", type=float, default=3.0, help="shape of the reference gamma")
     p.add_argument("--truth-scale", type=float, default=18.3, help="scale of the reference gamma")
 
-    p = sub.add_parser("risk-curve", help="Monte Carlo risk along a scale-ratio grid")
-    add_common(p, with_mc=True)
-    p.add_argument("--ratios", default=_DEFAULT_RATIOS, help="comma-separated scale ratios")
-    p.add_argument("--lambda1", type=float, default=evaluation.DEFAULT_LAMBDA1,
-                   help="own-team scale held fixed along the curve")
+    p = sub.add_parser("risk-curve", parents=[model, mc, output], help="Monte Carlo risk along a scale-ratio grid")
+    p.add_argument("--ratios", help="comma-separated scale ratios")
+    p.add_argument("--lambda1", type=float, help="own-team scale held fixed along the curve")
     return parser
 
 
@@ -166,6 +178,8 @@ def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | No
         raise GoaltimeError(f"give exactly one of --x{1 if side == 'a' else 2} and --team-{side}-log")
     if explicit is not None:
         return float(explicit), {f"team_{side}_log": None}
+    from . import ingest
+
     source = log_path
     if log_path is None:
         # a bundled fixture is recorded by name: its path depends on the install
@@ -224,10 +238,17 @@ def resolve_config(args) -> RunConfig:
     extras = {}
     if args.command == "prediction-error":
         extras = {"truth_shape": args.truth_shape, "truth_scale": args.truth_scale}
+    samples = 0
     if args.command == "risk-curve":
-        ratios = evaluation._ratio_grid(args.ratios.split(","))
-        evaluation._check_draws(args.samples, args.seed)
-        extras = {"ratios": list(ratios), "lambda1": args.lambda1}
+        from . import evaluation
+
+        ratios = evaluation._ratio_grid(
+            evaluation.DEFAULT_RATIO_GRID if args.ratios is None else args.ratios.split(",")
+        )
+        samples = evaluation.DEFAULT_SAMPLES if args.samples is None else args.samples
+        evaluation._check_draws(samples, args.seed)
+        lambda1 = evaluation.DEFAULT_LAMBDA1 if args.lambda1 is None else args.lambda1
+        extras = {"ratios": list(ratios), "lambda1": lambda1}
     cfg = RunConfig(
         command=args.command,
         r1=args.r1,
@@ -238,7 +259,7 @@ def resolve_config(args) -> RunConfig:
         x2=x2,
         x2_mode=x2_mode,
         grid=args.grid,
-        samples=getattr(args, "samples", 0),
+        samples=samples,
         seed=getattr(args, "seed", 0),
         fmt=args.fmt,
         out=args.out,
@@ -248,7 +269,7 @@ def resolve_config(args) -> RunConfig:
     # out-of-domain shapes and scales fail here, in the constructors that
     # the command itself would call, so they exit as configuration errors
     if cfg.command == "risk-curve":
-        ShapeConfig(r1=cfg.r1, r2=cfg.r2, r_prime=cfg.r_prime)
+        evaluation.ShapeConfig(r1=cfg.r1, r2=cfg.r2, r_prime=cfg.r_prime)
         GammaModel(cfg.r_prime, cfg.extras["lambda1"])
     else:
         _problem(cfg)
@@ -259,7 +280,7 @@ def resolve_config(args) -> RunConfig:
 
 def _render(cfg: RunConfig, columns: list[str], rows: list[list]) -> str:
     """The command's output: the metadata block, then the table."""
-    meta = {"version": __version__, "config": cfg.as_dict(), "seed": cfg.seed}
+    meta = _strict({"version": __version__, "config": cfg.as_dict(), "seed": cfg.seed})
     if cfg.fmt == "csv":
         lines = [
             f"# goaltime {__version__}",
@@ -273,9 +294,7 @@ def _render(cfg: RunConfig, columns: list[str], rows: list[list]) -> str:
     payload = {
         "meta": meta,
         "columns": columns,
-        "rows": [
-            [float(_fmt(v)) if isinstance(v, float) else v for v in row] for row in rows
-        ],
+        "rows": [[_cell(v) for v in row] for row in rows],
     }
     return _json(payload, indent=1) + "\n"
 
@@ -316,6 +335,8 @@ def cmd_summarize(cfg: RunConfig) -> str:
 
 
 def cmd_prediction_error(cfg: RunConfig) -> str:
+    from . import evaluation
+
     lo, hi = cfg.window
     truth_model = GammaModel(cfg.extras["truth_shape"], cfg.extras["truth_scale"])
     truth = truncate(lambda y: gamma_pdf(truth_model, y), lo, hi)
@@ -331,10 +352,12 @@ def cmd_prediction_error(cfg: RunConfig) -> str:
 
 
 def cmd_risk_curve(cfg: RunConfig) -> str:
+    from . import evaluation
+
     window = None if not np.isfinite(cfg.window[1]) else cfg.window
     curve = evaluation.risk_curve(
         ratio_grid=cfg.extras["ratios"],
-        shapes=ShapeConfig(r1=cfg.r1, r2=cfg.r2, r_prime=cfg.r_prime),
+        shapes=evaluation.ShapeConfig(r1=cfg.r1, r2=cfg.r2, r_prime=cfg.r_prime),
         samples=cfg.samples,
         seed=cfg.seed,
         lambda1=cfg.extras["lambda1"],

@@ -28,13 +28,15 @@ cumulative panel masses are sums over that grid, and the mass below each
 node is one product of the panel values with a fixed 16 x 16 integration
 matrix (``_GL_CUM``, which integrates the panel's interpolating polynomial
 from its lower edge to each node; built at import from the Legendre
-recurrence).  The CDF adds one Gauss-Legendre panel from the nearest panel
-edge.  Quantiles take safeguarded Newton steps on that CDF, each one
-density call that samples the iterate beside its partial panel's nodes;
-each starts between the two nodes whose mass brackets its level, by inverse
-cubic Hermite interpolation with ``dy/dF = 1/f``, so most end after two
-calls, and a lane ends once its Newton step falls below rounding (a lane
-left unconverged raises ``ConvergenceError``).  The mode is the grid
+recurrence).  The 16-node rule itself is a literal table, the hex floats
+of numpy's ``leggauss(16)``, so that importing the module loads no
+``numpy.polynomial``.  The CDF adds one Gauss-Legendre panel from the
+nearest panel edge.  Quantiles take safeguarded Newton steps on that CDF,
+each one density call that samples the iterate beside its partial panel's
+nodes; each starts between the two nodes whose mass brackets its level, by
+inverse cubic Hermite interpolation with ``dy/dF = 1/f``, so most end
+after two calls, and a lane ends once its Newton step falls below rounding
+(a lane left unconverged raises ``ConvergenceError``).  The mode is the grid
 argmax, refined by shrinking a bracket around it and finished by Newton
 steps on a five-point derivative.  No adaptive integrator, root finder or
 optimizer runs.
@@ -58,7 +60,24 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateWindowError, DomainError
 
 _GL_ORDER = 16
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
+# the upper half of the 16-node Gauss-Legendre rule on [-1, 1], (node,
+# weight) as hex floats, bit for bit numpy's ``leggauss(16)`` (the tests pin
+# it), whose nodes are odd and weights even to the bit; written out so that
+# no ``numpy.polynomial`` module loads at import
+_GL_UPPER = np.array([
+    [float.fromhex(x), float.fromhex(w)] for x, w in (
+        ("0x1.852bd6676a9f9p-4", "0x1.83feae80e4e01p-3"),
+        ("0x1.205cae642337cp-2", "0x1.75f8c77e0c011p-3"),
+        ("0x1.d50259a43a772p-2", "0x1.5a6ebbb5a7600p-3"),
+        ("0x1.3c5a466d5e8b8p-1", "0x1.325f61bca3cbep-3"),
+        ("0x1.82c45dda4726bp-1", "0x1.fe7af2bad3878p-4"),
+        ("0x1.bb3403514e483p-1", "0x1.85c4ee79cc24bp-4"),
+        ("0x1.e39f56616f9b0p-1", "0x1.fdfb1a2c1261ep-5"),
+        ("0x1.fa92c264d787ep-1", "0x1.bcddab4b7c228p-6"),
+    )
+]).T
+_GL_X = np.concatenate((-_GL_UPPER[0, ::-1], _GL_UPPER[0]))
+_GL_W = np.concatenate((_GL_UPPER[1, ::-1], _GL_UPPER[1]))
 _GL_X1 = _GL_X + 1.0  # nodes shifted to [0, 2]
 _BULK_PANELS = 16
 _GRADE_RATIO = 4.0

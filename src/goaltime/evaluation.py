@@ -88,7 +88,6 @@ risk when the two scales coincide.  There the draws at one seed are
 from __future__ import annotations
 
 import functools
-import logging
 import numbers
 from dataclasses import dataclass, field
 
@@ -97,8 +96,6 @@ import numpy as np
 from . import distributions as dist
 from . import predictive as pred
 from .errors import DegenerateWindowError, DivergenceError, DomainError, MonteCarloError
-
-log = logging.getLogger(__name__)
 
 _KL_FLOOR = 1e-15
 # the risk's rule, in units of lambda1 (``_risk_rule``): a head panel of
@@ -355,7 +352,11 @@ def frequentist_risk(
     bad = ~np.isfinite(kls)
     rejected = int(bad.sum())
     if rejected:
-        log.warning("rejected %d of %d Monte Carlo draws", rejected, samples)
+        # the only place the module logs: a run with no rejected draw never
+        # loads logging
+        import logging
+
+        logging.getLogger(__name__).warning("rejected %d of %d Monte Carlo draws", rejected, samples)
         if rejected > _MAX_REJECT_FRACTION * samples:
             raise MonteCarloError(
                 f"{rejected} of {samples} draws failed (> {_MAX_REJECT_FRACTION:.1%})"

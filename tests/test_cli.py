@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import goaltime
-from goaltime.cli import build_parser, main, resolve_config
+from goaltime.cli import _render, build_parser, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -294,6 +294,21 @@ class TestRiskCurve:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_defaults_in_metadata(self):
+        # the parser leaves --samples, --ratios and --lambda1 unset, so that
+        # it needs no evaluation import; resolve_config fills them in
+        cfg = resolve_config(build_parser().parse_args(["risk-curve"]))
+        meta = strict_json(_render(cfg, ["ratio"], []).splitlines()[1].removeprefix("# config: "))
+        assert meta["samples"] == 20000
+        assert meta["ratios"] == [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0]
+        assert meta["lambda1"] == 12.0
+        assert tuple(meta["ratios"]) == goaltime.evaluation.DEFAULT_RATIO_GRID
+
+    def test_explicit_values_in_metadata(self):
+        args = ["risk-curve", "--samples", "300", "--ratios", "1,2.5", "--lambda1", "7"]
+        cfg = resolve_config(build_parser().parse_args(args))
+        assert (cfg.samples, cfg.extras) == (300, {"ratios": [1.0, 2.5], "lambda1": 7.0})
+
 
 def strict_json(text):
     """Parse ``text`` as JSON, rejecting the NaN/Infinity extensions."""
@@ -324,6 +339,14 @@ class TestStrictOutput:
         code, _, err = run(capsys, "risk-curve", "--samples", "5")
         assert code == 2
         assert "configuration error" in err
+
+    def test_json_cells_rounded_once_non_finite_null(self):
+        cfg = resolve_config(build_parser().parse_args(["summarize", "--format", "json"]))
+        rows = [["q0", 1.0 / 3.0, float("nan")], ["q1", float("inf"), -float("inf")], ["q2", 2, 1e-320]]
+        payload = strict_json(_render(cfg, ["estimator", "a", "b"], rows))
+        assert payload["rows"] == [["q0", 0.3333333333, None], ["q1", None, None], ["q2", 2, 1e-320]]
+        # the metadata is not rounded
+        assert payload["meta"]["config"]["x1"] == cfg.x1
 
     def test_descending_ratios_are_a_config_error(self, capsys):
         code, _, err = run(capsys, "risk-curve", "--ratios", "8,1")
@@ -362,6 +385,12 @@ class TestFormerNumericalFailures:
         assert all(np.isfinite(float(v)) for row in rows for v in row)
 
 
+def _fresh_env():
+    """The environment with this source tree first on the import path."""
+    src = str(Path(goaltime.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_loads_no_adaptive_solvers():
     # every integral, root and optimum comes from the fixed window grid, and
     # the incomplete beta is the package's own: no scipy module at all
@@ -369,7 +398,37 @@ def test_cli_import_loads_no_adaptive_solvers():
         "import sys, goaltime.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(goaltime.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# modules that no cold command loads, and those that each command must not
+_NEVER = ("scipy", "logging")
+_NOT_FOR = {
+    "predict": ("goaltime.evaluation", "numpy.polynomial"),
+    "density-table": ("goaltime.evaluation", "numpy.polynomial"),
+    "summarize": ("goaltime.evaluation", "numpy.polynomial"),
+    "prediction-error": ("numpy.polynomial",),
+    "risk-curve": ("goaltime.ingest", "csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(_NOT_FOR))
+def test_cold_command_loads_only_what_it_runs(command, tmp_path):
+    # each command runs in a fresh interpreter on the bundled fixtures, and
+    # reports every module the process holds once it is done (-X importtime
+    # would not do: it misses submodules that ``from . import`` loads)
+    code = (
+        "import sys\n"
+        "from goaltime.cli import main\n"
+        "print(main())\n"
+        "print(*sorted(sys.modules), sep='\\n')\n"
+    )
+    args = [command, "--out", str(tmp_path / "out")] + (["--samples", "100"] if command == "risk-curve" else [])
+    done = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(), capture_output=True, text=True, check=True)
+    exit_code, *loaded = done.stdout.splitlines()
+    assert exit_code == "0", done.stderr
+    assert (tmp_path / "out").stat().st_size > 0
+    assert "goaltime.predictive" in loaded
+    banned = _NEVER + _NOT_FOR[command]
+    assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] == []

@@ -123,6 +123,12 @@ class TestGaussJacobi:
         assert np.all(np.isfinite(log_w))
 
 
+def test_rule_is_leggauss_to_the_bit():
+    # the literal table stands in for numpy.polynomial at import
+    x, w = np.polynomial.legendre.leggauss(dist._GL_ORDER)
+    assert np.array_equal(dist._GL_X, x) and np.array_equal(dist._GL_W, w)
+
+
 class TestIntegrationMatrix:
     def test_integrates_monomials(self):
         # row j integrates the interpolant from -1 to node j, so it is exact

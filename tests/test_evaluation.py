@@ -355,7 +355,7 @@ class TestFrequentistRisk:
             ("q1", (0.0, 60.0), 1e300),
         ],
     )
-    def test_rejected_draws(self, monkeypatch, kind, window, value):
+    def test_rejected_draws(self, monkeypatch, caplog, kind, window, value):
         planted = np.array([7, 1000, 1999])
         x1, x2 = draw_statistics(kind, 2000, 4)
         x1[planted] = value
@@ -378,6 +378,9 @@ class TestFrequentistRisk:
             frequentist_risk(12.0, 6.0, ShapeConfig(), kind, samples=2000, seed=4, window=window)
         assert one.rejected == 1
         assert math.isfinite(one.risk) and math.isfinite(one.std_err)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records][0] == (
+            "goaltime.evaluation", "WARNING", "rejected 1 of 2000 Monte Carlo draws"
+        )
 
     def test_bit_identical_across_blas_threads(self):
         # the KL reduction is a BLAS matrix-vector product; the risk must not
