@@ -7,23 +7,24 @@ restricted estimator): it draws the statistics and averages, with equal
 weights, the KLs the per-draw engine ``_risk_kls`` returns for them.
 
 The KL does not depend on the scale, so the engine works in units of
-``lam1``: the truth is ``Gam(r', 1)``, and the window and, block by
-block, the statistics are divided by ``lam1``, so that no scale that a
-double holds can overflow the rule (q1's ordering probability depends on
-``x1/(x1 + x2)`` alone and reads the statistics as drawn).  It takes each
-draw's KL on one rule of 116 nodes
+``lam1``: the truth is ``Gam(r', 1)``, the statistics are drawn in those
+units (``x1`` from ``Gam(r1, 1)``, ``x2`` from ``Gam(r2, lam2/lam1)``),
+and only the window is divided by ``lam1``, so that no scale that a
+double holds can overflow the rule.  It takes each draw's KL on one rule
+of 116 nodes
 (``_risk_rule``), built once per call from ``r'`` and shared by all
 draws, vectorized over draws, which the tests pin against adaptive
 quadrature and against a regularized mpmath reference:
 
 * a head panel of 16 nodes on [lo, lo + h], ``h = 1/128`` (``1/128`` of
-  the window on windows narrower than ``lam1``).  At ``lo = 0`` it is the
-  Gauss-Jacobi rule of the weight ``y^(r'-1)`` (Golub and Welsch,
-  ``distributions._gauss_jacobi``), which carries the truth's
-  singularity at 0, where nearly all its mass lies when ``r'`` is small;
-  its weights ``(h/2) w_j (1+x_j)^(1-r')`` are divided by ``y^(r'-1)``
-  again, so the arithmetic below is that of any other node.  Above 0
-  there is no singularity, and it is a Gauss-Legendre panel.  The width
+  the window on windows narrower than ``lam1``): the Gauss-Jacobi rule
+  of the weight ``(y - lo)^beta`` (Golub and Welsch,
+  ``distributions._gauss_jacobi``), its weights divided by the weight
+  again, ``(h/2) exp(log w_j - beta log1p(x_j))``, so the arithmetic
+  below is that of any other node.  At ``lo = 0``,
+  ``beta = r' - 1`` carries the truth's singularity at 0, where nearly
+  all its mass lies when ``r'`` is small; above 0 there is none, and
+  ``beta = 0`` makes the panel Gauss-Legendre.  The width
   balances the draws' scale against the truth's: the estimate's pole at
   ``y = -x1`` must stay clear of the head, and the truth's ``y^(r'-1)``
   of the mapped nodes.  At ``h = 1/64`` a draw at ``x1 = 3e-3 lam1``
@@ -80,9 +81,11 @@ estimators at a grid point share the same draws (common random numbers).
 Unless a finite window is supplied, risks are computed on the untruncated
 support: the unrestricted estimator is then minimum-risk equivariant and
 its risk is exactly constant in the scale, and both estimators carry equal
-risk when the two scales coincide.  There the draws at one seed are
-``lam1`` times the same standard draws, which the engine divides by
-``lam1`` again, so both risks agree at every ``lam1`` up to rounding.
+risk when the two scales coincide.  The draws at one seed are the same
+numbers in units of ``lam1`` at every ``lam1``, so at a fixed ratio
+``lam2/lam1`` both risks are the same bit for bit at every ``lam1``, on
+the untruncated support and on any window that scales with ``lam1``
+exactly.
 """
 
 from __future__ import annotations
@@ -199,23 +202,20 @@ def _risk_rule(r_prime: float, window: tuple[float, float] | None):
     ``_TAIL_NODES`` Gauss-Legendre nodes on [lo + h, hi] mapped through
     ``y = lo + h + c s/(1-s)`` (module docstring).
 
-    At ``lo = 0`` the head is the Gauss-Jacobi rule of the weight
-    ``y^(r'-1)``, its weights divided by ``y^(r'-1)`` again, so that they
-    integrate any density that carries that factor; above 0 it is a
-    Gauss-Legendre panel."""
+    The head is the Gauss-Jacobi rule of the weight ``(y - lo)^beta``, its
+    weights divided by that weight again, so that they integrate any
+    density: ``beta = r' - 1`` at ``lo = 0``, where the truth carries that
+    factor, and ``beta = 0``, Gauss-Legendre, above."""
     lo, hi = (0.0, np.inf) if window is None else window
     if not 0 <= lo < hi:
         raise DomainError(f"bad window {window}")
     if lo != 0.0 and not np.isfinite(hi):
         raise DomainError("infinite windows must start at 0")
     h = min(1.0, hi - lo) * _HEAD_WIDTH
-    if lo == 0.0:
-        x, log_w = dist._gauss_jacobi(_HEAD_NODES, r_prime - 1.0)
-        # (h/2) w (1+x)^(1-r'), not (h/2)^r' w / y^(r'-1), which underflows
-        w = 0.5 * h * np.exp(log_w + (1.0 - r_prime) * np.log1p(x))
-    else:
-        x, w = _legendre(_HEAD_NODES)
-        w = 0.5 * h * w
+    beta = r_prime - 1.0 if lo == 0.0 else 0.0
+    x, log_w = dist._gauss_jacobi(_HEAD_NODES, beta)
+    # (h/2) w (1+x)^-beta, not (h/2)^(beta+1) w / y^beta, which underflows
+    w = 0.5 * h * np.exp(log_w - beta * np.log1p(x))
     head = lo + 0.5 * h * (1.0 + x)
     # the map's scale follows the truth's bulk, at y = r' for large r'
     c = max(1.0, 0.25 * r_prime)
@@ -228,13 +228,15 @@ def _risk_rule(r_prime: float, window: tuple[float, float] | None):
     return y, w
 
 
-def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) -> np.ndarray:
-    """The per-draw engine: one KL of the truth Gamma(r_prime, lambda1) to
-    estimator ``kind`` at each statistic ``(x1[i], x2[i])``, ``x2`` None for
-    q0 (module docstring); non-finite where the estimate fails."""
+def _risk_kls(x1, x2, lambda1: float, shapes: ShapeConfig, window) -> np.ndarray:
+    """The per-draw engine: one KL of the truth Gamma(r_prime, lambda1) to q1
+    at each statistic ``(x1[i], x2[i])``, or to q0 at ``x1[i]`` when ``x2``
+    is None (module docstring); non-finite where the estimate fails.
+
+    The statistics are in units of lambda1, the window in minutes; lambda1
+    serves only to scale the window and to word a ``DegenerateWindowError``.
+    """
     r1, r_prime = shapes.r1, shapes.r_prime
-    # the engine works in units of lambda1, the statistics divided block by
-    # block
     scaled = None if window is None else (window[0] / lambda1, window[1] / lambda1)
     y, w = _risk_rule(r_prime, scaled)
     truncated = scaled is not None and np.isfinite(scaled[1])
@@ -265,22 +267,19 @@ def _risk_kls(kind: str, x1, x2, lambda1: float, shapes: ShapeConfig, window) ->
     kernel = np.empty((block, y.size))
     # the kernel's intermediates: q1's one or two rows, none for q0
     work = np.empty((log_kernel.rows,) + kernel.shape) if log_kernel.rows else None
-    # a block's x1 and x2 in units of lambda1
-    stats = np.empty((2, block, 1))
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_stat = pred._log_stat_term(x1 / lambda1, r1, r_prime, log_den)
+        log_stat = pred._log_stat_term(x1, r1, r_prime, log_den)
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             rows = slice(0, stop - start)
-            x1_rows = np.divide(x1[start:stop, None], lambda1, out=stats[0, rows])
             x2_rows = work_rows = None
             if x2 is not None:
-                x2_rows = np.divide(x2[start:stop, None], lambda1, out=stats[1, rows])
+                x2_rows = x2[start:stop, None]
                 work_rows = work[:, rows]
-            log_kernel(y, x1_rows, x2_rows, out=kernel[rows], work=work_rows)
+            log_kernel(y, x1[start:stop, None], x2_rows, out=kernel[rows], work=work_rows)
             if truncated:
                 # the mass takes exp of the whole log q, and q renormalized
                 # to it adds log(mass) sum(v)
@@ -344,10 +343,11 @@ def frequentist_risk(
     if estimator_kind == "q1" and lambda1 < lambda2:
         raise DomainError("restricted risk needs lambda1 >= lambda2")
 
+    # the statistics in units of lambda1, as the engine takes them
     child1, child2 = np.random.SeedSequence(seed).spawn(2)
-    x1s = np.random.default_rng(child1).gamma(shapes.r1, lambda1, samples)
-    x2s = np.random.default_rng(child2).gamma(shapes.r2, lambda2, samples) if estimator_kind == "q1" else None
-    kls = _risk_kls(estimator_kind, x1s, x2s, lambda1, shapes, window)
+    x1s = np.random.default_rng(child1).standard_gamma(shapes.r1, samples)
+    x2s = np.random.default_rng(child2).gamma(shapes.r2, lambda2 / lambda1, samples) if estimator_kind == "q1" else None
+    kls = _risk_kls(x1s, x2s, lambda1, shapes, window)
 
     bad = ~np.isfinite(kls)
     rejected = int(bad.sum())

@@ -6,6 +6,17 @@ covers, default 3).  A points file is ``team,points``.  The 2017-18 season
 fixtures for the Toronto Maple Leafs (50 games) and the Montreal Canadiens
 (38 games) ship with the package, together with both teams' season points.
 
+Both parsers read through one row reader (``_rows``).  It takes a path,
+bytes, or a binary or text file object, decodes UTF-8 once and splits lines
+as a file opened with ``newline=""`` does, so every source reads alike.  It
+checks that a header is there, skips blank rows and rejects a row whose
+field count differs from the header's; each parser tests its own header,
+converts its fields and builds its records.  A file that cannot be read as
+UTF-8 comma-separated text is a ``GameLogError`` with a line number, like
+any malformed row: for bytes that are not UTF-8, the line that holds the
+first of them; for text the csv reader rejects, such as a field longer than
+``csv.field_size_limit()``, the reader's line.
+
 Reduction takes the arithmetic mean of a team's elapsed times.  For the
 rival statistic the mean can additionally be rescaled by a season-points
 factor; the three modes make the choice explicit because the points-based
@@ -68,17 +79,53 @@ class SeasonPoints:
             raise GameLogError(f"points {self.points} must be positive")
 
 
-def _open_text(source):
+def _text(source) -> str:
+    """The whole of ``source`` as text: a path or bytes, or a binary or text
+    file object, decoded from UTF-8 once."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
+        data = Path(source).read_bytes()
+    elif isinstance(source, (bytes, bytearray)):
+        data = source
+    elif hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise GameLogError(f"cannot read game log from {type(source).__name__}")
+        if isinstance(data, str):
+            return data
+    else:
+        raise GameLogError(f"cannot read game log from {type(source).__name__}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, counted as the reader counts lines: the text
+        # before it, plus one character, splits into that many lines
+        line = len(io.StringIO(data[: exc.start].decode("utf-8") + "_", newline="").readlines())
+        raise GameLogError(f"not UTF-8: byte 0x{data[exc.start]:02x}", line=line) from None
+
+
+def _rows(source):
+    """Read ``source`` as comma-separated text (module docstring): yield its
+    header row, each cell stripped, then ``(line number, row)`` for each
+    row that is not blank, a row's line number being its 1-based count
+    among the rows.
+
+    Raises:
+        GameLogError: on an empty file (line 1), on a row whose field count
+            differs from the header's, and on a file that cannot be read as
+            UTF-8 comma-separated text.
+    """
+    reader = csv.reader(io.StringIO(_text(source), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise GameLogError("empty file: header row required", line=1)
+        yield [h.strip() for h in header]
+        for line_no, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(header):
+                raise GameLogError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
+            yield line_no, row
+    except csv.Error as exc:
+        raise GameLogError(str(exc), line=reader.line_num) from None
 
 
 def parse_game_log(source) -> list[GameRecord]:
@@ -89,50 +136,33 @@ def parse_game_log(source) -> list[GameRecord]:
             header required.
 
     Raises:
-        GameLogError: on a missing or wrong header, or on any malformed
-            row; the error carries the 1-based line number.
+        GameLogError: on a missing or wrong header, on any malformed row,
+            or on a file that cannot be read as UTF-8 comma-separated text;
+            the error carries the 1-based line number.
     """
+    rows = _rows(source)
+    header = next(rows)
+    if header not in (list(_LOG_HEADER), [*_LOG_HEADER, "goal_index"]):
+        raise GameLogError(
+            f"header must be team,opponent,elapsed_minutes[,goal_index]; got {header}",
+            line=1,
+        )
     records = []
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
+    for line_no, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise GameLogError("empty file: header row required", line=1) from None
-        header = [h.strip() for h in header]
-        if tuple(header[:3]) != _LOG_HEADER or len(header) > 4 or (
-            len(header) == 4 and header[3] != "goal_index"
-        ):
-            raise GameLogError(
-                f"header must be team,opponent,elapsed_minutes[,goal_index]; got {header}",
-                line=1,
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(header):
-                raise GameLogError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
+            elapsed = float(row[2])
+        except ValueError:
+            raise GameLogError(f"bad elapsed_minutes {row[2]!r}", line=line_no) from None
+        goal_index = 3
+        if len(row) == 4:
             try:
-                elapsed = float(row[2])
+                goal_index = int(row[3])
             except ValueError:
-                raise GameLogError(f"bad elapsed_minutes {row[2]!r}", line=line_no) from None
-            goal_index = 3
-            if len(row) == 4:
-                try:
-                    goal_index = int(row[3])
-                except ValueError:
-                    raise GameLogError(f"bad goal_index {row[3]!r}", line=line_no) from None
-            try:
-                records.append(
-                    GameRecord(
-                        team=row[0].strip(),
-                        opponent=row[1].strip(),
-                        elapsed_minutes=elapsed,
-                        goal_index=goal_index,
-                    )
-                )
-            except GameLogError as exc:
-                raise GameLogError(str(exc), line=line_no) from None
+                raise GameLogError(f"bad goal_index {row[3]!r}", line=line_no) from None
+        try:
+            records.append(GameRecord(row[0].strip(), row[1].strip(), elapsed, goal_index))
+        except GameLogError as exc:
+            raise GameLogError(str(exc), line=line_no) from None
     return records
 
 
@@ -153,29 +183,22 @@ def serialize_game_log(records: list[GameRecord], dest) -> None:
 
 
 def parse_points(source) -> list[SeasonPoints]:
-    """Parse a season points file with header ``team,points``."""
+    """Parse a season points file with header ``team,points``; errors as
+    ``parse_game_log``'s."""
+    rows = _rows(source)
+    header = next(rows)
+    if header != ["team", "points"]:
+        raise GameLogError(f"header must be team,points; got {header}", line=1)
     out = []
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
+    for line_no, row in rows:
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise GameLogError("empty file: header row required", line=1) from None
-        if header != ["team", "points"]:
-            raise GameLogError(f"header must be team,points; got {header}", line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != 2:
-                raise GameLogError(f"expected 2 fields, got {len(row)}", line=line_no)
-            try:
-                pts = int(row[1])
-            except ValueError:
-                raise GameLogError(f"bad points {row[1]!r}", line=line_no) from None
-            try:
-                out.append(SeasonPoints(team=row[0].strip(), points=pts))
-            except GameLogError as exc:
-                raise GameLogError(str(exc), line=line_no) from None
+            pts = int(row[1])
+        except ValueError:
+            raise GameLogError(f"bad points {row[1]!r}", line=line_no) from None
+        try:
+            out.append(SeasonPoints(row[0].strip(), pts))
+        except GameLogError as exc:
+            raise GameLogError(str(exc), line=line_no) from None
     return out
 
 

@@ -14,8 +14,9 @@ raw values in one checkout and compare them in the other,
 ``--against`` prints, after the hash lines, each section's largest
 relative and ulp difference and how many values differ.
 
-It reads only public names (``goaltime`` and the ``log_*_base`` functions
-of ``goaltime.predictive``), so it runs unchanged in an older checkout.
+It reads only public names (``goaltime``, the ``log_*_base`` functions
+of ``goaltime.predictive`` and ``goaltime.ingest.serialize_game_log``), so
+it runs unchanged in an older checkout.
 The sweep covers integer and non-integer shapes and the windows (0, 60),
 (5, 45) and (0, inf):
 
@@ -25,7 +26,17 @@ The sweep covers integer and non-integer shapes and the windows (0, 60),
 * ``prediction_error``: both estimates against a truncated gamma truth;
 * ``risk_untruncated`` and ``risk_window``: Monte Carlo risks, standard
   errors and rejected-draw counts, at scales far from and near 1, over
-  the first five shapes and one at ``r' = 0.2``.
+  the first five shapes and one at ``r' = 0.2``;
+* ``ingest``: ``parse_game_log`` and ``parse_points``, each from bytes,
+  from a path and from a binary file object, over the bundled fixtures,
+  seeded synthetic logs written by ``serialize_game_log``, and malformed
+  inputs: each parse's records and every team's ``reduce_to_stat`` in
+  each ``x2_mode``, or its error's class, line and message.  The corpus
+  holds only inputs that older checkouts read alike (they parse, or fail
+  with a ``GameLogError``), so that the section's hash is comparable
+  across them: no bytes that are not UTF-8, no field over
+  ``csv.field_size_limit()`` and no bare carriage-return line ends,
+  which older checkouts read from a path alone.
 
 Each section's hash is printed on its own line, so a change that is meant
 to move one part of the output shows which part moved; the last line is
@@ -37,22 +48,33 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from goaltime import (
+    GameRecord,
     GammaModel,
     PredictionProblem,
     ShapeConfig,
     SufficientStat,
+    canadiens_fixture_path,
     frequentist_risk,
     gamma_pdf,
+    parse_game_log,
+    parse_points,
+    points_fixture_path,
     prediction_error,
     predictive_summaries,
+    reduce_to_stat,
     restricted_predictive,
+    toronto_fixture_path,
     truncate,
     unrestricted_predictive,
 )
+from goaltime.ingest import serialize_game_log
 from goaltime.predictive import log_restricted_base, log_unrestricted_base
 
 # (r1, r2, r'): integer and non-integer rival shapes, r' below and above 1
@@ -185,12 +207,100 @@ def risk_window(h) -> None:
     _risks(h, [(0.0, 60.0), (5.0, 45.0)], [(LAMBDA1, LAMBDA2), (30.0, 30.0)])
 
 
+_LOG = "team,opponent,elapsed_minutes"
+# (parser, text): each is read as given and, for game logs, with \r\n line
+# ends
+MALFORMED = [
+    (parse_game_log, ""),
+    (parse_game_log, "\n"),
+    (parse_game_log, _LOG),
+    (parse_game_log, "team,opponent\nA,B\n"),
+    (parse_game_log, " team , opponent , elapsed_minutes \nA,B,12.5\n"),
+    (parse_game_log, "\ufeff" + _LOG + "\nA,B,12.5\n"),
+    (parse_game_log, _LOG + ",goal\nA,B,12.5,3\n"),
+    (parse_game_log, _LOG + ",goal_index,extra\nA,B,12.5,3,x\n"),
+    (parse_game_log, _LOG + ",goal_index\nA,B,12.5,three\n"),
+    (parse_game_log, _LOG + ",goal_index\nA,B,12.5,0\n"),
+    (parse_game_log, _LOG + ",goal_index\nA,B,12.5\n"),
+    (parse_game_log, _LOG + "\nA,B,12.5\nA,B,oops\n"),
+    (parse_game_log, _LOG + "\nA,B,nan\n"),
+    (parse_game_log, _LOG + "\nA,B,60.0\nA,B,60.000001\n"),
+    (parse_game_log, _LOG + "\nA,B,1e-300\nA,B,-0.0\n"),
+    (parse_game_log, _LOG + "\nA,A,10.0\n"),
+    (parse_game_log, _LOG + "\n ,B,10.0\n"),
+    (parse_game_log, _LOG + "\nA,B\n"),
+    (parse_game_log, _LOG + "\n\n , , \n\t\nA,B,10.0\n , , , x\n"),
+    (parse_game_log, _LOG + '\n"A, the first","B ""b""",10.0\n"A\rA","B\nB",20.0\nA,C,30\n'),
+    (parse_game_log, _LOG + '\n"A,B,10.0\n'),
+    (parse_game_log, _LOG + "\n  A  ,  B  ,  17.25  \n"),
+    (parse_points, ""),
+    (parse_points, "team,points"),
+    (parse_points, "team,pts\nA,10\n"),
+    (parse_points, " team , points \nA, 10 \n"),
+    (parse_points, "team,points\nA,many\n"),
+    (parse_points, "team,points\nA,10.0\n"),
+    (parse_points, "team,points\nA,0\n"),
+    (parse_points, "team,points\n,10\n"),
+    (parse_points, "team,points\nA\n"),
+    (parse_points, "team,points\n\n , \nA,105\nB,71\n , , x\n"),
+]
+
+
+def _synthetic_logs():
+    """Seeded game logs, written by ``serialize_game_log``."""
+    rng = np.random.default_rng(2027)
+    teams = ["Toronto", "Montreal", "Boston", "Ottawa, ON", 'The "Habs"']
+    for rows in (1, 7, 40):
+        records = []
+        for _ in range(rows):
+            team, opponent = rng.choice(len(teams), 2, replace=False)
+            elapsed = float(rng.uniform(0.0, 60.0))
+            records.append(GameRecord(teams[team], teams[opponent], elapsed, int(rng.integers(1, 6))))
+        buf = io.StringIO()
+        serialize_game_log(records, buf)
+        yield buf.getvalue().encode()
+
+
+def _parse(h, parse, data: bytes, path: Path) -> None:
+    """Hash ``parse`` of ``data`` from bytes, a path and a binary file
+    object: its records and their reductions, or its error."""
+    path.write_bytes(data)
+    for source in (data, path, io.BytesIO(data)):
+        try:
+            records = parse(source)
+        except Exception as exc:  # noqa: BLE001 - the failure itself is hashed
+            _feed(h, (type(exc).__name__, getattr(exc, "line", None), str(exc)))
+            continue
+        _feed(h, records)
+        if parse is parse_game_log:
+            for team in sorted({rec.team for rec in records}):
+                for mode in ("raw", "points_ratio", "points_ratio_squared"):
+                    stat = reduce_to_stat(records, team, r=2.5, x2_mode=mode, points=(105, 71))
+                    _feed(h, stat.x)
+                    _feed(h, stat.r)
+
+
+def ingest(h) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        for fixture in (toronto_fixture_path(), canadiens_fixture_path()):
+            _parse(h, parse_game_log, fixture.read_bytes(), path)
+        _parse(h, parse_points, points_fixture_path().read_bytes(), path)
+        for data in _synthetic_logs():
+            _parse(h, parse_game_log, data, path)
+        for parse, text in MALFORMED:
+            _parse(h, parse, text.encode(), path)
+            if parse is parse_game_log:
+                _parse(h, parse, text.replace("\n", "\r\n").encode(), path)
+
+
 SECTIONS = {
     "densities": densities,
     "bases": bases,
     "prediction_error": prediction_errors,
     "risk_untruncated": risk_untruncated,
     "risk_window": risk_window,
+    "ingest": ingest,
 }
 
 
@@ -205,6 +315,9 @@ def compare(ours: dict, theirs: dict) -> str:
     float values, and how many of them differ (NaN equals NaN)."""
     lines = []
     for name in SECTIONS:
+        if f"{name}.floats" not in theirs:
+            lines.append(f"{name:18s} not in the other file")
+            continue
         a, b = ours[f"{name}.floats"], theirs[f"{name}.floats"]
         if a.shape != b.shape or not np.array_equal(ours[f"{name}.other"], theirs[f"{name}.other"]):
             lines.append(f"{name:18s} differs in structure: {a.size} against {b.size} values")

@@ -11,6 +11,8 @@ import pytest
 import goaltime
 from goaltime.cli import _render, build_parser, main, resolve_config
 
+from test_ingest import unreadable_inputs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -89,6 +91,9 @@ class TestPredict:
         assert dest.read_text().count("\n") == 5 + 4
 
 
+UNREADABLE_LOGS = unreadable_inputs("team,opponent,elapsed_minutes", "A,B,10.0")
+
+
 class TestConfigErrors:
     def test_both_sources_rejected(self, capsys):
         code, _, err = run(
@@ -100,6 +105,16 @@ class TestConfigErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "predict", "--team-a-log", "/does/not/exist.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("name, data, line, message", UNREADABLE_LOGS, ids=[c[0] for c in UNREADABLE_LOGS])
+    def test_unreadable_log(self, capsys, tmp_path, name, data, line, message):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "summarize", "--team-a-log", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"goaltime: configuration error: line {line}: {message}")
 
     def test_bad_window(self, capsys):
         code, _, err = run(capsys, "predict", "--window", "60,0")

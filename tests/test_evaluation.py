@@ -171,11 +171,18 @@ class TestUnrestrictedRiskClosedForm:
 
 
 def draw_statistics(kind, samples, seed, shapes=ShapeConfig(), lambda1=12.0, lambda2=6.0):
-    """The statistics ``frequentist_risk`` draws at ``seed``: x1, and x2 for q1 only."""
+    """The statistics ``frequentist_risk`` draws at ``seed``, up to rounding,
+    in minutes: x1, and x2 for q1 only."""
     child1, child2 = np.random.SeedSequence(seed).spawn(2)
     x1 = np.random.default_rng(child1).gamma(shapes.r1, lambda1, samples)
     x2 = np.random.default_rng(child2).gamma(shapes.r2, lambda2, samples) if kind == "q1" else None
     return x1, x2
+
+
+def in_units(x1, x2, lambda1=12.0):
+    """Statistics in minutes as ``_risk_kls`` takes them, in units of
+    ``lambda1`` (``x2`` None for q0)."""
+    return x1 / lambda1, None if x2 is None else x2 / lambda1
 
 
 def summand_size(kind, x1, x2, lambda1, shapes, window):
@@ -224,7 +231,7 @@ class TestFrequentistRisk:
         rng = np.random.default_rng(5)
         points = [(float(rng.gamma(3.0, 12.0)), float(rng.gamma(3.0, 6.0))) for _ in range(4)]
         x1, x2 = np.array(points).T
-        kls = _risk_kls(kind, x1, x2 if kind == "q1" else None, 12.0, ShapeConfig(), window)
+        kls = _risk_kls(*in_units(x1, x2 if kind == "q1" else None), 12.0, ShapeConfig(), window)
         for (a, b), kl in zip(points, kls):
             problem = PredictionProblem(
                 obs_a=SufficientStat(a, 3.0), obs_b=SufficientStat(b, 3.0), r_prime=3.0, window=truth.window
@@ -270,7 +277,7 @@ class TestFrequentistRisk:
         # a draw's KL k - log q . v is the difference of two sums of size
         # about 4, so it carries about 1e-15 of absolute rounding (up to
         # 5.3e-15 here, 9e-14 relative to the smallest KLs on the window)
-        np.testing.assert_allclose(_risk_kls(kind, x1, x2, 12.0, shapes, window), kls, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(_risk_kls(*in_units(x1, x2), 12.0, shapes, window), kls, rtol=1e-13, atol=1e-14)
         got = frequentist_risk(12.0, 6.0, shapes, kind, samples, seed=17, window=window)
         assert got.rejected == 0
         assert got.risk == pytest.approx(kls.mean(), rel=1e-13)
@@ -294,8 +301,8 @@ class TestFrequentistRisk:
         ]
         for r1, r2, rp, x1, x2 in points:
             shapes = ShapeConfig(r1=r1, r2=r2, r_prime=rp)
-            rival = np.array([lam * x2]) if kind == "q1" else None
-            got = _risk_kls(kind, np.array([lam * x1]), rival, lam, shapes, window)[0]
+            rival = np.array([lam * x2]) / lam if kind == "q1" else None
+            got = _risk_kls(np.array([lam * x1]) / lam, rival, lam, shapes, window)[0]
             want = risk_kl_mpmath(kind, lam * x1, lam * x2, lam, shapes, window)
             assert abs(got - want) <= 2e-13 * max(1.0, abs(want)), (r1, r2, rp, x1, x2, got, want)
 
@@ -336,7 +343,7 @@ class TestFrequentistRisk:
         x1, x2 = 10.0**log_x1, 10.0**log_x2
         for kind in ("q0", "q1"):
             rival = np.array([x2]) if kind == "q1" else None
-            got = _risk_kls(kind, np.array([x1]), rival, 12.0, shapes, window)[0]
+            got = _risk_kls(*in_units(np.array([x1]), rival), 12.0, shapes, window)[0]
             want = risk_kls_per_draw(kind, [x1], rival, 12.0, shapes, window)[0]
             size = summand_size(kind, x1, x2, 12.0, shapes, window)
             tol = max(1e-13 * abs(want), 1e-14 + 2.0 * np.finfo(float).eps * max(0.0, size - 50.0))
@@ -359,15 +366,15 @@ class TestFrequentistRisk:
         planted = np.array([7, 1000, 1999])
         x1, x2 = draw_statistics(kind, 2000, 4)
         x1[planted] = value
-        kls = _risk_kls(kind, x1, x2, 12.0, ShapeConfig(), window)
+        kls = _risk_kls(*in_units(x1, x2), 12.0, ShapeConfig(), window)
         assert np.array_equal(np.flatnonzero(~np.isfinite(kls)), planted)
 
         engine = evaluation._risk_kls
 
         def planting(rows):
-            def planted_engine(kind, x1, x2, *args):
+            def planted_engine(x1, x2, *args):
                 x1[rows] = value
-                return engine(kind, x1, x2, *args)
+                return engine(x1, x2, *args)
 
             return planted_engine
 
@@ -420,9 +427,9 @@ class TestFrequentistRisk:
         calls = []
         engine = evaluation._risk_kls
 
-        def recording(kind, x1, x2, *args):
+        def recording(x1, x2, *args):
             calls.append((x1.copy(), x2))
-            return engine(kind, x1, x2, *args)
+            return engine(x1, x2, *args)
 
         monkeypatch.setattr(evaluation, "_risk_kls", recording)
         frequentist_risk(12.0, 6.0, ShapeConfig(), "q0", samples=200, seed=3)
@@ -459,16 +466,23 @@ class TestFrequentistRisk:
 
     @pytest.mark.parametrize("kind", ["q0", "q1"])
     def test_untruncated_risk_at_any_scale(self, kind):
-        # at one seed the draws are lambda1 times the same standard gamma
-        # draws, and the untruncated rule follows lambda1, so the risks
-        # agree up to rounding at every scale; a rule in absolute units
-        # read -0.0 at 1e-6 and 1e8, and 0.2759 for q1's 0.2957 at 1e3, and
-        # one scaled by lambda1 overflowed at 1e304; the engine works in
-        # units of lambda1
+        # the engine works in units of lambda1, and the risk draws the
+        # statistics in them, so at one seed the draws, the rule and every
+        # KL are the same at every scale, on the untruncated support and on
+        # a window that scales with lambda1; a rule in absolute units read
+        # -0.0 at 1e-6 and 1e8, and 0.2759 for q1's 0.2957 at 1e3, and one
+        # scaled by lambda1 overflowed at 1e304
         lambdas = (1e-300, 1e-6, 1e-3, 12.0, 1e3, 1e5, 1e8, 1e304)
-        risks = [frequentist_risk(lam, lam / 2, ShapeConfig(), kind, 2000, seed=1) for lam in lambdas]
-        assert all(e.rejected == 0 for e in risks)
-        np.testing.assert_allclose([e.risk for e in risks], risks[3].risk, rtol=1e-9)
+        for window in (None, (0.0, 5.0)):
+            risks = [
+                frequentist_risk(
+                    lam, lam / 2, ShapeConfig(), kind, 2000, seed=1,
+                    window=None if window is None else (window[0] * lam, window[1] * lam),
+                )
+                for lam in lambdas
+            ]
+            assert all(e.rejected == 0 for e in risks)
+            assert len({(e.risk, e.std_err) for e in risks}) == 1, (window, risks)
 
     def test_ordering_precondition(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 
@@ -188,3 +189,75 @@ class TestBlankRows:
         with pytest.raises(GameLogError, match=message) as exc:
             parse(text.encode())
         assert exc.value.line == 4
+
+
+# each parser with its header, a good row, a row with a bad number, and a
+# row its record constructor rejects
+READER_CASES = [
+    pytest.param(
+        parse_game_log, "team,opponent,elapsed_minutes", "A,B,10.0", "A,B,ten", "A,A,10.0", id="parse_game_log"
+    ),
+    pytest.param(parse_points, "team,points", "A,105", "A,many", "A,0", id="parse_points"),
+]
+
+
+class TestReaderContract:
+    @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
+    def test_empty_file(self, parse, header, good, bad_number, rejected):
+        with pytest.raises(GameLogError, match="empty file") as exc:
+            parse(b"")
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
+    def test_wrong_header(self, parse, header, good, bad_number, rejected):
+        with pytest.raises(GameLogError, match="header must be") as exc:
+            parse(f"{header}x\n{good}\n".encode())
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
+    def test_bad_number(self, parse, header, good, bad_number, rejected):
+        with pytest.raises(GameLogError, match="^line 4: bad ") as exc:
+            parse(f"{header}\n{good}\n\n{bad_number}\n".encode())
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
+    def test_record_rejected_by_its_constructor(self, parse, header, good, bad_number, rejected):
+        with pytest.raises(GameLogError) as exc:
+            parse(f"{header}\n{good}\n{good}\n{rejected}\n".encode())
+        assert exc.value.line == 4
+
+
+def unreadable_inputs(header, good):
+    """(name, data, line, message) of a file the reader cannot read as
+    UTF-8 comma-separated text: a byte that is not UTF-8 on line 2, and a
+    quoted field one character over ``csv.field_size_limit()`` on line 3."""
+    huge = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+    bad_byte = f"{header}\n".encode() + b"\xe9" + f"{good}\n{good}\n".encode()
+    return [
+        ("not UTF-8", bad_byte, 2, "not UTF-8: byte 0xe9"),
+        ("huge field", f"{header}\n{good}\n{huge}{good}\n".encode(), 3, "field larger than field limit"),
+    ]
+
+
+def sources(data, tmp_path):
+    """``data`` as bytes, a path and a binary file object."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    return [data, path, io.BytesIO(data)]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
+    def test_is_a_game_log_error_with_its_line(self, tmp_path, parse, header, good, bad_number, rejected):
+        for name, data, line, message in unreadable_inputs(header, good):
+            for source in sources(data, tmp_path):
+                with pytest.raises(GameLogError, match=f"^line {line}: {message}") as exc:
+                    parse(source)
+                assert exc.value.line == line, (name, source)
+
+    @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
+    def test_bare_carriage_returns_read_from_every_source(self, tmp_path, parse, header, good, bad_number, rejected):
+        want = parse(f"{header}\n{good}\n{good}\n".encode())
+        assert len(want) == 2
+        for source in sources(f"{header}\r{good}\r{good}\r".encode(), tmp_path):
+            assert parse(source) == want
