@@ -36,10 +36,12 @@ each one density call that samples the iterate beside its partial panel's
 nodes; each starts between the two nodes whose mass brackets its level, by
 inverse cubic Hermite interpolation with ``dy/dF = 1/f``, so most end
 after two calls, and a lane ends once its Newton step falls below rounding
-(a lane left unconverged raises ``ConvergenceError``).  The mode is the grid
-argmax, refined by shrinking a bracket around it and finished by Newton
-steps on a five-point derivative.  No adaptive integrator, root finder or
-optimizer runs.
+(a lane left unconverged raises ``ConvergenceError``).  The mode starts from
+the grid too: at the vertex of the parabola through the log density at the
+grid argmax and its two neighbours, which also tells a mode at a window
+edge without a density call, and then takes Newton steps on a five-point
+derivative, one density call each, mostly two.  No adaptive integrator,
+root finder or optimizer runs.
 
 ``_gauss_jacobi`` builds the Gauss rule of the weight ``(1+x)^beta`` by
 Golub and Welsch, in numpy alone; the risk's rule (``evaluation``) takes
@@ -88,13 +90,10 @@ _TAIL_TOL = 2.0**-60
 _BULK_TAIL = 2.0**-20
 _MAX_STEPS = 60  # bisection from one panel to one ulp needs fewer
 _EPS = np.finfo(float).eps
-_MODE_SAMPLES = 17
-_MODE_STEPS = np.arange(float(_MODE_SAMPLES))
-# log-density steps this small are about 1e-3 of the density's width apart:
-# close enough for Newton, far enough apart that rounding in the five-point
-# derivative stays near 1e-12 of that width
-_MODE_FLAT = 1e-6
-_MODE_NEWTON = 3
+# the mode's stencil step h = sqrt(_MODE_FLAT / -c) changes the log density
+# by about _MODE_FLAT: about 4e-4 of the density's width
+_MODE_FLAT = 1e-7
+_MODE_NEWTON = 8  # a cap: the steps end after two or three on the fixtures
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
@@ -425,18 +424,23 @@ def _log_base(d: TruncatedDensity, y: np.ndarray) -> np.ndarray:
 
 
 def _mode(d: TruncatedDensity) -> float:
-    """Grid argmax over [lo + eps, top - eps], refined on shrinking brackets.
+    """Grid argmax over [lo + eps, top - eps], finished by Newton steps.
 
     The window edges stay candidates, sampled ``eps`` inside since the
-    density may be unbounded at ``lo``; when one wins, the mode is the edge
-    itself (``lo``, or ``top``, the grid's upper edge).  Each refinement
-    samples the log density at ``_MODE_SAMPLES`` points across the bracket
-    and keeps the two intervals around the best.
-    Once neighbouring samples differ by less than ``_MODE_FLAT`` (about
-    1e-3 of the density's width apart), Newton steps on a five-point
-    derivative of the log density at that spacing finish the job.  A
-    density that vanishes somewhere gives a log of -inf there, so the
-    caller ignores division by zero around the whole search.
+    density may be unbounded at ``lo``.  The start is the vertex of the
+    parabola through the log density at the argmax and its two neighbours
+    (divided differences on the uneven nodes).  Where that parabola has no
+    maximum between the neighbours, the mode is the argmax itself, and an
+    edge candidate's is the edge (``lo``, or ``top``, the grid's upper
+    edge): no density call is made.  Otherwise Newton steps on a five-point
+    derivative of the log density, one density call each, start from the
+    vertex and stay between the neighbours (one held at an edge candidate
+    is that edge).  The stencil's step
+    ``h = sqrt(_MODE_FLAT / -c)`` comes from the parabola's curvature ``c``;
+    the steps stop once one falls below ``1e-3 h``, and by Newton's
+    quadratic convergence the iterate is then within about 1e-12 of the
+    density's width.  A density that vanishes somewhere gives a log of -inf
+    there, so the caller ignores division by zero around the whole search.
     """
     g = d.grid
     top = g.edges[-1]
@@ -444,30 +448,28 @@ def _mode(d: TruncatedDensity) -> float:
     y, f = g.y.ravel(), g.f.ravel()
     inside = (y > lo) & (y < hi)
     ys = np.concatenate((g.ends[:1], y[inside], g.ends[1:]))
-    fs = np.concatenate((g.f_ends[:1], f[inside], g.f_ends[1:]))
-    i = int(np.argmax(fs))
-    a, b = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
-    for _ in range(_MAX_STEPS):
-        # numpy linspace's own arithmetic, without its Python-level set-up
-        t = _MODE_STEPS * ((b - a) / (_MODE_SAMPLES - 1))
-        t += a
-        t[-1] = b
-        v = _log_base(d, t)
-        j = int(np.argmax(v))
-        if j in (0, _MODE_SAMPLES - 1):
-            return float(d.lo if t[j] == lo else top if t[j] == hi else t[j])
-        a, b = t[j - 1], t[j + 1]
-        if v[j] - min(v[j - 1], v[j + 1]) <= _MODE_FLAT:
-            break
-    best, h = t[j], t[1] - t[0]
+    v = np.log(np.concatenate((g.f_ends[:1], f[inside], g.f_ends[1:])))
+    j = int(np.argmax(v))
+    i = min(max(j, 1), len(ys) - 2)
+    a, m, b = ys[i - 1 : i + 2]
+    va, vm, vb = v[i - 1 : i + 2]
+    slope = (vm - va) / (m - a)
+    c = ((vb - vm) / (b - m) - slope) / (b - a)
+    best = 0.5 * (a + m - slope / c)
+    if not (c < 0 and a < best < b):
+        return float(d.lo if j == 0 else top if j == len(ys) - 1 else ys[j])
+    h = math.sqrt(_MODE_FLAT / -c)
     for _ in range(_MODE_NEWTON):
-        v = _log_base(d, best + h * _STENCIL)
-        slope = (v[0] - 8.0 * v[1] + 8.0 * v[3] - v[4]) / (12.0 * h)
-        curv = (v[1] - 2.0 * v[2] + v[3]) / h**2
-        if not (np.isfinite(slope) and curv < 0):
+        w = _log_base(d, best + h * _STENCIL)
+        grad = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * h)
+        curv = (w[1] - 2.0 * w[2] + w[3]) / h**2
+        if not (np.isfinite(grad) and curv < 0):
             break
-        best = min(max(best - slope / curv, a), b)
-    return float(best)
+        step = grad / curv
+        best = min(max(best - step, a), b)
+        if abs(step) < 1e-3 * h:
+            break
+    return float(d.lo if best == lo else top if best == hi else best)
 
 
 def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
@@ -479,11 +481,15 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
     r' in [0.5, 6], r1, r2 in [1.5, 6] and statistics in [1e-2, 1e4], on
     finite and infinite windows, the window mass and the mean agree with
     closed forms and adaptive quadrature to about 1e-14 relative, and every
-    quantile's CDF with its level to about 1e-14.  The mode is the grid
-    argmax, with both window edges as candidates (sampled by ``truncate``
-    in the grid's own density call), refined to about 1e-11 of the
-    density's width: on the fixtures it is within 2e-10 min of the
-    closed-form (q0) and mpmath (q1) modes.
+    quantile's CDF with its level to about 1e-14.  The mode starts at the
+    vertex of the parabola through the log density at the grid argmax and
+    its neighbours, with both window edges as candidates (sampled by
+    ``truncate`` in the grid's own density call), and Newton steps on a
+    five-point derivative take it to about 1e-11 of the density's width
+    (mostly two density calls; none for a mode at a window edge): over
+    r1 in [1.05, 8], r' in [1.02, 8] and x1 in [e^-4, e^7] it is within
+    about 2e-11 of q0's width of the closed form, and on the fixtures within
+    2e-10 min of the closed-form (q0) and mpmath (q1) modes.
     """
     probs = np.asarray(probs, dtype=float)
     bad = probs[~((probs > 0.0) & (probs < 1.0))]

@@ -15,7 +15,9 @@ converts its fields and builds its records.  A file that cannot be read as
 UTF-8 comma-separated text is a ``GameLogError`` with a line number, like
 any malformed row: for bytes that are not UTF-8, the line that holds the
 first of them; for text the csv reader rejects, such as a field longer than
-``csv.field_size_limit()``, the reader's line.
+``csv.field_size_limit()``, the reader's line.  A text file object whose own
+decoder fails is a ``GameLogError`` too, without a line number.  A row's
+line number is the line it ends on.
 
 Reduction takes the arithmetic mean of a team's elapsed times.  For the
 rival statistic the mean can additionally be rescaled by a season-points
@@ -87,7 +89,12 @@ def _text(source) -> str:
     elif isinstance(source, (bytes, bytearray)):
         data = source
     elif hasattr(source, "read"):
-        data = source.read()
+        try:
+            data = source.read()
+        except UnicodeDecodeError as exc:
+            # a text file object's own decoder: the bytes it read before are
+            # not known, so neither is the line
+            raise GameLogError(f"not {exc.encoding}: byte 0x{exc.object[exc.start]:02x}") from None
         if isinstance(data, str):
             return data
     else:
@@ -104,8 +111,9 @@ def _text(source) -> str:
 def _rows(source):
     """Read ``source`` as comma-separated text (module docstring): yield its
     header row, each cell stripped, then ``(line number, row)`` for each
-    row that is not blank, a row's line number being its 1-based count
-    among the rows.
+    row that is not blank, a row's line number being the reader's
+    ``line_num`` once it has read the row: the line the row ends on, which
+    a quoted line break puts past the row's count among the rows.
 
     Raises:
         GameLogError: on an empty file (line 1), on a row whose field count
@@ -118,12 +126,12 @@ def _rows(source):
         if header is None:
             raise GameLogError("empty file: header row required", line=1)
         yield [h.strip() for h in header]
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not any(map(str.strip, row)):
                 continue
             if len(row) != len(header):
-                raise GameLogError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
-            yield line_no, row
+                raise GameLogError(f"expected {len(header)} fields, got {len(row)}", line=reader.line_num)
+            yield reader.line_num, row
     except csv.Error as exc:
         raise GameLogError(str(exc), line=reader.line_num) from None
 

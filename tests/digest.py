@@ -12,7 +12,13 @@ raw values in one checkout and compare them in the other,
     PYTHONPATH=src python tests/digest.py --against parent.npz
 
 ``--against`` prints, after the hash lines, each section's largest
-relative and ulp difference and how many values differ.
+relative and ulp difference and how many values differ.  A claim about
+how many density calls the summaries make is checked the same way,
+
+    PYTHONPATH=src python tests/digest.py --calls
+
+prints, instead of the hashes, the mean density calls per mode and per
+quantile set over the summaries of the ``densities`` section.
 
 It reads only public names (``goaltime``, the ``log_*_base`` functions
 of ``goaltime.predictive`` and ``goaltime.ingest.serialize_game_log``), so
@@ -70,6 +76,7 @@ from goaltime import (
     predictive_summaries,
     reduce_to_stat,
     restricted_predictive,
+    summarize,
     toronto_fixture_path,
     truncate,
     unrestricted_predictive,
@@ -140,7 +147,9 @@ def _statistics():
             yield (r1, r2, rp), float(x1), float(x2)
 
 
-def densities(h) -> None:
+def _densities():
+    """q0 and q1 at each statistic and window: ``(density, ys)``, or the
+    class name of what the build raises and ``ys``."""
     for (r1, r2, rp), x1, x2 in _statistics():
         for lo, hi in WINDOWS:
             p = PredictionProblem(
@@ -150,14 +159,20 @@ def densities(h) -> None:
             ys = np.concatenate(([lo - 1.0, lo], np.linspace(lo, top, 41)[1:-1], [top, top + 1.0]))
             for build in (unrestricted_predictive, restricted_predictive):
                 try:
-                    d = build(p)
+                    yield build(p), ys
                 except Exception as exc:  # noqa: BLE001
-                    _feed(h, type(exc).__name__)
-                    continue
-                _call(h, lambda: predictive_summaries(d).as_tuple())
-                _call(h, d.pdf, ys)
-                _call(h, d.cdf, ys)
-                _call(h, d.cdf, float(ys[7]))
+                    yield type(exc).__name__, ys
+
+
+def densities(h) -> None:
+    for d, ys in _densities():
+        if isinstance(d, str):
+            _feed(h, d)
+            continue
+        _call(h, lambda: predictive_summaries(d).as_tuple())
+        _call(h, d.pdf, ys)
+        _call(h, d.cdf, ys)
+        _call(h, d.cdf, float(ys[7]))
 
 
 def bases(h) -> None:
@@ -304,6 +319,34 @@ SECTIONS = {
 }
 
 
+def density_calls() -> str:
+    """Mean density calls per mode and per quantile set of the densities
+    sweep's summaries.  Each density is built again by ``truncate`` around
+    a base that records the shape of each call; ``summarize``'s calls are
+    then told apart by that shape: a quantile step samples its levels as
+    rows, the mode's calls are flat."""
+    counts = []
+    for d, _ in _densities():
+        if isinstance(d, str):
+            continue
+        shapes = []
+
+        def base(y, real=d.base):
+            shapes.append(np.shape(y))
+            return real(y)
+
+        counted = truncate(base, d.lo, d.hi)
+        shapes.clear()
+        summarize(counted)
+        rows = sum(len(shape) == 2 for shape in shapes)
+        counts.append((len(shapes) - rows, rows))
+    mode, quantiles = np.mean(counts, axis=0)
+    return (
+        f"density calls over {len(counts)} summaries: {mode:.2f} per mode, "
+        f"{quantiles:.2f} per quantile set (levels 0.2, 0.5, 0.9)"
+    )
+
+
 def _ordered(x: np.ndarray) -> np.ndarray:
     """Doubles as integers in the same order, one apart per ulp."""
     i = x.view(np.int64)
@@ -335,7 +378,14 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="SHA-256 hashes over a seeded sweep of the public API")
     parser.add_argument("--dump", metavar="PATH", help="write each section's raw values to PATH (.npz)")
     parser.add_argument("--against", metavar="PATH", help="compare the raw values with a --dump file")
+    parser.add_argument(
+        "--calls", action="store_true", help="print only the density calls per mode and per quantile set"
+    )
     args = parser.parse_args(argv)
+    if args.calls:
+        with np.errstate(all="ignore"):
+            print(density_calls())
+        return
     total = hashlib.sha256()
     values = {}
     with np.errstate(all="ignore"):

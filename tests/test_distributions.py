@@ -424,6 +424,55 @@ class TestModeEdgeSamples:
                         assert dist._mode(apart) == dist._mode(d)
 
 
+class TestModeCalls:
+    """The mode starts from the window grid: on the fixture's densities, at
+    most two density calls for a mode inside a finite window and at most
+    one (none, since the grid's parabola tells the edge) for a mode at a
+    window edge."""
+
+    @staticmethod
+    def fixture_problem(rp=3.0, window=(0.0, 60.0), x1=None):
+        a = reduce_to_stat(parse_game_log(toronto_fixture_path()), "Toronto Maple Leafs", r=3.0)
+        b = reduce_to_stat(parse_game_log(canadiens_fixture_path()), "Montreal Canadiens", r=3.0)
+        if x1 is not None:
+            a = SufficientStat(x1, 3.0)
+        return PredictionProblem(obs_a=a, obs_b=b, r_prime=rp, window=window)
+
+    @staticmethod
+    def mode_calls(d):
+        counted, calls = counting(d)
+        with np.errstate(divide="ignore"):
+            return dist._mode(counted), calls
+
+    # on (0, inf) the grid's nodes near the mode are 0.07 (q1) and 0.14 (q0)
+    # of the density's width apart, against 0.008 to 0.02 on the finite
+    # windows, so q0's parabola starts further out and takes a third step
+    @pytest.mark.parametrize("window, max_calls", [((0.0, 60.0), 2), ((5.0, 45.0), 2), ((0.0, np.inf), 3)])
+    def test_interior_mode(self, window, max_calls):
+        for build in (unrestricted_predictive, restricted_predictive):
+            mode, calls = self.mode_calls(build(self.fixture_problem(window=window)))
+            assert window[0] < mode < window[1]
+            assert 1 <= len(calls) <= max_calls, calls
+            # each call is one five-point stencil
+            assert set(calls) == {(5,)}
+
+    @pytest.mark.parametrize(
+        "rp, window, x1, edge",
+        [
+            (0.5, (0.0, 60.0), None, 0.0),
+            (0.5, (0.0, np.inf), None, 0.0),
+            (0.5, (5.0, 45.0), None, 5.0),
+            (1.0, (0.0, 60.0), None, 0.0),
+            (3.0, (0.0, 60.0), 1e9, 60.0),
+        ],
+    )
+    def test_edge_mode(self, rp, window, x1, edge):
+        for build in (unrestricted_predictive, restricted_predictive):
+            mode, calls = self.mode_calls(build(self.fixture_problem(rp, window, x1)))
+            assert mode == edge
+            assert len(calls) <= 1, calls
+
+
 class TestPdfContract:
     @given(shape=st.floats(0.5, 8), scale=st.floats(0.5, 30))
     @settings(max_examples=25, deadline=None)

@@ -95,6 +95,14 @@ class TestParseGameLog:
             parse_game_log(b"team,opponent,elapsed_minutes\nA,B\n")
         assert exc.value.line == 2
 
+    def test_line_number_counts_quoted_line_breaks(self):
+        # the quoted team name spans lines 2 and 3, so the bad row is on
+        # line 4, not the third row
+        data = b'team,opponent,elapsed_minutes\n"A\nA",B,10\nA,B,oops\n'
+        with pytest.raises(GameLogError, match="^line 4: bad elapsed_minutes") as exc:
+            parse_game_log(data)
+        assert exc.value.line == 4
+
 
 class TestReduce:
     def records(self):
@@ -254,6 +262,14 @@ class TestUnreadableFiles:
                 with pytest.raises(GameLogError, match=f"^line {line}: {message}") as exc:
                     parse(source)
                 assert exc.value.line == line, (name, source)
+
+    @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
+    def test_text_file_object_whose_decoder_fails(self, parse, header, good, bad_number, rejected):
+        # the file object's own decoder raises, before the reader sees text
+        data = f"{header}\n".encode() + b"A\xe9" + f"{good}\n".encode()
+        with pytest.raises(GameLogError, match="^not ascii: byte 0xe9$") as exc:
+            parse(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        assert exc.value.line is None
 
     @pytest.mark.parametrize("parse, header, good, bad_number, rejected", READER_CASES)
     def test_bare_carriage_returns_read_from_every_source(self, tmp_path, parse, header, good, bad_number, rejected):

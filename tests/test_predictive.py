@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -427,11 +427,17 @@ class TestRestricted:
         else:
             assert sorted(setups) == [(3.0, r2), (6.0, r2)]
         built_setups, built_lgammas, built_betaincs = list(setups), len(lgammas), len(betaincs)
+        built_calls = len(calls)
         monkeypatch.setattr(np, "broadcast_shapes", counting(np.broadcast_shapes, broadcasts))
         predictive_summaries(d)
+        summary_calls = len(calls) - built_calls
         d.pdf(0.1 * (np.arange(600) + 0.5))
         d.cdf(np.array([5.0, 30.0, 59.0]))
         d.cdf(12.5)
+        # at least one call for the quantiles and one for the interior mode,
+        # then one each for pdf and the two cdfs, all past the build
+        assert summary_calls >= 2
+        assert len(calls) == built_calls + summary_calls + 3
         assert len(betas) == 1
         assert broadcasts == []
         assert setups == built_setups
@@ -443,7 +449,6 @@ class TestRestricted:
             assert betaincs == []
         else:
             assert calls.count(3.0) == 1
-            assert len(calls) > 10
             # the continued fraction runs at a non-integer r2 alone
             assert (betaincs.count(3.0) == 1) == (r2 == 2.5) == bool(betaincs)
 
@@ -585,6 +590,25 @@ class TestSummaries:
             2.0 * X1_TABLE / 4.0, abs=1e-6
         )
         assert predictive_summaries(restricted_predictive(p)).mode == pytest.approx(q1_mode, abs=1e-6)
+
+    @given(
+        r1=st.floats(1.05, 8.0),
+        rp=st.floats(1.02, 8.0),
+        log_x1=st.floats(-4.0, 7.0),
+        window=st.sampled_from([(0.0, 60.0), (0.0, np.inf), (5.0, 45.0)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_q0_mode_over_domain(self, r1, rp, log_x1, window):
+        # the beta prime mode x1 (r'-1)/(r1+1), wherever it lies inside the
+        # window, to 1e-10 of the density's width (-(d^2/dy^2) log q0)^(-1/2)
+        x1 = math.exp(log_x1)
+        want = x1 * (rp - 1.0) / (r1 + 1.0)
+        lo, hi = window
+        assume(lo < want < hi)
+        width = ((rp - 1.0) / want**2 - (r1 + rp) / (x1 + want) ** 2) ** -0.5
+        p = PredictionProblem(obs_a=SufficientStat(x=x1, r=r1), r_prime=rp, window=window)
+        got = predictive_summaries(unrestricted_predictive(p)).mode
+        assert abs(got - want) <= 1e-10 * width
 
 
 WINDOWS = st.one_of(
