@@ -34,14 +34,18 @@ of numpy's ``leggauss(16)``, so that importing the module loads no
 nearest panel edge.  Quantiles take safeguarded Newton steps on that CDF,
 each one density call that samples the iterate beside its partial panel's
 nodes; each starts between the two nodes whose mass brackets its level, by
-inverse cubic Hermite interpolation with ``dy/dF = 1/f``, so most end
-after two calls, and a lane ends once its Newton step falls below rounding
-(a lane left unconverged raises ``ConvergenceError``).  The mode starts from
-the grid too: at the vertex of the parabola through the log density at the
-grid argmax and its two neighbours, which also tells a mode at a window
-edge without a density call, and then takes Newton steps on a five-point
-derivative, one density call each, mostly two.  No adaptive integrator,
-root finder or optimizer runs.
+inverse cubic Hermite interpolation with ``dy/dF = 1/f``, and a lane ends
+once its Newton step falls below rounding (a lane left unconverged raises
+``ConvergenceError``).  The start is so close that on a finite window most
+sets end after one call: the first Newton iterate's predicted error,
+``|f'/(2f)| step^2`` with ``f'`` the slope between the two nodes, is then
+below rounding in every lane.  The mode starts from the grid too: the
+parabola through the log density at the grid argmax and its two
+neighbours tells a mode at a window edge without a density call, the
+quartic through the five values around the argmax gives the start, and
+Newton steps on a five-point derivative, one density call each, finish
+it, on a finite window mostly after one.  No adaptive integrator, root
+finder or optimizer runs.
 
 ``_gauss_jacobi`` builds the Gauss rule of the weight ``(1+x)^beta`` by
 Golub and Welsch, in numpy alone; the risk's rule (``evaluation``) takes
@@ -93,7 +97,7 @@ _EPS = np.finfo(float).eps
 # the mode's stencil step h = sqrt(_MODE_FLAT / -c) changes the log density
 # by about _MODE_FLAT: about 4e-4 of the density's width
 _MODE_FLAT = 1e-7
-_MODE_NEWTON = 8  # a cap: the steps end after two or three on the fixtures
+_MODE_NEWTON = 8  # a cap: the steps end after one or two on the fixtures
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
@@ -347,6 +351,12 @@ class DensitySummary:
     quantiles: dict[float, float]
 
 
+def _node_pair(g: DensityGrid, target: np.ndarray) -> np.ndarray:
+    """Flat indices of the two grid nodes whose mass brackets each target,
+    one row (below, above) per target; take them with ``mode="clip"``."""
+    return g.node_cum.searchsorted(target, side="right")[:, None] + _PAIR
+
+
 def _newton_start(d: TruncatedDensity, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start and bracket of each quantile's Newton steps.
 
@@ -362,7 +372,7 @@ def _newton_start(d: TruncatedDensity, target: np.ndarray) -> tuple[np.ndarray, 
     cum = g.cum
     k = cum[1:-1].searchsorted(target, side="right")
     left, right = g.edges[k], g.edges[k + 1]
-    pair = g.node_cum.searchsorted(target, side="right")[:, None] + _PAIR
+    pair = _node_pair(g, target)
     c0, c1 = g.node_cum.take(pair, mode="clip").T
     y0, y1 = g.y.take(pair, mode="clip").T
     f0, f1 = g.f.take(pair, mode="clip").T
@@ -390,25 +400,45 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
     A lane whose Newton step falls below rounding (``4 eps`` of the iterate)
     has reached its root and stays there; any other Newton step that leaves
     the current bracket is replaced by bisection, and a lane also ends once
-    that safeguarded step falls below rounding.
+    that safeguarded step falls below rounding.  After the first call, the
+    set ends without a second one when every lane has either reached its
+    root or has a first Newton iterate inside its bracket whose predicted
+    error ``|f'/(2f)| step^2`` is at most ``eps`` of it, with ``f'`` the
+    slope between the two nodes its start lies between: the second call
+    would only confirm that iterate.  Most sets on a finite window end
+    after one call; on (0, inf), where the grid's nodes lie further apart,
+    most take three.
 
     Raises:
         ConvergenceError: if some lane has not ended after ``_MAX_STEPS``.
     """
     target = probs * d.mass
     t, left, right = _newton_start(d, target)
-    for _ in range(_MAX_STEPS):
+    for n in range(_MAX_STEPS):
         below, f = d._partial_panel(t)
         resid = below - target
         left = np.where(resid < 0, t, left)
         right = np.where(resid > 0, t, right)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = resid / f
-        # checked before the bracket: a root reached from one side sits on
-        # that bracket end, where the strict test below would bisect away
-        settled = (resid == 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(t))
-        nxt = t - step
-        nxt = np.where((nxt > left) & (nxt < right), nxt, 0.5 * (left + right))
+            # checked before the bracket: a root reached from one side sits
+            # on that bracket end, where the strict test below would bisect away
+            settled = (resid == 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(t))
+            nxt = t - step
+            inside = (nxt > left) & (nxt < right)
+            if n == 0:
+                # Newton's error at t - step is about |f'/(2f)| step^2, f' the
+                # slope between the start's bracketing nodes: where it is
+                # below rounding in every lane, the next call would only
+                # confirm the iterate
+                g = d.grid
+                pair = _node_pair(g, target)
+                y0, y1 = g.y.take(pair, mode="clip").T
+                f0, f1 = g.f.take(pair, mode="clip").T
+                error = np.abs((f1 - f0) / ((y1 - y0) * (2.0 * f))) * (step * step)
+                if (settled | (inside & (error <= _EPS * np.abs(nxt)))).all():
+                    return np.where(settled, t, nxt)
+        nxt = np.where(inside, nxt, 0.5 * (left + right))
         converged = settled | (np.abs(nxt - t) <= 4.0 * _EPS * np.abs(nxt))
         t = np.where(settled, t, nxt)
         if converged.all():
@@ -423,42 +453,85 @@ def _log_base(d: TruncatedDensity, y: np.ndarray) -> np.ndarray:
     return np.log(np.asarray(d.base(y), dtype=float))
 
 
+def _quartic_peak(x: list, v: list, t: float, a: float, b: float, tol: float) -> float:
+    """Maximum of the quartic through the five points ``(x[k], v[k])``, by
+    Newton steps on its derivative from ``t`` until one falls below
+    ``tol``; ``t`` itself where a step meets no maximum or leaves (a, b).
+
+    The quartic is in Newton's divided-difference form, and each step
+    evaluates its first two derivatives by Horner's rule, in floats: a
+    least-squares fit would cost more than the density call it saves.
+    """
+    c = list(v)
+    for n in range(1, 5):
+        for k in range(4, n - 1, -1):
+            c[k] = (c[k] - c[k - 1]) / (x[k] - x[k - n])
+    u = t
+    for _ in range(_MODE_NEWTON):
+        p, dp, d2p = c[4], 0.0, 0.0
+        for k in range(3, -1, -1):
+            z = u - x[k]
+            d2p = d2p * z + 2.0 * dp
+            dp = dp * z + p
+            p = p * z + c[k]
+        if not d2p < 0:
+            return t
+        step = dp / d2p
+        u -= step
+        if not a < u < b:
+            return t
+        if abs(step) < tol:
+            break
+    return u
+
+
 def _mode(d: TruncatedDensity) -> float:
     """Grid argmax over [lo + eps, top - eps], finished by Newton steps.
 
     The window edges stay candidates, sampled ``eps`` inside since the
-    density may be unbounded at ``lo``.  The start is the vertex of the
-    parabola through the log density at the argmax and its two neighbours
-    (divided differences on the uneven nodes).  Where that parabola has no
-    maximum between the neighbours, the mode is the argmax itself, and an
-    edge candidate's is the edge (``lo``, or ``top``, the grid's upper
-    edge): no density call is made.  Otherwise Newton steps on a five-point
-    derivative of the log density, one density call each, start from the
-    vertex and stay between the neighbours (one held at an edge candidate
-    is that edge).  The stencil's step
-    ``h = sqrt(_MODE_FLAT / -c)`` comes from the parabola's curvature ``c``;
-    the steps stop once one falls below ``1e-3 h``, and by Newton's
-    quadratic convergence the iterate is then within about 1e-12 of the
-    density's width.  A density that vanishes somewhere gives a log of -inf
+    density may be unbounded at ``lo``.  The argmax is taken on the density
+    and the log is taken of only the five values around it.  The parabola
+    through the log density at the argmax and its two neighbours (divided
+    differences on the uneven nodes) tells whether the mode is inside:
+    where it has no maximum between the neighbours, the mode is the argmax
+    itself, and an edge candidate's is the edge (``lo``, or ``top``, the
+    grid's upper edge): no density call is made.  Otherwise the start is
+    the maximum of the quartic through the five values, found from the
+    parabola's vertex (``_quartic_peak``; the vertex where the quartic has
+    no maximum between the neighbours), and Newton steps on a five-point
+    derivative of the log density, one density call each, stay between the
+    neighbours (one held at an edge candidate is that edge).  The
+    stencil's step ``h = sqrt(_MODE_FLAT / -c)`` comes from the parabola's
+    curvature ``c``; the steps stop once one falls below ``1e-3 h``, and by
+    Newton's quadratic convergence the iterate is then within about 1e-12
+    of the density's width.  On a finite window the quartic's start is
+    mostly that close already, so most interior modes stop after their
+    first call.  A density that vanishes somewhere gives a log of -inf
     there, so the caller ignores division by zero around the whole search.
     """
     g = d.grid
     top = g.edges[-1]
     lo, hi = g.ends
-    y, f = g.y.ravel(), g.f.ravel()
-    inside = (y > lo) & (y < hi)
-    ys = np.concatenate((g.ends[:1], y[inside], g.ends[1:]))
-    v = np.log(np.concatenate((g.f_ends[:1], f[inside], g.f_ends[1:])))
-    j = int(np.argmax(v))
-    i = min(max(j, 1), len(ys) - 2)
-    a, m, b = ys[i - 1 : i + 2]
-    va, vm, vb = v[i - 1 : i + 2]
+    y = g.y.ravel()
+    # the nodes strictly between the edge candidates: a run of the sorted grid
+    k0, k1 = y.searchsorted(lo, side="right"), y.searchsorted(hi)
+    ys = np.concatenate((g.ends[:1], y[k0:k1], g.ends[1:]))
+    fs = np.concatenate((g.f_ends[:1], g.f.ravel()[k0:k1], g.f_ends[1:]))
+    j = int(np.argmax(fs))
+    # the five values around the argmax, and the parabola's three among them
+    i = min(max(j, 2), len(ys) - 3)
+    x = ys[i - 2 : i + 3].tolist()
+    v = np.log(fs[i - 2 : i + 3]).tolist()
+    k = min(max(j, 1), len(ys) - 2) - i + 2
+    a, m, b = x[k - 1 : k + 2]
+    va, vm, vb = v[k - 1 : k + 2]
     slope = (vm - va) / (m - a)
     c = ((vb - vm) / (b - m) - slope) / (b - a)
-    best = 0.5 * (a + m - slope / c)
-    if not (c < 0 and a < best < b):
+    best = 0.5 * (a + m - slope / c) if c < 0 else a
+    if not a < best < b:
         return float(d.lo if j == 0 else top if j == len(ys) - 1 else ys[j])
     h = math.sqrt(_MODE_FLAT / -c)
+    best = _quartic_peak(x, v, best, a, b, 1e-3 * h)
     for _ in range(_MODE_NEWTON):
         w = _log_base(d, best + h * _STENCIL)
         grad = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * h)
@@ -477,16 +550,20 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
 
     The mean is a weighted sum over the grid; each quantile inverts the
     grid CDF to a few ulps, by Newton steps that start from the CDF at the
-    grid's nodes (mostly two density calls for all levels together).  Over
+    grid's nodes (on a finite window mostly one density call for all
+    levels together, ending once Newton's predicted error is below
+    rounding).  Over
     r' in [0.5, 6], r1, r2 in [1.5, 6] and statistics in [1e-2, 1e4], on
     finite and infinite windows, the window mass and the mean agree with
     closed forms and adaptive quadrature to about 1e-14 relative, and every
     quantile's CDF with its level to about 1e-14.  The mode starts at the
     vertex of the parabola through the log density at the grid argmax and
     its neighbours, with both window edges as candidates (sampled by
-    ``truncate`` in the grid's own density call), and Newton steps on a
+    ``truncate`` in the grid's own density call), refined on the quartic
+    through the five grid values around the argmax, and Newton steps on a
     five-point derivative take it to about 1e-11 of the density's width
-    (mostly two density calls; none for a mode at a window edge): over
+    (on a finite window mostly one density call; none for a mode at a
+    window edge): over
     r1 in [1.05, 8], r' in [1.02, 8] and x1 in [e^-4, e^7] it is within
     about 2e-11 of q0's width of the closed form, and on the fixtures within
     2e-10 min of the closed-form (q0) and mpmath (q1) modes.

@@ -250,12 +250,12 @@ def _log_ordering_probability(x1, x2, r1: float, r2: float):
     the kernel at ``y = 0`` and ``a = r1`` (module docstring)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if np.any(x1 <= 0) or np.any(x2 <= 0):
+    if (x1 <= 0).any() or (x2 <= 0).any():
         raise DomainError("restricted density requires positive statistics")
     # x2/x1 may overflow; the result is then not finite and raises below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = _Kernel(r1, r2)(0.0, x1, x2)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainError("ordering probability not finite; log form unavailable")
     return out
 

@@ -17,8 +17,10 @@ how many density calls the summaries make is checked the same way,
 
     PYTHONPATH=src python tests/digest.py --calls
 
-prints, instead of the hashes, the mean density calls per mode and per
-quantile set over the summaries of the ``densities`` section.
+prints, instead of the hashes, the mean density calls per mode, per
+quantile set and per summary (the two together) over the summaries of
+the ``densities`` section, and the share of quantile sets that end after
+one call.
 
 It reads only public names (``goaltime``, the ``log_*_base`` functions
 of ``goaltime.predictive`` and ``goaltime.ingest.serialize_game_log``), so
@@ -320,8 +322,9 @@ SECTIONS = {
 
 
 def density_calls() -> str:
-    """Mean density calls per mode and per quantile set of the densities
-    sweep's summaries.  Each density is built again by ``truncate`` around
+    """Mean density calls per mode, per quantile set and per summary of the
+    densities sweep's summaries, and the share of quantile sets that end
+    after one call.  Each density is built again by ``truncate`` around
     a base that records the shape of each call; ``summarize``'s calls are
     then told apart by that shape: a quantile step samples its levels as
     rows, the mode's calls are flat."""
@@ -340,10 +343,13 @@ def density_calls() -> str:
         summarize(counted)
         rows = sum(len(shape) == 2 for shape in shapes)
         counts.append((len(shapes) - rows, rows))
-    mode, quantiles = np.mean(counts, axis=0)
+    counts = np.array(counts)
+    mode, quantiles = counts.mean(axis=0)
+    one = np.mean(counts[:, 1] == 1)
     return (
         f"density calls over {len(counts)} summaries: {mode:.2f} per mode, "
-        f"{quantiles:.2f} per quantile set (levels 0.2, 0.5, 0.9)"
+        f"{quantiles:.2f} per quantile set (levels 0.2, 0.5, 0.9), {mode + quantiles:.2f} per summary; "
+        f"{one:.0%} of quantile sets end after one call"
     )
 
 
@@ -379,7 +385,7 @@ def main(argv=None) -> None:
     parser.add_argument("--dump", metavar="PATH", help="write each section's raw values to PATH (.npz)")
     parser.add_argument("--against", metavar="PATH", help="compare the raw values with a --dump file")
     parser.add_argument(
-        "--calls", action="store_true", help="print only the density calls per mode and per quantile set"
+        "--calls", action="store_true", help="print only the density calls per mode, quantile set and summary"
     )
     args = parser.parse_args(argv)
     if args.calls:
