@@ -32,10 +32,11 @@ recurrence).  The 16-node rule itself is a literal table, the hex floats
 of numpy's ``leggauss(16)``, so that importing the module loads no
 ``numpy.polynomial``.  The CDF adds one Gauss-Legendre panel from the
 nearest panel edge.  Quantiles take safeguarded Newton steps on that CDF,
-each one density call that samples the iterate beside its partial panel's
-nodes; each starts between the two nodes whose mass brackets its level, by
-inverse cubic Hermite interpolation with ``dy/dF = 1/f``, and a lane ends
-once its Newton step falls below rounding (a lane left unconverged raises
+one lane in Python floats per level; each step is one density call for
+all lanes, which samples each iterate beside its partial panel's nodes.
+Each lane starts between the two nodes whose mass brackets its level, by
+inverse cubic Hermite interpolation with ``dy/dF = 1/f``, and ends once
+its Newton step falls below rounding (a lane left unconverged raises
 ``ConvergenceError``).  The start is so close that on a finite window most
 sets end after one call: the first Newton iterate's predicted error,
 ``|f'/(2f)| step^2`` with ``f'`` the slope between the two nodes, is then
@@ -93,7 +94,7 @@ _PROBE = 2.0 ** np.arange(-300.0, 301.0)  # offsets from lo of an infinite windo
 _TAIL_TOL = 2.0**-60
 _BULK_TAIL = 2.0**-20
 _MAX_STEPS = 60  # bisection from one panel to one ulp needs fewer
-_EPS = np.finfo(float).eps
+_EPS = 2.0**-52  # the spacing of doubles at 1
 # the mode's stencil step h = sqrt(_MODE_FLAT / -c) changes the log density
 # by about _MODE_FLAT: about 4e-4 of the density's width
 _MODE_FLAT = 1e-7
@@ -170,7 +171,6 @@ def _integration_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 _GL_CUM = _integration_matrix(_GL_X, _GL_W)
-_PAIR = np.array([-1, 0])  # a node's offset from the first node above a level
 
 
 def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -351,106 +351,104 @@ class DensitySummary:
     quantiles: dict[float, float]
 
 
-def _node_pair(g: DensityGrid, target: np.ndarray) -> np.ndarray:
-    """Flat indices of the two grid nodes whose mass brackets each target,
-    one row (below, above) per target; take them with ``mode="clip"``."""
-    return g.node_cum.searchsorted(target, side="right")[:, None] + _PAIR
+def _newton_start(g: DensityGrid, target: float, k: int, j: int) -> tuple[float, float, float, float, float]:
+    """Start and bracket of one quantile's Newton steps, and ``f1 - f0``
+    and ``y1 - y0`` between the two grid nodes the start lies between.
 
-
-def _newton_start(d: TruncatedDensity, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start and bracket of each quantile's Newton steps.
-
-    The bracket is the panel whose cumulative mass holds ``target``.  The
-    start lies between the two grid nodes whose CDF (``DensityGrid.node_cum``)
-    brackets it, by inverse cubic Hermite interpolation of ``y(F)`` with
-    ``dy/dF = 1/f``.  Where that point is not finite or leaves the panel (a
-    level before the grid's first node or past its last, or beside a node
-    where the density is 0), the start is linear in cumulative mass across
-    the whole panel, and an empty panel's 0/0 starts at its left edge.
+    The bracket is the panel ``k`` whose cumulative mass holds ``target``,
+    and ``j`` is the first grid node whose CDF (``DensityGrid.node_cum``) is
+    above it.  The start lies between the nodes ``j - 1`` and ``j``, by
+    inverse cubic Hermite interpolation of ``y(F)`` with ``dy/dF = 1/f``.
+    Where there is no such pair (a level before the grid's first node or
+    past its last: the pair is clipped to one node, and ``y1 - y0`` is 0),
+    where the density is 0 at either node, or where that point is not
+    finite or leaves the panel, the start is linear in cumulative mass
+    across the whole panel; an empty panel starts at its left edge, or at
+    its right edge where the level lies above the panel's mass by rounding.
     """
-    g = d.grid
-    cum = g.cum
-    k = cum[1:-1].searchsorted(target, side="right")
-    left, right = g.edges[k], g.edges[k + 1]
-    pair = _node_pair(g, target)
-    c0, c1 = g.node_cum.take(pair, mode="clip").T
-    y0, y1 = g.y.take(pair, mode="clip").T
-    f0, f1 = g.f.take(pair, mode="clip").T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dc = c1 - c0
+    left, right = g.edges.item(k), g.edges.item(k + 1)
+    i, j = max(j - 1, 0), min(j, g.node_cum.size - 1)
+    y0, y1, f0, f1 = g.y.item(i), g.y.item(j), g.f.item(i), g.f.item(j)
+    t = math.nan
+    if y1 != y0 and f0 > 0 and f1 > 0:
+        c0 = g.node_cum.item(i)
+        dc = g.node_cum.item(j) - c0
         s = (target - c0) / dc
         t = y0 + s * s * (3.0 - 2.0 * s) * (y1 - y0) + s * (s - 1.0) * ((s - 1.0) * dc / f0 + s * dc / f1)
-        ok = (t > left) & (t < right)
-        if not ok.all():
-            share = (target - cum[k]) / (cum[k + 1] - cum[k])
-            # an empty panel's 0/0 starts at its left edge
-            share = np.where(np.isnan(share), 0.0, share)
-            linear = left + (right - left) * np.minimum(np.maximum(share, 0.0), 1.0)
-            t = np.where(ok, t, linear)
-    return t, left, right
+    if not left < t < right:
+        c = g.cum.item(k)
+        mass = g.cum.item(k + 1) - c
+        share = (target - c) / mass if mass else float(target > c)
+        t = left + (right - left) * min(max(share, 0.0), 1.0)
+    return t, left, right, f1 - f0, y1 - y0
 
 
 def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
     """Quantiles by safeguarded Newton steps on the grid CDF.
 
-    Each quantile starts inside the panel whose cumulative mass brackets
-    it, from the CDF at the grid's nodes (``_newton_start``).  A step
-    makes one density call, which gives both the CDF residual and the
-    density at the iterate (``TruncatedDensity._partial_panel``).
+    Each level is one lane of Newton steps in Python floats.  It starts
+    inside the panel whose cumulative mass brackets it, from the CDF at the
+    grid's nodes (``_newton_start``; the panels and the nodes of all levels
+    are found by one ``searchsorted`` each).  A step makes one density call
+    for all lanes, which gives both the CDF residual and the density at
+    each iterate (``TruncatedDensity._partial_panel``).
     A lane whose Newton step falls below rounding (``4 eps`` of the iterate)
     has reached its root and stays there; any other Newton step that leaves
-    the current bracket is replaced by bisection, and a lane also ends once
-    that safeguarded step falls below rounding.  After the first call, the
-    set ends without a second one when every lane has either reached its
-    root or has a first Newton iterate inside its bracket whose predicted
-    error ``|f'/(2f)| step^2`` is at most ``eps`` of it, with ``f'`` the
-    slope between the two nodes its start lies between: the second call
-    would only confirm that iterate.  Most sets on a finite window end
-    after one call; on (0, inf), where the grid's nodes lie further apart,
-    most take three.
+    the current bracket, or meets a density of 0, is replaced by bisection,
+    and a lane also ends once that safeguarded step falls below rounding.
+    After the first call, the set ends without a second one when every lane
+    has either reached its root or has a first Newton iterate inside its
+    bracket whose predicted error ``|f'/(2f)| step^2`` is at most ``eps``
+    of it, with ``f'`` the slope between the two nodes its start lies
+    between (a lane whose start had no such pair does not end there): the
+    second call would only confirm that iterate.  Most sets on a finite
+    window end after one call; on (0, inf), where the grid's nodes lie
+    further apart, most take three.  The cost grows linearly with the
+    number of levels.
 
     Raises:
         ConvergenceError: if some lane has not ended after ``_MAX_STEPS``.
     """
+    g = d.grid
     target = probs * d.mass
-    t, left, right = _newton_start(d, target)
+    k = g.cum[1:-1].searchsorted(target, side="right").tolist()
+    j = g.node_cum.searchsorted(target, side="right").tolist()
+    target = target.tolist()
+    lanes = [list(_newton_start(g, *level)) for level in zip(target, k, j)]
     for n in range(_MAX_STEPS):
-        below, f = d._partial_panel(t)
-        resid = below - target
-        left = np.where(resid < 0, t, left)
-        right = np.where(resid > 0, t, right)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = resid / f
+        below, f = d._partial_panel(np.array([lane[0] for lane in lanes]))
+        first, converged = [], []
+        for lane, c, b, fy in zip(lanes, target, below.tolist(), f.tolist()):
+            t, left, right, df, dy = lane
+            resid = b - c
+            if resid < 0:
+                left = t
+            elif resid > 0:
+                right = t
+            step = resid / fy if fy else math.inf
             # checked before the bracket: a root reached from one side sits
             # on that bracket end, where the strict test below would bisect away
-            settled = (resid == 0) | (np.abs(step) <= 4.0 * _EPS * np.abs(t))
+            settled = resid == 0 or abs(step) <= 4.0 * _EPS * abs(t)
             nxt = t - step
-            inside = (nxt > left) & (nxt < right)
+            inside = left < nxt < right
             if n == 0:
                 # Newton's error at t - step is about |f'/(2f)| step^2, f' the
                 # slope between the start's bracketing nodes: where it is
                 # below rounding in every lane, the next call would only
                 # confirm the iterate
-                g = d.grid
-                pair = _node_pair(g, target)
-                y0, y1 = g.y.take(pair, mode="clip").T
-                f0, f1 = g.f.take(pair, mode="clip").T
-                error = np.abs((f1 - f0) / ((y1 - y0) * (2.0 * f))) * (step * step)
-                if (settled | (inside & (error <= _EPS * np.abs(nxt)))).all():
-                    return np.where(settled, t, nxt)
-        nxt = np.where(inside, nxt, 0.5 * (left + right))
-        converged = settled | (np.abs(nxt - t) <= 4.0 * _EPS * np.abs(nxt))
-        t = np.where(settled, t, nxt)
-        if converged.all():
-            return t
-    raise ConvergenceError(
-        f"quantiles at levels {probs[~converged].tolist()} not converged after {_MAX_STEPS} Newton steps"
-    )
-
-
-def _log_base(d: TruncatedDensity, y: np.ndarray) -> np.ndarray:
-    """log of ``base`` at ``y``; -inf where it is 0, under ``_mode``'s errstate."""
-    return np.log(np.asarray(d.base(y), dtype=float))
+                den = dy * (2.0 * fy)
+                if settled or inside and den != 0 and abs(df / den) * (step * step) <= _EPS * abs(nxt):
+                    first.append(t if settled else nxt)
+            if not inside:
+                nxt = 0.5 * (left + right)
+            converged.append(settled or abs(nxt - t) <= 4.0 * _EPS * abs(nxt))
+            lane[:3] = t if settled else nxt, left, right
+        if len(first) == len(lanes):
+            return np.array(first)
+        if all(converged):
+            return np.array([lane[0] for lane in lanes])
+    unconverged = [p for p, ok in zip(probs.tolist(), converged) if not ok]
+    raise ConvergenceError(f"quantiles at levels {unconverged} not converged after {_MAX_STEPS} Newton steps")
 
 
 def _quartic_peak(x: list, v: list, t: float, a: float, b: float, tol: float) -> float:
@@ -493,7 +491,8 @@ def _mode(d: TruncatedDensity) -> float:
     and the log is taken of only the five values around it.  The parabola
     through the log density at the argmax and its two neighbours (divided
     differences on the uneven nodes) tells whether the mode is inside:
-    where it has no maximum between the neighbours, the mode is the argmax
+    where it has no maximum between the neighbours, or is infinitely curved
+    because the density is 0 at a neighbour, the mode is the argmax
     itself, and an edge candidate's is the edge (``lo``, or ``top``, the
     grid's upper edge): no density call is made.  Otherwise the start is
     the maximum of the quartic through the five values, found from the
@@ -506,8 +505,9 @@ def _mode(d: TruncatedDensity) -> float:
     Newton's quadratic convergence the iterate is then within about 1e-12
     of the density's width.  On a finite window the quartic's start is
     mostly that close already, so most interior modes stop after their
-    first call.  A density that vanishes somewhere gives a log of -inf
-    there, so the caller ignores division by zero around the whole search.
+    first call.  The stencil's five values are Python floats.  A density
+    that vanishes somewhere gives a log of -inf there, so the caller
+    ignores division by zero around the whole search.
     """
     g = d.grid
     top = g.edges[-1]
@@ -527,16 +527,16 @@ def _mode(d: TruncatedDensity) -> float:
     va, vm, vb = v[k - 1 : k + 2]
     slope = (vm - va) / (m - a)
     c = ((vb - vm) / (b - m) - slope) / (b - a)
-    best = 0.5 * (a + m - slope / c) if c < 0 else a
+    best = 0.5 * (a + m - slope / c) if -math.inf < c < 0 else a
     if not a < best < b:
         return float(d.lo if j == 0 else top if j == len(ys) - 1 else ys[j])
     h = math.sqrt(_MODE_FLAT / -c)
     best = _quartic_peak(x, v, best, a, b, 1e-3 * h)
     for _ in range(_MODE_NEWTON):
-        w = _log_base(d, best + h * _STENCIL)
+        w = np.log(np.asarray(d.base(best + h * _STENCIL), dtype=float)).tolist()
         grad = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * h)
         curv = (w[1] - 2.0 * w[2] + w[3]) / h**2
-        if not (np.isfinite(grad) and curv < 0):
+        if not (math.isfinite(grad) and curv < 0):
             break
         step = grad / curv
         best = min(max(best - step, a), b)
@@ -550,10 +550,12 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
 
     The mean is a weighted sum over the grid; each quantile inverts the
     grid CDF to a few ulps, by Newton steps that start from the CDF at the
-    grid's nodes (on a finite window mostly one density call for all
-    levels together, ending once Newton's predicted error is below
-    rounding).  Over
-    r' in [0.5, 6], r1, r2 in [1.5, 6] and statistics in [1e-2, 1e4], on
+    grid's nodes, one lane in Python floats per level (on a finite window
+    mostly one density call for all levels together, ending once Newton's
+    predicted error is below rounding).  The levels share each call, but
+    the lanes' bookkeeping costs 5-8 us a level (2-core x86_64), so a
+    summary is meant for a few levels, not a table of many.  Over r' in
+    [0.5, 6], r1, r2 in [1.5, 6] and statistics in [1e-2, 1e4], on
     finite and infinite windows, the window mass and the mean agree with
     closed forms and adaptive quadrature to about 1e-14 relative, and every
     quantile's CDF with its level to about 1e-14.  The mode starts at the

@@ -12,7 +12,9 @@ raw values in one checkout and compare them in the other,
     PYTHONPATH=src python tests/digest.py --against parent.npz
 
 ``--against`` prints, after the hash lines, each section's largest
-relative and ulp difference and how many values differ.  A claim about
+relative and ulp difference and how many values differ, and exits 1 if
+any section's values or structure differ (0 if every one is identical),
+so that a claim of bit-identity is a pass/fail check.  A claim about
 how many density calls the summaries make is checked the same way,
 
     PYTHONPATH=src python tests/digest.py --calls
@@ -57,6 +59,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -359,28 +362,33 @@ def _ordered(x: np.ndarray) -> np.ndarray:
     return np.where(i < 0, np.int64(-(2**63)) - i, i)
 
 
-def compare(ours: dict, theirs: dict) -> str:
+def compare(ours: dict, theirs: dict) -> tuple[str, bool]:
     """One line per section: the largest relative and ulp difference of its
-    float values, and how many of them differ (NaN equals NaN)."""
+    float values, and how many of them differ (NaN equals NaN); and whether
+    every section is identical, values and structure."""
     lines = []
+    identical = True
     for name in SECTIONS:
         if f"{name}.floats" not in theirs:
             lines.append(f"{name:18s} not in the other file")
+            identical = False
             continue
         a, b = ours[f"{name}.floats"], theirs[f"{name}.floats"]
         if a.shape != b.shape or not np.array_equal(ours[f"{name}.other"], theirs[f"{name}.other"]):
             lines.append(f"{name:18s} differs in structure: {a.size} against {b.size} values")
+            identical = False
             continue
         differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
+        identical = identical and not differ.any()
         a, b = a[differ], b[differ]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.max(np.abs(a - b) / np.abs(b), initial=0.0)
         ulp = max((abs(int(u) - int(v)) for u, v in zip(_ordered(a), _ordered(b))), default=0)
         lines.append(f"{name:18s} max rel {rel:.3g}  max ulp {ulp}  ({a.size} of {differ.size} values differ)")
-    return "\n".join(lines)
+    return "\n".join(lines), identical
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="SHA-256 hashes over a seeded sweep of the public API")
     parser.add_argument("--dump", metavar="PATH", help="write each section's raw values to PATH (.npz)")
     parser.add_argument("--against", metavar="PATH", help="compare the raw values with a --dump file")
@@ -391,7 +399,7 @@ def main(argv=None) -> None:
     if args.calls:
         with np.errstate(all="ignore"):
             print(density_calls())
-        return
+        return 0
     total = hashlib.sha256()
     values = {}
     with np.errstate(all="ignore"):
@@ -408,8 +416,11 @@ def main(argv=None) -> None:
             np.savez(fh, **values)
     if args.against:
         with np.load(args.against) as theirs:
-            print(compare(values, dict(theirs)))
+            text, identical = compare(values, dict(theirs))
+        print(text)
+        return 0 if identical else 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

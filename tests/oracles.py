@@ -243,32 +243,72 @@ def window_mean_quad(base, lo: float, hi: float) -> float:
     return float((y @ f) / f.sum())
 
 
+def _extended(value) -> np.longdouble:
+    """An mpmath number in ``np.longdouble``: its double plus the double of the rest."""
+    head = float(value)
+    return np.longdouble(head) + float(value - head)
+
+
 def log_unrestricted_direct(y, x1: float, r1: float, r_prime: float):
     """log of the beta prime ``B'(r', r1, x1)`` at ``y > 0`` as it reads,
-    ``-log B(r', r1) - log x1 + (r'-1) log u - (r'+r1) log1p(u)``, ``u = y/x1``."""
-    u = np.asarray(y, dtype=float) / x1
-    return -special.betaln(r_prime, r1) - np.log(x1) + (r_prime - 1.0) * np.log(u) - (r_prime + r1) * np.log1p(u)
+    ``-log B(r', r1) - log x1 + (r'-1) log u - (r'+r1) log1p(u)``, ``u = y/x1``,
+    in ``y``'s precision if it is ``np.longdouble``; the constant
+    ``-log B(r', r1) - log x1`` comes from mpmath."""
+    u = np.asarray(y, dtype=np.result_type(y, float)) / x1
+    with mp.workdps(40):
+        const = u.dtype.type(_extended(-mp.log(mp.beta(r_prime, r1)) - mp.log(x1)))
+    return const + (r_prime - 1.0) * np.log(u) - (r_prime + r1) * np.log1p(u)
+
+
+def _log_betainc_extended(a: float, b: float, x, xc):
+    """log I_x(a, b) in numpy's extended precision, from ``x`` and
+    ``xc = 1 - x`` given apart, so that neither loses digits to the other.
+
+    DLMF 8.17.8, ``I_x(a, b) = x^a xc^b / (a B(a, b)) F(a+b, 1; a+1; x)``,
+    with the hypergeometric series summed in blocks of 64 terms until its
+    last term is below ``eps`` of the sum; above ``x = (a+1)/(a+b+2)`` it
+    is the series of ``1 - I_xc(b, a)``, so that every term ratio is below
+    1.  ``log B(a, b)`` comes from mpmath.  In ``np.longdouble``, whose
+    significand has 64 bits on x86_64, the result is good to about 1e-18,
+    below the rounding of the package's incomplete betas (scipy's
+    ``betainc`` reads 1.5e-14 off in log at ``I_0.5(8.45, 2)``), with which
+    it shares no code.
+    """
+    x, xc = np.broadcast_arrays(np.atleast_1d(np.asarray(x, np.longdouble)), np.asarray(xc, np.longdouble))
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    p, q = np.where(flip, np.longdouble(b), a), np.where(flip, np.longdouble(a), b)
+    u, v = np.where(flip, xc, x), np.where(flip, x, xc)
+    with mp.workdps(40):
+        log_beta = _extended(mp.log(mp.beta(a, b)))
+    n = np.arange(64, dtype=np.longdouble)[:, None]
+    term, total = np.ones_like(u), np.ones_like(u)
+    while np.any(term > np.finfo(np.longdouble).eps * total):
+        block = term * np.cumprod((p + q + n) / (p + 1.0 + n) * u, axis=0)
+        term, total, n = block[-1], total + block.sum(axis=0), n + 64.0
+    log_i = p * np.log(u) + q * np.log(v) - np.log(p) - log_beta + np.log(total)
+    return np.where(flip, np.log1p(-np.exp(log_i)), log_i)
 
 
 def log_restricted_ratio_form(y, x1: float, x2: float, r1: float, r2: float, r_prime: float):
     """log q1 at ``y > 0`` as q0 times the ratio of ordering probabilities,
     ``I_x(r1 + r', r2) / I_{x1/(x1+x2)}(r1, r2)`` with
-    ``x = (x1 + y)/(x1 + y + x2)``, each incomplete beta whole from
-    ``log_betainc``.
+    ``x = (x1 + y)/(x1 + y + x2)``, each incomplete beta from the series
+    of ``_log_betainc_extended`` and their difference taken in extended
+    precision.
 
-    Independent of the kernel's finite sum at every ``r2``:
-    ``log_betainc`` is the continued fraction alone, while at integer
-    ``r2`` the kernel takes both ordering probabilities from the sum and
-    forms ``a log x - a log1p(y/x1)`` as ``-a log1p((x2 + y)/x1)``.  At a
-    non-integer ``r2`` both take ``I_x`` from the continued fraction.
+    Independent of the package's incomplete betas at every ``r2``: at
+    integer ``r2`` the kernel takes both ordering probabilities from its
+    finite sum and forms ``a log x - a log1p(y/x1)`` as
+    ``-a log1p((x2 + y)/x1)``, and at a non-integer ``r2`` it takes ``I_x``
+    from ``log_betainc``'s continued fraction.  At ``r1 = 7, r2 = 2,
+    r' = 0.01``, ``x1 = x2 = 10`` minutes, that continued fraction put the
+    oracle's KL 8.7e-15 off the rule's sum at 40 digits.
     """
-    y = np.asarray(y, dtype=float)
-    x = (x1 + y) / (x1 + y + x2)
-    return (
-        log_unrestricted_direct(y, x1, r1, r_prime)
-        + log_betainc(r1 + r_prime, r2, x)
-        - log_betainc(r1, r2, x1 / (x1 + x2))
-    )
+    y = np.asarray(y, dtype=np.result_type(y, float))
+    s, s0 = np.longdouble(x1) + y + x2, np.longdouble(x1) + x2
+    numerator = _log_betainc_extended(r1 + r_prime, r2, (x1 + y) / s, x2 / s)
+    ratio = numerator - _log_betainc_extended(r1, r2, x1 / s0, x2 / s0)
+    return log_unrestricted_direct(y, x1, r1, r_prime) + ratio.astype(y.dtype).reshape(y.shape)
 
 
 def risk_kls_per_draw(kind: str, x1s, x2s, lambda1: float, shapes, window):
@@ -278,14 +318,20 @@ def risk_kls_per_draw(kind: str, x1s, x2s, lambda1: float, shapes, window):
     of ``lambda1``, but each draw's log density comes from
     ``log_unrestricted_direct`` or ``log_restricted_ratio_form`` alone, and
     its KL is the direct sum ``sum_j w_j p_j (log p_j - log q_j)``, with
-    ``q`` renormalized on the rule when the window is finite.  ``x2s`` is
+    ``q`` renormalized on the rule when the window is finite, all in
+    ``np.longdouble`` and rounded to a double once per draw.  ``x2s`` is
     read only for q1.
     """
     if window is not None:
         window = (window[0] / lambda1, window[1] / lambda1)
     y, w = _risk_rule(shapes.r_prime, window)
     truncated = window is not None and np.isfinite(window[1])
-    log_truth = dist.gamma_logpdf(dist.GammaModel(shapes.r_prime, 1.0), y)
+    # in extended precision: the node term (r'-1) log y, the largest term
+    # of both log densities, cancels in log p - log q below rounding
+    y = y.astype(np.longdouble)
+    with mp.workdps(40):
+        log_gamma = _extended(mp.loggamma(shapes.r_prime))
+    log_truth = (shapes.r_prime - 1.0) * np.log(y) - y - log_gamma
     if truncated:
         log_truth = log_truth - np.log(np.sum(w * np.exp(log_truth)))
     truth_pdf = np.exp(log_truth)

@@ -211,6 +211,18 @@ class TestSummarize:
         d = truncate(lambda y: gamma_pdf(GammaModel(1.0, 10.0), y), 0.0, 60.0)
         assert summarize(d).mode == pytest.approx(0.0, abs=1e-4)
 
+    def test_mode_beside_a_density_of_zero(self):
+        # the density rises to a cliff at 30.3 and is 0 past it, so the
+        # parabola through the log density at the argmax node and its
+        # neighbours is infinitely curved: the mode is that node, and no
+        # stencil of width 0 is evaluated
+        d = truncate(lambda y: np.where(y < 30.3, np.exp(np.asarray(y) / 10.0), 0.0), 0.0, 60.0)
+        nodes = d.grid.y.ravel()
+        counted, calls = counting(d)
+        with np.errstate(divide="ignore"):
+            assert dist._mode(counted) == nodes[nodes < 30.3][-1]
+        assert calls == []
+
     def test_infinite_window(self):
         d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 5.0), y), 0.0, np.inf)
         s = summarize(d, probs=(0.5,))
@@ -356,6 +368,14 @@ class TestQuantileNewton:
         np.testing.assert_allclose(d.cdf(q), probs, rtol=0, atol=1e-14)
         return q
 
+    @staticmethod
+    def newton_start(d, target):
+        # one level's start, from the panel and node lookups _quantiles batches
+        g = d.grid
+        k = int(g.cum[1:-1].searchsorted(target, side="right"))
+        j = int(g.node_cum.searchsorted(target, side="right"))
+        return dist._newton_start(g, float(target), k, j)[:3]
+
     def test_level_in_an_empty_panel(self):
         # the last growth panel of gamma(3, 5) on (0, inf), [256, 1024],
         # holds no mass in doubles, and the largest level below 1 falls in it
@@ -363,9 +383,9 @@ class TestQuantileNewton:
         g = d.grid
         p = np.array([1.0 - 2.0**-53])
         assert g.cum[-1] == g.cum[-2] <= p[0] * d.mass
-        t, left, right = dist._newton_start(d, p * d.mass)
+        t, left, right = self.newton_start(d, p[0] * d.mass)
         # linear in a mass of 0: an edge of the panel
-        assert left[0] == g.edges[-2] and t[0] in (left[0], right[0])
+        assert left == g.edges[-2] and t in (left, right)
         self.assert_levels_met(d, p)
 
     def test_levels_in_the_last_growth_panel_with_mass(self):
@@ -385,8 +405,9 @@ class TestQuantileNewton:
         # the grid's first panel, where no node lies below, and in a bulk panel
         panels = np.array([0, len(g.edges) - 9])
         target = 0.5 * (g.cum[panels] + g.node_cum[n * panels])
-        t, left, right = dist._newton_start(d, target)
-        assert np.all((t >= left) & (t <= right))
+        for level in target.tolist():
+            t, left, right = self.newton_start(d, level)
+            assert left <= t <= right
         self.assert_levels_met(d, target / d.mass)
 
     def test_levels_in_graded_panels(self):
@@ -401,6 +422,15 @@ class TestQuantileNewton:
         graded = len(g.edges) - 1 - dist._BULK_PANELS
         assert np.sum(g.cum[1:-1].searchsorted(probs * d.mass, side="right") < graded) >= 8
         self.assert_levels_met(d, probs)
+
+    @pytest.mark.parametrize("hi", [60.0, np.inf])
+    def test_many_levels(self, hi):
+        # 99 lanes share each density call; each meets its level as three do
+        problem = TestModeCalls.fixture_problem(window=(0.0, hi))
+        probs = np.arange(1.0, 100.0) / 100.0
+        for build in (unrestricted_predictive, restricted_predictive):
+            q = self.assert_levels_met(build(problem), probs)
+            assert np.all(np.diff(q) > 0)
 
     def test_step_exhaustion_raises(self, monkeypatch, capsys):
         # with no rounding allowance no lane ends, after one call or after the

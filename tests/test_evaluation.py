@@ -333,12 +333,16 @@ class TestFrequentistRisk:
     # x1 far above the window, where q is nearly flat on it
     @example(r1=3.0, r2=3.0, rp=3.0, log_x1=6.0, log_x2=1.5, window=(0.0, 60.0))
     @example(r1=6.5, r2=2.5, rp=0.5, log_x1=6.0, log_x2=5.0, window=(0.0, 60.0))
+    # r' = 0.01, where the oracle read 8.7e-15 off the rule's sum at 40
+    # digits while its incomplete betas came from the continued fraction
+    @example(r1=7.0, r2=2.0, rp=0.01, log_x1=1.0, log_x2=1.0, window=None)
     def test_engine_against_ratio_form_over_domain(self, r1, r2, rp, log_x1, log_x2, window):
         # the engine's separable kernel against the ratio-form oracle, over
-        # non-integer shapes and extreme statistics.  Both round sums of
-        # terms of size M (summand_size); up to M = 50, above its largest
-        # value at the draws of test_blocks_against_per_draw_oracle (33),
-        # the bound is that test's, and beyond it grows by 2 eps M
+        # non-integer shapes and extreme statistics.  The engine rounds sums
+        # of terms of size M (summand_size), which the oracle carries in
+        # extended precision; up to M = 50, above its largest value at the
+        # draws of test_blocks_against_per_draw_oracle (33), the bound is
+        # that test's, and beyond it grows by 2 eps M
         shapes = ShapeConfig(r1=r1, r2=r2, r_prime=rp)
         x1, x2 = 10.0**log_x1, 10.0**log_x2
         for kind in ("q0", "q1"):
