@@ -5,6 +5,14 @@ errors as CSV or JSON.  Every output starts with a metadata block carrying
 the package version, the fully resolved configuration, and the seed, so a
 run can be reproduced byte for byte.
 
+The configuration is one flat dict (``resolve_config``), keyed as the
+metadata block prints it: the model and output options, the statistics
+``x1`` and ``x2`` with the game log and team each came from
+(``team_a_log`` is null for an explicit ``--x1``), ``truth_shape`` and
+``truth_scale`` for ``prediction-error``, and ``ratios`` and ``lambda1``
+for ``risk-curve``, which reads no statistics.  The commands read only
+that dict.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure.
 
 A command loads only what it runs: ``evaluation`` (the risk engine) is
@@ -15,12 +23,10 @@ only when a game log is read, so the other commands' cold start skips both.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -71,32 +77,6 @@ def _json(value, **kwargs) -> str:
     return json.dumps(value, sort_keys=True, allow_nan=False, **kwargs)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    r1: float
-    r2: float
-    r_prime: float
-    window: tuple[float, float]
-    x1: float
-    x2: float | None
-    x2_mode: str
-    grid: int
-    samples: int
-    seed: int
-    fmt: str
-    out: str | None
-    sources: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["format"] = d.pop("fmt")
-        d.update(d.pop("sources"))
-        d.update(d.pop("extras"))
-        return d
-
-
 def _shared_options() -> tuple[argparse.ArgumentParser, ...]:
     """The options every subcommand takes, as parent parsers: the model and
     data options, the Monte Carlo ones (``risk-curve`` only), and the
@@ -126,7 +106,7 @@ def _shared_options() -> tuple[argparse.ArgumentParser, ...]:
     mc.add_argument("--samples", type=int)
     mc.add_argument("--seed", type=int, default=0)
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
     output.add_argument("--out", metavar="PATH", help="output path (default: standard output)")
     return model, mc, output
 
@@ -170,14 +150,17 @@ def _parse_window(text: str | None, default: tuple[float, float]) -> tuple[float
     return (lo, hi)
 
 
-def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | None, dict]:
-    """Resolve one team's statistic: explicit value, a log file, or the fixture."""
-    explicit = getattr(args, f"x{1 if side == 'a' else 2}")
+def _stat_from_args(args, side: str, r: float, x2_mode: str) -> dict:
+    """Resolve one team's statistic: explicit value, a log file, or the
+    fixture.  The config entries it sets: ``x1`` or ``x2``, the log's name
+    (None for an explicit value) and the team's."""
+    key = f"x{1 if side == 'a' else 2}"
+    explicit = getattr(args, key)
     log_path = getattr(args, f"team_{side}_log")
     if explicit is not None and log_path is not None:
-        raise GoaltimeError(f"give exactly one of --x{1 if side == 'a' else 2} and --team-{side}-log")
+        raise GoaltimeError(f"give exactly one of --{key} and --team-{side}-log")
     if explicit is not None:
-        return float(explicit), {f"team_{side}_log": None}
+        return {key: float(explicit), f"team_{side}_log": None}
     from . import ingest
 
     source = log_path
@@ -198,7 +181,7 @@ def _stat_from_args(args, side: str, r: float, x2_mode: str) -> tuple[float | No
             raise GoaltimeError(f"--x2-mode {mode} needs --points-a and --points-b")
         points = (pts_own, pts_opp)
     stat = ingest.reduce_to_stat(records, team, r=r, x2_mode=mode, points=points)
-    return stat.x, {f"team_{side}_log": str(source), f"team_{side}": team}
+    return {key: stat.x, f"team_{side}_log": str(source), f"team_{side}": team}
 
 
 def _check_out(path: str) -> None:
@@ -215,77 +198,66 @@ def _check_out(path: str) -> None:
         raise GoaltimeError(f"--out {path!r} cannot be written")
 
 
-def resolve_config(args) -> RunConfig:
-    x2_mode = args.x2_mode.replace("-", "_")
-    default_window = None if args.command == "risk-curve" else DEFAULT_WINDOW
-    window = _parse_window(args.window, default_window)
-    sources: dict = {}
-    if args.command == "risk-curve":
-        x1, x2 = float("nan"), None
-    else:
-        x1, src_a = _stat_from_args(args, "a", args.r1, x2_mode)
-        sources.update(src_a)
-        x2, src_b = _stat_from_args(args, "b", args.r2, x2_mode)
-        sources.update(src_b)
+def resolve_config(args) -> dict:
+    """The run's configuration, checked: one flat dict, keyed as the
+    metadata block prints it, which is also all that a command reads."""
+    cfg = {
+        "command": args.command,
+        "r1": args.r1,
+        "r2": args.r2,
+        "r_prime": args.r_prime,
+        "x1": float("nan"),
+        "x2": None,
+        "x2_mode": args.x2_mode.replace("-", "_"),
+        "grid": args.grid,
+        "samples": 0,
+        "seed": getattr(args, "seed", 0),
+        "format": args.format,
+        "out": args.out,
+    }
+    risk = args.command == "risk-curve"
+    cfg["window"] = _parse_window(args.window, (0.0, float("inf")) if risk else DEFAULT_WINDOW)
+    lo, hi = cfg["window"]
+    if not risk:
+        cfg.update(_stat_from_args(args, "a", args.r1, cfg["x2_mode"]))
+        cfg.update(_stat_from_args(args, "b", args.r2, cfg["x2_mode"]))
     if args.grid < 2:
         raise GoaltimeError("--grid must be at least 2")
     if args.out:
         _check_out(args.out)
-    if args.command in ("predict", "density-table") and window is not None and not np.isfinite(window[1]):
+    if args.command in ("predict", "density-table") and not math.isfinite(hi):
         raise GoaltimeError(f"{args.command} needs a finite window")
-    if args.command == "risk-curve" and window is not None and not np.isfinite(window[1]) and window[0] > 0:
+    if risk and not math.isfinite(hi) and lo > 0:
         raise GoaltimeError(f"risk-curve needs LO = 0 on an infinite window; got {args.window!r}")
-    extras = {}
-    if args.command == "prediction-error":
-        extras = {"truth_shape": args.truth_shape, "truth_scale": args.truth_scale}
-    samples = 0
-    if args.command == "risk-curve":
+    # the risk curve's grid and draws, and out-of-domain shapes and scales,
+    # fail here, in the checks and constructors that the command itself
+    # would call, so they exit as configuration errors
+    if risk:
         from . import evaluation
 
-        ratios = evaluation._ratio_grid(
-            evaluation.DEFAULT_RATIO_GRID if args.ratios is None else args.ratios.split(",")
-        )
-        samples = evaluation.DEFAULT_SAMPLES if args.samples is None else args.samples
-        evaluation._check_draws(samples, args.seed)
-        lambda1 = evaluation.DEFAULT_LAMBDA1 if args.lambda1 is None else args.lambda1
-        extras = {"ratios": list(ratios), "lambda1": lambda1}
-    cfg = RunConfig(
-        command=args.command,
-        r1=args.r1,
-        r2=args.r2,
-        r_prime=args.r_prime,
-        window=window if window is not None else (0.0, float("inf")),
-        x1=x1,
-        x2=x2,
-        x2_mode=x2_mode,
-        grid=args.grid,
-        samples=samples,
-        seed=getattr(args, "seed", 0),
-        fmt=args.fmt,
-        out=args.out,
-        sources=sources,
-        extras=extras,
-    )
-    # out-of-domain shapes and scales fail here, in the constructors that
-    # the command itself would call, so they exit as configuration errors
-    if cfg.command == "risk-curve":
-        evaluation.ShapeConfig(r1=cfg.r1, r2=cfg.r2, r_prime=cfg.r_prime)
-        GammaModel(cfg.r_prime, cfg.extras["lambda1"])
+        ratios = evaluation.DEFAULT_RATIO_GRID if args.ratios is None else args.ratios.split(",")
+        cfg["ratios"] = list(evaluation._ratio_grid(ratios))
+        cfg["samples"] = evaluation.DEFAULT_SAMPLES if args.samples is None else args.samples
+        evaluation._check_draws(cfg["samples"], args.seed)
+        cfg["lambda1"] = evaluation.DEFAULT_LAMBDA1 if args.lambda1 is None else args.lambda1
+        evaluation.ShapeConfig(r1=args.r1, r2=args.r2, r_prime=args.r_prime)
+        GammaModel(args.r_prime, cfg["lambda1"])
     else:
         _problem(cfg)
-    if cfg.command == "prediction-error":
-        GammaModel(cfg.extras["truth_shape"], cfg.extras["truth_scale"])
+    if args.command == "prediction-error":
+        cfg.update(truth_shape=args.truth_shape, truth_scale=args.truth_scale)
+        GammaModel(args.truth_shape, args.truth_scale)
     return cfg
 
 
-def _render(cfg: RunConfig, columns: list[str], rows: list[list]) -> str:
+def _render(cfg: dict, columns: list[str], rows: list[list]) -> str:
     """The command's output: the metadata block, then the table."""
-    meta = _strict({"version": __version__, "config": cfg.as_dict(), "seed": cfg.seed})
-    if cfg.fmt == "csv":
+    meta = _strict({"version": __version__, "config": cfg, "seed": cfg["seed"]})
+    if cfg["format"] == "csv":
         lines = [
             f"# goaltime {__version__}",
             f"# config: {_json(meta['config'])}",
-            f"# seed: {cfg.seed}",
+            f"# seed: {cfg['seed']}",
             ",".join(columns),
         ]
         for row in rows:
@@ -299,22 +271,22 @@ def _render(cfg: RunConfig, columns: list[str], rows: list[list]) -> str:
     return _json(payload, indent=1) + "\n"
 
 
-def _problem(cfg: RunConfig, window=None) -> PredictionProblem:
+def _problem(cfg: dict, window=None) -> PredictionProblem:
     return PredictionProblem(
-        obs_a=SufficientStat(x=cfg.x1, r=cfg.r1),
-        obs_b=SufficientStat(x=cfg.x2, r=cfg.r2) if cfg.x2 is not None else None,
-        r_prime=cfg.r_prime,
-        window=window or cfg.window,
+        obs_a=SufficientStat(x=cfg["x1"], r=cfg["r1"]),
+        obs_b=SufficientStat(x=cfg["x2"], r=cfg["r2"]) if cfg["x2"] is not None else None,
+        r_prime=cfg["r_prime"],
+        window=window or cfg["window"],
     )
 
 
-def cmd_densities(cfg: RunConfig) -> str:
-    """Both densities at the midpoints of ``cfg.grid`` cells over the window:
+def cmd_densities(cfg: dict) -> str:
+    """Both densities at the midpoints of ``grid`` cells over the window:
     renormalized to it (``predict``) or untruncated (``density-table``)."""
-    lo, hi = cfg.window
-    step = (hi - lo) / cfg.grid
-    ys = lo + step * (np.arange(cfg.grid) + 0.5)
-    window = (0.0, float("inf")) if cfg.command == "density-table" else cfg.window
+    lo, hi = cfg["window"]
+    step = (hi - lo) / cfg["grid"]
+    ys = lo + step * (np.arange(cfg["grid"]) + 0.5)
+    window = (0.0, float("inf")) if cfg["command"] == "density-table" else cfg["window"]
     problem = _problem(cfg, window)
     q0 = unrestricted_predictive(problem)
     q1 = restricted_predictive(problem)
@@ -322,7 +294,7 @@ def cmd_densities(cfg: RunConfig) -> str:
     return _render(cfg, ["y", "q0", "q1"], rows)
 
 
-def cmd_summarize(cfg: RunConfig) -> str:
+def cmd_summarize(cfg: dict) -> str:
     problem = _problem(cfg)
     rows = []
     for name, density in (
@@ -334,11 +306,11 @@ def cmd_summarize(cfg: RunConfig) -> str:
     return _render(cfg, ["estimator", "mode", "mean", "p20", "p50", "p90"], rows)
 
 
-def cmd_prediction_error(cfg: RunConfig) -> str:
+def cmd_prediction_error(cfg: dict) -> str:
     from . import evaluation
 
-    lo, hi = cfg.window
-    truth_model = GammaModel(cfg.extras["truth_shape"], cfg.extras["truth_scale"])
+    lo, hi = cfg["window"]
+    truth_model = GammaModel(cfg["truth_shape"], cfg["truth_scale"])
     truth = truncate(lambda y: gamma_pdf(truth_model, y), lo, hi)
     problem = _problem(cfg)
     full = (lo, float("inf"))
@@ -351,16 +323,16 @@ def cmd_prediction_error(cfg: RunConfig) -> str:
     return _render(cfg, ["estimator", "pe_truncated", "pe_raw"], rows)
 
 
-def cmd_risk_curve(cfg: RunConfig) -> str:
+def cmd_risk_curve(cfg: dict) -> str:
     from . import evaluation
 
-    window = None if not np.isfinite(cfg.window[1]) else cfg.window
+    window = cfg["window"] if math.isfinite(cfg["window"][1]) else None
     curve = evaluation.risk_curve(
-        ratio_grid=cfg.extras["ratios"],
-        shapes=evaluation.ShapeConfig(r1=cfg.r1, r2=cfg.r2, r_prime=cfg.r_prime),
-        samples=cfg.samples,
-        seed=cfg.seed,
-        lambda1=cfg.extras["lambda1"],
+        ratio_grid=cfg["ratios"],
+        shapes=evaluation.ShapeConfig(r1=cfg["r1"], r2=cfg["r2"], r_prime=cfg["r_prime"]),
+        samples=cfg["samples"],
+        seed=cfg["seed"],
+        lambda1=cfg["lambda1"],
         window=window,
     )
     rows = [
@@ -390,16 +362,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"goaltime: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        text = _COMMANDS[cfg.command](cfg)
+        text = _COMMANDS[cfg["command"]](cfg)
     except GoaltimeError as exc:
         print(f"goaltime: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if not cfg.out:
+    if not cfg["out"]:
         sys.stdout.write(text)
         return EXIT_OK
     # resolve_config checked the path; it may still fail to open
     try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"goaltime: configuration error: {exc}", file=sys.stderr)

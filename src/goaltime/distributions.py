@@ -548,6 +548,8 @@ def _mode(d: TruncatedDensity) -> float:
 def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
     """Mode, mean, and quantiles of a truncated density, from its window grid.
 
+    ``probs`` is one level in (0, 1) or a flat sequence of them; anything
+    else is a DomainError.
     The mean is a weighted sum over the grid; each quantile inverts the
     grid CDF to a few ulps, by Newton steps that start from the CDF at the
     grid's nodes, one lane in Python floats per level (on a finite window
@@ -571,6 +573,9 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
     2e-10 min of the closed-form (q0) and mpmath (q1) modes.
     """
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim > 1:
+        raise DomainError(f"quantile levels must be one level or a flat sequence, got shape {probs.shape}")
+    probs = probs.reshape(-1)
     bad = probs[~((probs > 0.0) & (probs < 1.0))]
     if bad.size:
         raise DomainError(f"quantile level {bad[0]} outside (0, 1)")

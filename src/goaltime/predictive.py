@@ -291,8 +291,19 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
 
     ``-log B(r', r1) - r' log x1 + (r'-1) log y - (r'+r1) log1p(y/x1)``:
     q0's kernel with the node and statistic terms (``_log_density``).
-    Broadcasts over ``y`` and ``x1``.  Returns -inf for y <= 0.
+    Broadcasts over ``y`` and ``x1``.  Returns -inf for y <= 0.  ``r1`` may
+    be any positive shape here, as in the general beta prime, not only one
+    that q0's posterior allows (``check_observed_shape``).
+
+    Raises:
+        InvalidShapeError: if ``r1`` or ``r'`` is not positive and finite.
+        DomainError: if some ``x1`` is not positive.
     """
+    if not 0 < r1 < math.inf:
+        raise InvalidShapeError(f"shape r1 must be positive and finite, got {r1}")
+    check_future_shape(r_prime)
+    if (np.asarray(x1) <= 0).any():
+        raise DomainError("unrestricted density requires positive statistics")
     return _log_density(x1, None, r1, None, r_prime)(y)
 
 

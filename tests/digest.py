@@ -25,8 +25,9 @@ the ``densities`` section, and the share of quantile sets that end after
 one call.
 
 It reads only public names (``goaltime``, the ``log_*_base`` functions
-of ``goaltime.predictive`` and ``goaltime.ingest.serialize_game_log``), so
-it runs unchanged in an older checkout.
+of ``goaltime.predictive``, ``goaltime.ingest.serialize_game_log`` and
+the command line's ``goaltime.cli.main``), so it runs unchanged in an
+older checkout.
 The sweep covers integer and non-integer shapes and the windows (0, 60),
 (5, 45) and (0, inf):
 
@@ -46,7 +47,15 @@ The sweep covers integer and non-integer shapes and the windows (0, 60),
   with a ``GameLogError``), so that the section's hash is comparable
   across them: no bytes that are not UTF-8, no field over
   ``csv.field_size_limit()`` and no bare carriage-return line ends,
-  which older checkouts read from a path alone.
+  which older checkouts read from a path alone;
+* ``cli``: stdout, stderr, exit code and the warnings raised of each of
+  a fixed list of ``goaltime.cli.main`` runs, in a scratch directory so
+  that every path the output names is relative: all five subcommands in
+  CSV and JSON, explicit statistics, a game log path, both points-ratio
+  modes, ``--out``, each configuration error, usage errors, two
+  numerical failures, ``--version`` and every ``--help`` at
+  ``COLUMNS=80``.  Warnings are hashed by class and message alone, not
+  by the source line that raised them.
 
 Each section's hash is printed on its own line, so a change that is meant
 to move one part of the output shows which part moved; the last line is
@@ -57,10 +66,13 @@ exception's class name.  The pytest run does not collect this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +98,7 @@ from goaltime import (
     truncate,
     unrestricted_predictive,
 )
+from goaltime.cli import main as cli_main
 from goaltime.ingest import serialize_game_log
 from goaltime.predictive import log_restricted_base, log_unrestricted_base
 
@@ -314,6 +327,118 @@ def ingest(h) -> None:
                 _parse(h, parse, text.replace("\n", "\r\n").encode(), path)
 
 
+_SMALL_CURVE = ["--samples", "200", "--ratios", "1,2"]
+_POINTS = ["--points-a", "105", "--points-b", "71"]
+# argv of each run; the logs and the output name are files in the run's
+# scratch directory (``cli``)
+CLI_RUNS = [
+    [command, *args, "--format", fmt]
+    for command, args in (
+        ("predict", ["--grid", "12"]),
+        ("density-table", ["--grid", "12"]),
+        ("summarize", []),
+        ("prediction-error", []),
+        ("risk-curve", _SMALL_CURVE),
+    )
+    for fmt in ("csv", "json")
+] + [
+    ["predict", "--x1", "35.85", "--x2", "39.07", "--grid", "7", "--window", "5,45"],
+    ["summarize", "--x1", "20", "--x2", "80", "--r1", "2.5", "--r2", "4.5", "--r-prime", "0.7"],
+    ["summarize", "--x1", "30", "--team-b-log", "habs.csv", "--window", "0,inf"],
+    ["prediction-error", "--team-a-log", "leafs.csv", "--team-a", "Toronto Maple Leafs", "--x2", "40", "--format", "json"],
+    ["prediction-error", "--truth-shape", "2.5", "--truth-scale", "15", "--window", "0,inf"],
+    ["summarize", "--x2-mode", "points-ratio", *_POINTS],
+    ["summarize", "--x2-mode", "points-ratio-squared", *_POINTS, "--format", "json"],
+    ["risk-curve", "--window", "0,60", "--lambda1", "7", "--seed", "3", "--r2", "2.5", *_SMALL_CURVE],
+    ["risk-curve", "--window", "0,inf", "--samples", "200", "--format", "json"],
+    ["summarize", "--out", "out.csv"],
+    # configuration errors, in the order the configuration is checked
+    ["predict", "--window", "60"],
+    ["predict", "--window", "a,b"],
+    ["predict", "--window", "60,0"],
+    ["predict", "--x1", "30", "--team-a-log", "leafs.csv"],
+    ["predict", "--x2", "30", "--team-b-log", "habs.csv"],
+    ["predict", "--team-a-log", "no-such-log.csv"],
+    ["predict", "--team-a-log", "header-only.csv"],
+    ["predict", "--team-a-log", "not-utf8.csv"],
+    ["predict", "--team-a-log", "leafs.csv", "--team-a", "Nowhere"],
+    ["predict", "--x2-mode", "points-ratio"],
+    ["predict", "--x2-mode", "points-ratio-squared", "--points-a", "105"],
+    ["predict", "--grid", "1"],
+    ["summarize", "--out", "no-such-dir/out.csv"],
+    ["summarize", "--out", "."],
+    ["predict", "--window", "0,inf"],
+    ["density-table", "--window", "5,inf"],
+    ["risk-curve", "--window", "5,inf"],
+    ["risk-curve", "--ratios", "8,1"],
+    ["risk-curve", "--ratios", "1,inf", "--samples", "200"],
+    ["risk-curve", "--ratios", "1,x"],
+    ["risk-curve", "--samples", "5"],
+    ["risk-curve", "--seed", "-1", *_SMALL_CURVE],
+    ["risk-curve", "--r1", "0.5", *_SMALL_CURVE],
+    ["risk-curve", "--r-prime", "0", *_SMALL_CURVE],
+    ["risk-curve", "--lambda1", "-1", *_SMALL_CURVE],
+    ["risk-curve", "--lambda1", "nan", *_SMALL_CURVE],
+    ["summarize", "--r-prime", "-1"],
+    ["summarize", "--r1", "nan"],
+    ["summarize", "--x1", "-1"],
+    ["summarize", "--x2", "0"],
+    ["summarize", "--x1", "30", "--x2", "inf"],
+    ["prediction-error", "--truth-scale", "0"],
+    ["prediction-error", "--truth-shape", "inf"],
+    # usage errors, the parser's own
+    ["no-such-command"],
+    ["summarize", "--format", "xml"],
+    ["predict", "--grid", "many"],
+    # numerical failures
+    ["predict", "--x1", "1e-300", "--x2", "1e-300", "--window", "59.99999,60"],
+    ["risk-curve", "--r-prime", "1000", "--window", "0,60", "--samples", "200", "--ratios", "1"],
+    ["--version"],
+    *(
+        [*command, "--help"]
+        for command in ([], ["predict"], ["density-table"], ["summarize"], ["prediction-error"], ["risk-curve"])
+    ),
+]
+
+
+def _cli_run(h, argv) -> None:
+    """Hash one ``cli.main`` run: stdout, stderr, exit code and warnings."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    _feed(h, (argv, out.getvalue(), err.getvalue(), code))
+    _feed(h, [(w.category.__name__, str(w.message)) for w in caught])
+
+
+def cli(h) -> None:
+    cwd = os.getcwd()
+    columns = os.environ.get("COLUMNS")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            os.environ["COLUMNS"] = "80"
+            Path("leafs.csv").write_bytes(toronto_fixture_path().read_bytes())
+            Path("habs.csv").write_bytes(canadiens_fixture_path().read_bytes().replace(b"\n", b"\r\n"))
+            Path("header-only.csv").write_text(_LOG + "\n")
+            Path("not-utf8.csv").write_bytes(_LOG.encode() + b"\nA,B,10.0\nMontr\xe9al,B,12.0\n")
+            # numpy's own error handling, as in a fresh process
+            with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+                for argv in CLI_RUNS:
+                    _cli_run(h, argv)
+            _feed(h, Path("out.csv").read_text())
+    finally:
+        os.chdir(cwd)
+        if columns is None:
+            os.environ.pop("COLUMNS", None)
+        else:
+            os.environ["COLUMNS"] = columns
+
+
 SECTIONS = {
     "densities": densities,
     "bases": bases,
@@ -321,6 +446,7 @@ SECTIONS = {
     "risk_untruncated": risk_untruncated,
     "risk_window": risk_window,
     "ingest": ingest,
+    "cli": cli,
 }
 
 

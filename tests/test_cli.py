@@ -322,7 +322,43 @@ class TestRiskCurve:
     def test_explicit_values_in_metadata(self):
         args = ["risk-curve", "--samples", "300", "--ratios", "1,2.5", "--lambda1", "7"]
         cfg = resolve_config(build_parser().parse_args(args))
-        assert (cfg.samples, cfg.extras) == (300, {"ratios": [1.0, 2.5], "lambda1": 7.0})
+        extras = {key: cfg[key] for key in ("ratios", "lambda1")}
+        assert (cfg["samples"], extras) == (300, {"ratios": [1.0, 2.5], "lambda1": 7.0})
+
+
+# the keys every config block holds, and those each data source and command add
+_BASE_KEYS = {
+    "command", "r1", "r2", "r_prime", "window", "x1", "x2", "x2_mode", "grid", "samples", "seed", "format", "out"
+}
+_LOGS = {"team_a_log", "team_a", "team_b_log", "team_b"}
+_EXPLICIT = {"team_a_log", "team_b_log"}
+_TRUTH = {"truth_shape", "truth_scale"}
+_TORONTO = "toronto_2017_18.csv"
+
+
+@pytest.mark.parametrize(
+    "argv, extra, team_a_log",
+    [
+        (["predict"], _LOGS, _TORONTO),
+        (["density-table"], _LOGS, _TORONTO),
+        (["summarize"], _LOGS, _TORONTO),
+        (["summarize", "--x1", "30", "--x2", "40"], _EXPLICIT, None),
+        (["summarize", "--x1", "30"], _EXPLICIT | {"team_b"}, None),
+        (["summarize", "--team-a-log", "LOG"], _LOGS, "LOG"),
+        (["prediction-error"], _LOGS | _TRUTH, _TORONTO),
+        (["prediction-error", "--x1", "30", "--x2", "40"], _EXPLICIT | _TRUTH, None),
+        (["risk-curve"], {"ratios", "lambda1"}, "absent"),
+    ],
+)
+def test_config_keys_per_command_and_source(argv, extra, team_a_log):
+    # the config block is the resolved dict itself: one flat set of keys per
+    # command and data source, with no nesting and no team keys for the risk
+    log = str(goaltime.toronto_fixture_path())
+    argv = [log if arg == "LOG" else arg for arg in argv]
+    cfg = resolve_config(build_parser().parse_args(argv))
+    block = strict_json(_render(cfg, ["c"], []).splitlines()[1].removeprefix("# config: "))
+    assert set(cfg) == set(block) == _BASE_KEYS | extra
+    assert block.get("team_a_log", "absent") == (log if team_a_log == "LOG" else team_a_log)
 
 
 def strict_json(text):
@@ -361,7 +397,7 @@ class TestStrictOutput:
         payload = strict_json(_render(cfg, ["estimator", "a", "b"], rows))
         assert payload["rows"] == [["q0", 0.3333333333, None], ["q1", None, None], ["q2", 2, 1e-320]]
         # the metadata is not rounded
-        assert payload["meta"]["config"]["x1"] == cfg.x1
+        assert payload["meta"]["config"]["x1"] == cfg["x1"]
 
     def test_descending_ratios_are_a_config_error(self, capsys):
         code, _, err = run(capsys, "risk-curve", "--ratios", "8,1")

@@ -10,7 +10,7 @@ from scipy import integrate, special, stats
 from goaltime import cli
 from goaltime import distributions as dist
 from goaltime.distributions import GammaModel, gamma_pdf, summarize, truncate
-from goaltime.errors import ConvergenceError, DegenerateWindowError, DomainError
+from goaltime.errors import ConvergenceError, DegenerateWindowError, DomainError, InvalidShapeError
 from goaltime.ingest import canadiens_fixture_path, parse_game_log, reduce_to_stat, toronto_fixture_path
 from goaltime.predictive import (
     PredictionProblem,
@@ -101,6 +101,20 @@ class TestGeneralizedBetaPrime:
         want = stats.betaprime.logpdf(y, 1.5, 2.5, scale=x1)
         assert got.shape == (2, 3)
         np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "r1, r_prime", [(0.0, 3.0), (-1.0, 3.0), (np.inf, 3.0), (np.nan, 3.0), (3.0, 0.0), (3.0, -2.0), (3.0, np.inf)]
+    )
+    def test_shape_not_positive_and_finite(self, r1, r_prime):
+        # one precise error, not math.lgamma's "math domain error" or a nan
+        with pytest.raises(InvalidShapeError):
+            log_unrestricted_base(np.array([1.0, 2.0]), 10.0, r1, r_prime)
+
+    @pytest.mark.parametrize("x1", [0.0, -1.0, np.array([[5.0], [0.0]])])
+    def test_statistic_not_positive(self, x1):
+        # as log_restricted_base: a DomainError, not a nan with RuntimeWarnings
+        with pytest.raises(DomainError):
+            log_unrestricted_base(np.array([1.0, 2.0]), x1, 3.0, 3.0)
 
 
 class TestGaussJacobi:
@@ -222,6 +236,17 @@ class TestSummarize:
         with np.errstate(divide="ignore"):
             assert dist._mode(counted) == nodes[nodes < 30.3][-1]
         assert calls == []
+
+    def test_one_level_and_nested_levels(self):
+        # a 0-d level is one level; levels in more than one dimension are a
+        # DomainError, not a TypeError from the quantile lanes
+        d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 18.3), y), 0.0, 60.0)
+        one = summarize(d, 0.5)
+        assert one == summarize(d, [0.5]) == summarize(d, np.float64(0.5))
+        assert list(one.quantiles) == [0.5]
+        for probs in (1.5, [[0.2, 0.5]], np.full((1, 1), 0.5)):
+            with pytest.raises(DomainError):
+                summarize(d, probs)
 
     def test_infinite_window(self):
         d = truncate(lambda y: gamma_pdf(GammaModel(3.0, 5.0), y), 0.0, np.inf)
