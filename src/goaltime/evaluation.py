@@ -59,14 +59,28 @@ With ``v = w p`` the truth's density times the rule's weights and
 ``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``.  The engine
 runs blocks of ``_BLOCK`` draws by the rule's nodes, evaluated in place
 (``out=``) in arrays allocated once per call and small enough to stay
-in cache: the kernel, and for q1 the work rows its set-up asks for.  A
-block computes the kernel and one matrix-vector product with ``v``; the
-node term enters once per call, as ``v . (r'-1) log y``, and the
-statistics' term once per draw, as ``c_i sum(v)``.  On a finite window
-the estimate is renormalized to its mass on the rule,
-``m = exp(log q) . w``, which adds ``log(m) sum(v)``: there a block forms
-the whole ``log q``, reads its product with ``v``, and takes ``exp`` of
-it for the mass.
+in cache.  Each draws x nodes operand that is affine in the node,
+``c0_i + c1_i z_j``, comes from one matrix product per block, of the
+per-draw rows ``(c0_i, c1_i)``, built once per call, by the per-node
+rows ``(1, z_j)``: a ``(256 x 2) @ (2 x 116)`` product costs about a
+third of a numpy pass that broadcasts a column of draws against a row
+of nodes (8 against 25 us on a 2-core x86_64 host).  They are the kernel's ``t``, ``x2/x1 + y (1/x1)`` for the
+integer-``r2`` sum and ``y (1/x1)`` otherwise; at a non-integer ``r2``
+the continued fraction's ``x``, the quotient of ``x1 + y`` and
+``(x1 + x2) + y``; and on a finite window the node and statistics' term
+``(r'-1) log y_j - c_i``.  The kernel reads them, with the sum's
+``rho = x2/x1`` a column against ``t``, and the sum's ``u = rho/(1 + t)``
+is the one broadcast pass left.  They round differently from the
+densities' ``(x2 + y)/x1`` and ``y/x1``, by a few ulps, so a KL differs
+from one summed over the densities' own values at rounding level.  A
+block then takes one matrix-vector product with ``v``.  On the
+untruncated support the node term enters once per call, as
+``v . (r'-1) log y``, and the statistics' term once per draw, as
+``c_i sum(v)``.  On a finite window the estimate is renormalized to its
+mass on the rule, ``m = exp(log q) . w``, which adds ``log(m) sum(v)``:
+there a block adds the node and statistics' term to the kernel, one
+contiguous pass, for the whole ``log q``, reads its product with ``v``,
+and takes ``exp`` of it for the mass.
 
 ``prediction_error``, the KL from a truncated truth to one estimate, is a
 weighted sum over the window grid ``distributions.truncate`` sampled the
@@ -75,8 +89,10 @@ evaluated.  The tests check it against adaptive quadrature too.
 
 Risk is deterministic in (seed, samples, parameters): draws come from
 ``numpy.random.default_rng`` (PCG64) on seeds derived via ``SeedSequence``,
-one child stream per statistic, and reductions run in fixed order.  Both
-estimators at a grid point share the same draws (common random numbers).
+one child stream per statistic, and reductions run in fixed order; a
+block's matrix products give the same bits at any BLAS thread count, as
+the tests check at one and two.  Both estimators at a grid point share
+the same draws (common random numbers).
 
 Unless a finite window is supplied, risks are computed on the untruncated
 support: the unrestricted estimator is then minimum-risk equivariant and
@@ -264,33 +280,44 @@ def _risk_kls(x1, x2, lambda1: float, shapes: ShapeConfig, window) -> np.ndarray
     samples = x1.size
     block = min(_BLOCK, samples)
     log_kernel = pred._Kernel(r1 + r_prime, None if x2 is None else shapes.r2)
-    kernel = np.empty((block, y.size))
-    # the kernel's intermediates: q1's one or two rows, none for q0
-    work = np.empty((log_kernel.rows,) + kernel.shape) if log_kernel.rows else None
+    continued = x2 is not None and not log_kernel.coef
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_stat = pred._log_stat_term(x1, r1, r_prime, log_den)
+        # each operand's per-draw row (c0_i, c1_i) and per-node row z_j, for
+        # c0_i + c1_i z_j: the kernel's t, the continued fraction's x, the
+        # node and statistics' term (module docstring)
+        terms = [(x2 / x1 if log_kernel.coef else 0.0, 1.0 / x1, y)]
+        if continued:
+            terms += [(x1, 1.0, y), (x1 + x2, 1.0, y)]
+        if truncated:
+            terms.append((-log_stat, 1.0, log_node))
+        draws = np.empty((len(terms), samples, 2))
+        nodes = np.ones((len(terms), 2, y.size))
+        for i, (c0, c1, z) in enumerate(terms):
+            draws[i, :, 0], draws[i, :, 1], nodes[i, 1] = c0, c1, z
+        operands = np.empty((len(terms), block, y.size))
+        work = np.empty((log_kernel.rows, block, y.size))
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             rows = slice(0, stop - start)
-            x2_rows = work_rows = None
-            if x2 is not None:
-                x2_rows = x2[start:stop, None]
-                work_rows = work[:, rows]
-            log_kernel(y, x1[start:stop, None], x2_rows, out=kernel[rows], work=work_rows)
+            ops = np.matmul(draws[:, start:stop], nodes, out=operands[:, rows])
+            # q1's rho = x2/x1 (the sum), or x = (x1 + y)/(x1 + x2 + y)
+            aux = draws[0, start:stop, :1] if log_kernel.coef else None
+            if continued:
+                aux = np.divide(ops[1], ops[2], out=ops[1])
+            log_q = log_kernel(ops[0], aux, work[:, rows])
             if truncated:
                 # the mass takes exp of the whole log q, and q renormalized
                 # to it adds log(mass) sum(v)
-                log_q = kernel[rows]
-                log_q += log_node
-                log_q -= log_stat[start:stop, None]
+                log_q += ops[-1]
                 np.matmul(log_q, v, out=kls[start:stop])
                 mass = np.matmul(np.exp(log_q, out=log_q), w)
                 kls[start:stop] -= np.log(mass) * v_sum
             else:
-                np.matmul(kernel[rows], v, out=kls[start:stop])
+                np.matmul(log_q, v, out=kls[start:stop])
         if not truncated:
             kls -= log_stat * v_sum
     np.subtract(k, kls, out=kls)

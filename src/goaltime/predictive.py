@@ -72,7 +72,12 @@ and both densities and ``evaluation``'s risk add the node term
 its shapes ``(a, r2)``: the set-up chooses between the sum and, at a
 non-integer ``r2``, which has no sum to split off, the continued fraction
 of ``specfun.log_betainc`` (DLMF 8.17.22); it holds the sum's
-coefficients; and it says how many work rows a call needs.  The beta
+coefficients; and it says how many work rows a call needs.  A call reads
+the statistics only through the arrays its caller forms: ``t``, the
+``log1p`` term's argument, and ``rho = x2/x1`` for the sum or the
+continued fraction's ``x``.  The densities form them in scalar
+arithmetic (``_kernel_input``), the risk from matrix products of
+per-draw and per-node rows, and both run the one kernel.  The beta
 function of the beta prime comes from ``specfun.log_beta``, so no module
 here needs scipy.
 
@@ -175,20 +180,24 @@ class _Kernel:
 
     and the set-up holds the sum's coefficients ``(a)_j / j!``; at any
     other ``r2``, ``log I_x(a, r2)`` comes from ``log_betainc``.
-    ``rows`` is the number of work rows a call needs: none for q0, two
-    for the sum, one for the continued fraction.
 
-    A call broadcasts over ``y``, ``x1`` and ``x2``, which must be
-    positive (``y`` non-negative).  The result goes to ``out``, an
-    optional float array of the broadcast shape, and q1's intermediates
-    to ``work``, an optional ``(rows,) + shape`` stack of such arrays.
+    The kernel reads the statistics only through arrays its caller forms
+    (``_kernel_input`` for the densities, products of per-draw and
+    per-node rows for ``evaluation``'s risk): ``t``, the argument of the
+    ``log1p`` term, ``(x2 + y)/x1`` for the sum and ``y/x1`` otherwise;
+    and ``aux``, ``rho = x2/x1`` for the sum, which with ``t`` gives
+    ``u = rho/(1 + t)``, or the continued fraction's argument ``x``.  A
+    call writes K over ``t``, a float array, and ``x`` over ``aux``; the
+    sum's two intermediates go to ``work``, an optional ``(rows,) +
+    t.shape`` stack, and ``rho`` broadcasts against ``t``.  ``rows`` is
+    2 for the sum and 0 otherwise.
     """
 
     def __init__(self, a: float, r2=None):
         self.a, self.r2 = a, r2
         self.coef = None
-        self.rows = 0 if r2 is None else 1
-        if self.rows and float(r2).is_integer() and r2 <= _MAX_INT_B and (
+        self.rows = 0
+        if r2 is not None and float(r2).is_integer() and r2 <= _MAX_INT_B and (
             math.lgamma(a + r2) - math.lgamma(a + 1.0) - math.lgamma(r2) < _MAX_LOG_SUM
         ):
             self.coef = [1.0]
@@ -196,45 +205,54 @@ class _Kernel:
                 self.coef.append(self.coef[-1] * (a + j - 1.0) / j)
             self.rows = 2
 
-    def __call__(self, y, x1, x2=None, out=None, work=None):
-        if out is None:
-            # a built density's statistics are scalars: y alone fixes the shape
-            if np.isscalar(x1) and (x2 is None or np.isscalar(x2)):
-                out = np.empty(np.shape(y))
-            else:
-                out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2)))
-        if self.rows and work is None:
-            work = np.empty((self.rows,) + out.shape)
+    def __call__(self, t, aux=None, work=None):
         coef = self.coef
-        if not self.rows:
-            t = np.divide(y, x1, out=out)
-        elif coef:
-            # t = (x2 + y)/x1, and u = x2/(x1 + x2 + y) = (x2/x1)/(1 + t)
-            t = np.add(x2, y, out=out)
-            t /= x1
+        if coef:
+            if work is None:
+                work = np.empty((2,) + t.shape)
+            # u = x2/(x1 + x2 + y) = rho/(1 + t)
             u = np.add(t, 1.0, out=work[1, ...])
-            np.divide(np.divide(x2, x1), u, out=u)
-            # log S(u) by Horner's rule, two in-place operations a step
-            s = work[0, ...]
+            np.divide(aux, u, out=u)
+            # log S(u) by Horner's rule, two in-place operations a step;
+            # it takes aux's place as K's second term
+            aux = work[0, ...]
             if len(coef) == 1:
-                s.fill(0.0)
+                aux.fill(0.0)
             else:
-                np.multiply(u, coef[-1], out=s)
+                np.multiply(u, coef[-1], out=aux)
                 for c in coef[-2:0:-1]:
-                    s += c
-                    s *= u
-                s += 1.0
-                np.log(s, out=s)
-        else:
-            w = np.add(x1, y, out=work[0, ...])
-            np.divide(w, np.add(w, x2, out=out), out=w)
-            log_betainc(self.a, self.r2, w, out=w)
-            t = np.divide(y, x1, out=out)
+                    aux += c
+                    aux *= u
+                aux += 1.0
+                np.log(aux, out=aux)
+        elif aux is not None:
+            log_betainc(self.a, self.r2, aux, out=aux)
         np.log1p(t, out=t)
         t *= -self.a
-        if self.rows:
-            t += work[0]
+        if aux is not None:
+            t += aux
         return t
+
+
+def _kernel_input(kernel: _Kernel, y, x1, x2):
+    """The arrays ``kernel`` reads at ``y``, from scalar or broadcast
+    statistics, in the densities' arithmetic: ``t``, and ``aux`` for q1
+    (``_Kernel``; None for q0)."""
+    # a built density's statistics are scalars: y alone fixes the shape
+    if np.isscalar(x1) and (x2 is None or np.isscalar(x2)):
+        t = np.empty(np.shape(y))
+    else:
+        t = np.empty(np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2)))
+    if kernel.coef:
+        np.add(x2, y, out=t)
+        t /= x1
+        return t, np.divide(x2, x1)
+    if kernel.r2 is None:
+        return np.divide(y, x1, out=t), None
+    # x = (x1 + y)/(x1 + y + x2)
+    x = np.add(x1, y, out=np.empty(t.shape))
+    np.divide(x, np.add(x, x2, out=t), out=x)
+    return np.divide(y, x1, out=t), x
 
 
 def _log_stat_term(x1, r1: float, r_prime: float, log_p_den=0.0):
@@ -244,17 +262,25 @@ def _log_stat_term(x1, r1: float, r_prime: float, log_p_den=0.0):
     return log_beta(r_prime, r1) + r_prime * np.log(x1) + log_p_den
 
 
+def _check_statistic(name: str, x):
+    """``x`` as a float array; DomainError unless each of its values is
+    positive and finite, as a ``SufficientStat``'s must be."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((0 < x) & (x < math.inf))
+    if bad.any():
+        raise DomainError(f"statistic {name} must be positive and finite, got {x[bad][0]}")
+    return x
+
+
 def _log_ordering_probability(x1, x2, r1: float, r2: float):
     """log of the posterior probability of ``lam1 >= lam2`` given ``x1`` and
     ``x2``, ``I_w(r1, r2)`` at ``w = x1 / (x1 + x2)``: q1's denominator,
     the kernel at ``y = 0`` and ``a = r1`` (module docstring)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if (x1 <= 0).any() or (x2 <= 0).any():
-        raise DomainError("restricted density requires positive statistics")
+    x1, x2 = _check_statistic("x1", x1), _check_statistic("x2", x2)
+    kernel = _Kernel(r1, r2)
     # x2/x1 may overflow; the result is then not finite and raises below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _Kernel(r1, r2)(0.0, x1, x2)
+        out = kernel(*_kernel_input(kernel, 0.0, x1, x2))
     if not np.isfinite(out).all():
         raise DomainError("ordering probability not finite; log form unavailable")
     return out
@@ -276,7 +302,7 @@ def _log_density(x1, x2, r1: float, r2, r_prime: float):
         all_pos = pos.all()
         if not all_pos:
             y = np.where(pos, y, 1.0)
-        out = kernel(y, x1, x2)
+        out = kernel(*_kernel_input(kernel, y, x1, x2))
         out += (r_prime - 1.0) * np.log(y)
         out -= log_stat
         if not all_pos:
@@ -297,13 +323,12 @@ def log_unrestricted_base(y, x1, r1: float, r_prime: float):
 
     Raises:
         InvalidShapeError: if ``r1`` or ``r'`` is not positive and finite.
-        DomainError: if some ``x1`` is not positive.
+        DomainError: if some ``x1`` is not positive and finite.
     """
     if not 0 < r1 < math.inf:
         raise InvalidShapeError(f"shape r1 must be positive and finite, got {r1}")
     check_future_shape(r_prime)
-    if (np.asarray(x1) <= 0).any():
-        raise DomainError("unrestricted density requires positive statistics")
+    _check_statistic("x1", x1)
     return _log_density(x1, None, r1, None, r_prime)(y)
 
 
@@ -315,6 +340,12 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     evaluated as q1's kernel with the node and statistic terms
     (``_log_density``).  Broadcasts over ``y``, ``x1`` and ``x2`` like
     ``log_unrestricted_base``.
+
+    Raises:
+        InvalidShapeError: if ``r1`` or ``r2`` is not finite and above 1,
+            or ``r'`` is not positive and finite.
+        DomainError: if some ``x1`` or ``x2`` is not positive and finite,
+            or q1's denominator is not finite in doubles.
     """
     check_observed_shape(r1)
     check_observed_shape(r2)

@@ -353,6 +353,49 @@ class TestFrequentistRisk:
             tol = max(1e-13 * abs(want), 1e-14 + 2.0 * np.finfo(float).eps * max(0.0, size - 50.0))
             assert abs(got - want) <= tol, (kind, got, want, size)
 
+    @given(
+        r1=st.floats(1.05, 12.0),
+        r2=st.one_of(st.none(), st.integers(2, 12).map(float), st.floats(1.05, 12.0)),
+        rp=st.floats(0.01, 12.0),
+        log_x=st.lists(st.tuples(st.floats(-2.0, 4.0), st.floats(-2.0, 4.0)), min_size=1, max_size=4),
+        window=st.sampled_from([None, (0.0, 60.0), (5.0, 45.0)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_on_risk_and_density_inputs(self, r1, r2, rp, log_x, window):
+        # one kernel, two ways of forming its input: the engine's products
+        # of per-draw and per-node rows against the densities' arithmetic
+        # (predictive._kernel_input), at the nodes of the risk's rule, for
+        # q0 (r2 None), the sum and the continued fraction.  The two ways'
+        # t and aux differ by at most about 5 eps relative; K amplifies
+        # that by at most a in its log1p term, since t/(1+t) <= log1p(t),
+        # and by at most about a + r2 in its L = log S (u S'/S <= n - 1)
+        # or log I (x's log-derivative), so the bound, set from that count
+        # before any run, is 8 ulps of the terms' size a log1p(t) + |L| +
+        # a + r2
+        pred = evaluation.pred
+        x1, x2 = (10.0 ** np.array(log_x)).T
+        x2 = None if r2 is None else x2
+        seen = []
+        call = pred._Kernel.__call__
+
+        def spy(kernel, *args):
+            out = call(kernel, *args)
+            if kernel.a == r1 + rp:
+                seen.append((kernel, out.copy()))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pred._Kernel, "__call__", spy)
+            _risk_kls(x1, x2, 12.0, ShapeConfig(r1=r1, r2=r2 or 3.0, r_prime=rp), window)
+        [(kernel, got)] = seen
+        y, _ = _risk_rule(rp, None if window is None else (window[0] / 12.0, window[1] / 12.0))
+        t, aux = pred._kernel_input(kernel, y, x1[:, None], None if x2 is None else x2[:, None])
+        log1p_term = kernel.a * np.log1p(t)
+        want = kernel(t, aux)
+        size = log1p_term + np.abs(want + log1p_term) + kernel.a + (r2 or 0.0)
+        excess = np.abs(got - want) / (np.finfo(float).eps * size)
+        assert excess.max() <= 8.0, (excess.max(), kernel.rows)
+
     @pytest.mark.parametrize(
         "kind, window, value",
         [
@@ -394,14 +437,18 @@ class TestFrequentistRisk:
         )
 
     def test_bit_identical_across_blas_threads(self):
-        # the KL reduction is a BLAS matrix-vector product; the risk must not
-        # depend on how many threads BLAS splits it over
+        # a block's draws x nodes operands are BLAS matrix products, the
+        # node and statistics' term on a finite window among them, and the
+        # KL reduction is a matrix-vector product; the risk must not depend
+        # on how many threads BLAS splits them over
         code = (
             "from goaltime.evaluation import ShapeConfig, frequentist_risk\n"
             "for kind, r2 in (('q0', 3.0), ('q1', 3.0), ('q1', 2.5)):\n"
-            "    for window in (None, (0.0, 60.0)):\n"
-            "        e = frequentist_risk(12.0, 6.0, ShapeConfig(r2=r2), kind, 3000, 8, window)\n"
-            "        print(e.risk.hex(), e.std_err.hex())\n"
+            "    for window in (None, (0.0, 60.0), (5.0, 45.0)):\n"
+            "        for rp in (3.0, 0.3):\n"
+            "            shapes = ShapeConfig(r2=r2, r_prime=rp)\n"
+            "            e = frequentist_risk(12.0, 6.0, shapes, kind, 3000, 8, window)\n"
+            "            print(e.risk.hex(), e.std_err.hex())\n"
         )
         src = str(Path(goaltime.__file__).resolve().parents[1])
         outs = []
@@ -411,7 +458,7 @@ class TestFrequentistRisk:
             outs.append(done.stdout)
         assert outs[0] == outs[1]
         # q1 at r2 = 2.5 takes the kernel's continued fraction
-        assert len(outs[0].splitlines()) == 6
+        assert len(outs[0].splitlines()) == 18
 
     @pytest.mark.parametrize("kind", ["q0", "q1"])
     @pytest.mark.parametrize("window", [None, (0.0, 60.0)])

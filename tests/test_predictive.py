@@ -174,6 +174,19 @@ class TestOrderingConstant:
         with pytest.raises(DomainError):
             log_restricted_base(1.0, 1e-200, 1e200, 3.0, 3.0, 3.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bases_reject_statistics_that_are_not_positive_and_finite(self, bad):
+        # as SufficientStat does: a DomainError that names the statistic,
+        # not a NaN or -inf density, nor a failed ordering probability; in
+        # a broadcast array of statistics too
+        for x in (bad, np.array([[3.0], [bad]])):
+            with pytest.raises(DomainError, match="statistic x1 must be positive and finite"):
+                log_unrestricted_base(1.0, x, 3.0, 3.0)
+            with pytest.raises(DomainError, match="statistic x1 must be positive and finite"):
+                log_restricted_base(1.0, x, 3.0, 3.0, 3.0, 3.0)
+            with pytest.raises(DomainError, match=f"statistic x2 must be positive and finite, got {bad}"):
+                log_restricted_base(np.array([1.0, 2.0]), 3.0, x, 3.0, 2.5, 3.0)
+
 
 class TestOrderingProbability:
     """q1's denominator ``I_{x1/(x1+x2)}(r1, r2)``, the kernel at ``y = 0``."""
@@ -476,7 +489,8 @@ class TestRestricted:
             y = np.asarray(y, dtype=float)
             pos = y > 0
             y = np.where(pos, y, 1.0)
-            log_q = kernels[x2](y, x1, x2) + (rp - 1.0) * np.log(y)
+            kernel = kernels[x2]
+            log_q = kernel(*pred._kernel_input(kernel, y, x1, x2)) + (rp - 1.0) * np.log(y)
             log_q -= log_beta(rp, r1) + rp * np.log(x1) + log_den
             return np.exp(np.where(pos, log_q, -np.inf))
 
@@ -494,25 +508,23 @@ class TestRestricted:
         assert q0.base(0.0) == 0.0 == q1.base(0.0)
         assert q1.base(ys)[2:-2].all()
 
-    @pytest.mark.parametrize("r2", [2.5, 3.0])
+    @pytest.mark.parametrize("r2", [None, 2.5, 3.0])
     def test_kernel_work_rows(self, r2):
-        # the kernel reads one work row at a non-integer r2 and two at an
-        # integer one, as its set-up says, and given that many it computes
-        # what it computes with its own; the risk engine's block shape,
-        # nodes by draws
+        # the kernel reads two work rows at an integer r2 and none
+        # otherwise, as its set-up says, and given them it computes what it
+        # computes with its own; at the risk engine's block shape, draws by
+        # nodes, where rho = x2/x1 is a column, and at scalar statistics
         y = np.linspace(0.1, 80.0, 40)
         x1 = np.linspace(5.0, 60.0, 8)[:, None]
         x2 = np.linspace(70.0, 3.0, 8)[:, None]
-        rows = 1 if r2 == 2.5 else 2
         kernel = pred._Kernel(6.0, r2)
-        assert kernel.rows == rows
-        assert pred._Kernel(6.0).rows == 0
-        want = kernel(y, x1, x2)
-        got = kernel(y, x1, x2, out=np.empty((8, 40)), work=np.empty((rows, 8, 40)))
-        assert np.array_equal(got, want)
-        assert np.all(np.isfinite(want))
-        lone = kernel(y, 30.0, 40.0, work=np.empty((rows, 40)))
-        assert np.array_equal(lone, kernel(y, 30.0, 40.0))
+        assert kernel.rows == (2 if r2 == 3.0 else 0)
+        for a, b, shape in ((x1, x2, (8, 40)), (30.0, 40.0, (40,))):
+            want = kernel(*pred._kernel_input(kernel, y, a, b))
+            got = kernel(*pred._kernel_input(kernel, y, a, b), work=np.empty((kernel.rows,) + shape))
+            assert got.shape == shape
+            assert np.array_equal(got, want)
+            assert np.all(np.isfinite(want))
 
     def test_rejects_small_shapes(self):
         with pytest.raises(InvalidShapeError):
