@@ -22,6 +22,10 @@ the samples in ``TruncatedDensity.grid``:
   neither the mass nor the mean has a relative share above 2^-60, and
   panels growing fourfold span the tail up to that edge.
 
+The graded and bulk edges are ``lo`` plus the bulk panel width times one
+fixed table of multipliers (``_EDGE_STEPS``), less the graded ones that
+are too narrow, so building them is one product.
+
 The same call samples the density at the mode's two edge candidates, just
 inside the window and the grid's top.  The window mass, the mean and the
 cumulative panel masses are sums over that grid, and the mass below each
@@ -90,6 +94,11 @@ _BULK_PANELS = 16
 _GRADE_RATIO = 4.0
 _GRADE_STEPS = 60  # 4^-60 = 2^-120 of the first bulk panel
 _MIN_PANEL_ULPS = 1024.0  # narrowest graded panel, in ulps of lo
+# the graded and bulk panel edges, in bulk panel widths above lo: 0, the
+# graded edges 4^-60 .. 4^-1, then the bulk panels' edges 1 .. 16
+_EDGE_STEPS = np.concatenate(
+    ([0.0], _GRADE_RATIO ** -np.arange(_GRADE_STEPS, 0, -1.0), np.arange(1.0, _BULK_PANELS + 1))
+)
 _PROBE = 2.0 ** np.arange(-300.0, 301.0)  # offsets from lo of an infinite window
 _TAIL_TOL = 2.0**-60
 _BULK_TAIL = 2.0**-20
@@ -224,20 +233,28 @@ def _probe_infinite(base, lo: float) -> tuple[float, float]:
 
 
 def _panel_edges(base, lo: float, hi: float) -> tuple[np.ndarray, float]:
-    """Panel edges of the window grid, and the bulk width they were built on."""
-    if np.isfinite(hi):
+    """Panel edges of the window grid, and the bulk width they were built on:
+    ``lo + h * _EDGE_STEPS``, ``h`` a bulk panel's width, then the growth
+    panels of an infinite window."""
+    finite = math.isfinite(hi)
+    if finite:
         bulk, top = hi - lo, hi - lo
     else:
         bulk, top = _probe_infinite(base, lo)
-    h = bulk / _BULK_PANELS
-    graded = h * _GRADE_RATIO ** -np.arange(_GRADE_STEPS, 0, -1.0)
-    # panels narrower than this would put their nodes on lo or on each other
-    graded = graded[graded > _MIN_PANEL_ULPS * np.spacing(lo)]
-    uniform = h * np.arange(1.0, _BULK_PANELS + 1)
-    growth = bulk * _GRADE_RATIO ** np.arange(1.0, np.ceil(np.log(top / bulk) / np.log(_GRADE_RATIO)) + 1)
-    edges = lo + np.concatenate(([0.0], graded, uniform, growth))
-    if np.isfinite(hi):
+    steps = (bulk / _BULK_PANELS) * _EDGE_STEPS
+    # graded panels narrower than this would put their nodes on lo or on
+    # each other: the first n go, and steps[n] takes the place of the 0
+    cut = _MIN_PANEL_ULPS * np.spacing(lo)
+    if steps[1] <= cut:
+        n = int(steps[1 : _GRADE_STEPS + 1].searchsorted(cut, side="right"))
+        steps = steps[n:]
+        steps[0] = 0.0
+    if finite:
+        edges = lo + steps
         edges[-1] = hi
+    else:
+        growth = bulk * _GRADE_RATIO ** np.arange(1.0, np.ceil(np.log(top / bulk) / np.log(_GRADE_RATIO)) + 1)
+        edges = lo + np.concatenate((steps, growth))
     return edges, bulk
 
 

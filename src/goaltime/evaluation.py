@@ -107,6 +107,7 @@ exactly.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -183,9 +184,11 @@ def prediction_error(exact, estimate) -> float:
     level and absorbs underflowed far-tail values.
 
     Raises:
-        DomainError: if ``exact`` is not a ``TruncatedDensity``.
-        DivergenceError: if the estimate vanishes somewhere the exact
-            density does not, making the integrand unbounded.
+        DomainError: if ``exact`` is not a ``TruncatedDensity``, or the
+            estimate is NaN at a node.
+        DivergenceError: if the estimate vanishes, or is infinite,
+            somewhere the exact density does not, making the integrand
+            unbounded.
     """
     if not isinstance(exact, dist.TruncatedDensity):
         raise DomainError("prediction_error needs the truth as a TruncatedDensity, which sets the window")
@@ -198,7 +201,16 @@ def prediction_error(exact, estimate) -> float:
         raise DivergenceError(
             f"estimate vanishes at y={y[np.argmax(qv <= 0.0)]} where exact is positive"
         )
-    return float(np.sum(w * pv * (np.log(pv) - np.log(qv))))
+    kl = float(np.sum(w * pv * (np.log(pv) - np.log(qv))))
+    if not math.isfinite(kl):
+        # only an infinite or NaN estimate gets here: its log, +inf or
+        # NaN, makes the sum -inf or NaN without a warning, and a finite
+        # positive estimate's term cannot overflow
+        inf = qv == np.inf
+        if inf.any():
+            raise DivergenceError(f"estimate is infinite at y={y[np.argmax(inf)]} where exact is positive")
+        raise DomainError(f"estimate is NaN at y={y[np.argmax(np.isnan(qv))]}")
+    return kl
 
 
 @functools.cache
@@ -275,7 +287,11 @@ def _risk_kls(x1, x2, lambda1: float, shapes: ShapeConfig, window) -> np.ndarray
     k = v @ k_truth
     v_sum = v.sum()
     # the ordering probability depends on x1/(x1 + x2) alone
-    log_den = 0.0 if x2 is None else pred._log_ordering_probability(x1, x2, r1, shapes.r2)
+    log_den = 0.0
+    if x2 is not None:
+        pred._check_statistic("x1", x1)
+        pred._check_statistic("x2", x2)
+        log_den = pred._log_ordering_probability(x1, x2, r1, shapes.r2)
 
     samples = x1.size
     block = min(_BLOCK, samples)

@@ -275,8 +275,9 @@ def _check_statistic(name: str, x):
 def _log_ordering_probability(x1, x2, r1: float, r2: float):
     """log of the posterior probability of ``lam1 >= lam2`` given ``x1`` and
     ``x2``, ``I_w(r1, r2)`` at ``w = x1 / (x1 + x2)``: q1's denominator,
-    the kernel at ``y = 0`` and ``a = r1`` (module docstring)."""
-    x1, x2 = _check_statistic("x1", x1), _check_statistic("x2", x2)
+    the kernel at ``y = 0`` and ``a = r1`` (module docstring).  The
+    statistics are taken as checked (``_check_statistic``), and scalars
+    stay scalars, so a built density's kernel runs on its one point."""
     kernel = _Kernel(r1, r2)
     # x2/x1 may overflow; the result is then not finite and raises below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -350,6 +351,8 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
     check_observed_shape(r1)
     check_observed_shape(r2)
     check_future_shape(r_prime)
+    _check_statistic("x1", x1)
+    _check_statistic("x2", x2)
     return _log_density(x1, x2, r1, r2, r_prime)(y)
 
 

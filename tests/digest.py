@@ -39,15 +39,18 @@ The sweep covers integer and non-integer shapes and the windows (0, 60),
   errors and rejected-draw counts, at scales far from and near 1, over
   the first five shapes and one at ``r' = 0.2``;
 * ``ingest``: ``parse_game_log`` and ``parse_points``, each from bytes,
-  from a path and from a binary file object, over the bundled fixtures,
-  seeded synthetic logs written by ``serialize_game_log``, and malformed
-  inputs: each parse's records and every team's ``reduce_to_stat`` in
-  each ``x2_mode``, or its error's class, line and message.  The corpus
-  holds only inputs that older checkouts read alike (they parse, or fail
-  with a ``GameLogError``), so that the section's hash is comparable
-  across them: no bytes that are not UTF-8, no field over
-  ``csv.field_size_limit()`` and no bare carriage-return line ends,
-  which older checkouts read from a path alone;
+  from a path, from a binary file object and from a text file object
+  (``io.StringIO``, or a text wrapper whose own decoder fails for bytes
+  that are not UTF-8), over the bundled fixtures, seeded synthetic logs
+  written by ``serialize_game_log``, and malformed inputs, among them a
+  byte that is not UTF-8, a field over ``csv.field_size_limit()`` and
+  whitespace-only rows of the header's width: each parse's records and
+  every team's ``reduce_to_stat`` in each ``x2_mode``, or its error's
+  class, line and message.  Checkouts whose parsers read through one row
+  reader (``ingest._rows``) read every input of the corpus alike, so the
+  section's hash is comparable across them; it holds no bare
+  carriage-return line ends, which older checkouts read from a path
+  alone;
 * ``cli``: stdout, stderr, exit code and the warnings raised of each of
   a fixed list of ``goaltime.cli.main`` runs, in a scratch directory so
   that every path the output names is relative: all five subcommands in
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -241,8 +245,9 @@ def risk_window(h) -> None:
 
 
 _LOG = "team,opponent,elapsed_minutes"
-# (parser, text): each is read as given and, for game logs, with \r\n line
-# ends
+_HUGE = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+# (parser, text or bytes): each is read as given and, for game logs, with
+# \r\n line ends
 MALFORMED = [
     (parse_game_log, ""),
     (parse_game_log, "\n"),
@@ -266,6 +271,9 @@ MALFORMED = [
     (parse_game_log, _LOG + '\n"A, the first","B ""b""",10.0\n"A\rA","B\nB",20.0\nA,C,30\n'),
     (parse_game_log, _LOG + '\n"A,B,10.0\n'),
     (parse_game_log, _LOG + "\n  A  ,  B  ,  17.25  \n"),
+    (parse_game_log, _LOG + "\nA,B,10.0\n , ,\t\n\t,\u3000, \nA,C,oops\n"),
+    (parse_game_log, _LOG.encode() + b"\nA,B,10.0\nMontr\xe9al,B,12.0\n"),
+    (parse_game_log, _LOG + "\nA,B,10.0\n" + _HUGE + ",B,12.0\n"),
     (parse_points, ""),
     (parse_points, "team,points"),
     (parse_points, "team,pts\nA,10\n"),
@@ -276,6 +284,9 @@ MALFORMED = [
     (parse_points, "team,points\n,10\n"),
     (parse_points, "team,points\nA\n"),
     (parse_points, "team,points\n\n , \nA,105\nB,71\n , , x\n"),
+    (parse_points, "team,points\n \t, \nA,105\n\u3000,\nB,many\n"),
+    (parse_points, b"team,points\nA,105\n\xff,71\n"),
+    (parse_points, "team,points\nA," + _HUGE + "\n"),
 ]
 
 
@@ -295,10 +306,15 @@ def _synthetic_logs():
 
 
 def _parse(h, parse, data: bytes, path: Path) -> None:
-    """Hash ``parse`` of ``data`` from bytes, a path and a binary file
-    object: its records and their reductions, or its error."""
+    """Hash ``parse`` of ``data`` from bytes, a path, a binary file object
+    and a text file object: its records and their reductions, or its
+    error."""
     path.write_bytes(data)
-    for source in (data, path, io.BytesIO(data)):
+    try:
+        text = io.StringIO(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for source in (data, path, io.BytesIO(data), text):
         try:
             records = parse(source)
         except Exception as exc:  # noqa: BLE001 - the failure itself is hashed
@@ -322,9 +338,10 @@ def ingest(h) -> None:
         for data in _synthetic_logs():
             _parse(h, parse_game_log, data, path)
         for parse, text in MALFORMED:
-            _parse(h, parse, text.encode(), path)
+            data = text if isinstance(text, bytes) else text.encode()
+            _parse(h, parse, data, path)
             if parse is parse_game_log:
-                _parse(h, parse, text.replace("\n", "\r\n").encode(), path)
+                _parse(h, parse, data.replace(b"\n", b"\r\n"), path)
 
 
 _SMALL_CURVE = ["--samples", "200", "--ratios", "1,2"]

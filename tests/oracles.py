@@ -413,3 +413,25 @@ def risk_kl_mpmath(kind: str, x1: float, x2, lambda1: float, shapes, window, dps
             q_mass = integral(lambda y: mp.exp(log_f(y) - c))
             log_q_mass = mp.log(q_mass) + c - log_b - rp * mp.log(x1)
         return float(e_g - mp.log(p_mass) + log_q_mass)
+
+
+def panel_edges_concatenated(base, lo: float, hi: float) -> tuple[np.ndarray, float]:
+    """The window grid's panel edges built piece by piece, as
+    ``distributions._panel_edges`` once built them: graded panels
+    ``h 4^-k`` for ``k`` from 60 to 1, those of at most 1024 ulps of ``lo``
+    filtered out, the bulk panels ``h k`` for ``k`` from 1 to 16 and, on an
+    infinite window, the growth panels, concatenated after 0 and added to
+    ``lo``; a finite window's last edge is ``hi`` itself."""
+    if np.isfinite(hi):
+        bulk, top = hi - lo, hi - lo
+    else:
+        bulk, top = dist._probe_infinite(base, lo)
+    h = bulk / 16
+    graded = h * 4.0 ** -np.arange(60, 0, -1.0)
+    graded = graded[graded > 1024.0 * np.spacing(lo)]
+    uniform = h * np.arange(1.0, 17.0)
+    growth = bulk * 4.0 ** np.arange(1.0, np.ceil(np.log(top / bulk) / np.log(4.0)) + 1)
+    edges = lo + np.concatenate(([0.0], graded, uniform, growth))
+    if np.isfinite(hi):
+        edges[-1] = hi
+    return edges, bulk

@@ -20,6 +20,8 @@ from goaltime.predictive import (
     unrestricted_predictive,
 )
 
+from oracles import panel_edges_concatenated
+
 PROBS = np.array([0.2, 0.5, 0.9])
 
 
@@ -200,6 +202,55 @@ class TestTruncate:
             truncate(lambda y: gamma_pdf(GammaModel(2.0, 1.0), y), 1e6, 2e6)
         with pytest.raises(DomainError):
             truncate(lambda y: gamma_pdf(GammaModel(2.0, 1.0), y), 10.0, 10.0)
+
+
+def _same_edges(base, lo, hi):
+    got, got_bulk = dist._panel_edges(base, lo, hi)
+    want, want_bulk = panel_edges_concatenated(base, lo, hi)
+    assert np.array_equal(got, want), (lo, hi)
+    assert got_bulk == want_bulk
+    return got
+
+
+class TestPanelEdges:
+    """The edge table ``lo + h * _EDGE_STEPS`` against the edges built
+    piece by piece (``oracles.panel_edges_concatenated``), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "window, graded",
+        [
+            ((0.0, 60.0), 60),
+            ((0.0, 1e-3), 60),
+            ((0.0, 1e-300), 31),  # subnormal graded panels are dropped at lo = 0 too
+            ((5.0, 45.0), 20),
+            ((59.99999, 60.0), 8),
+            ((1.0, 1.0 + 2e-12), 0),
+            ((1e300, 1.5e300), 18),
+        ],
+    )
+    def test_finite_windows(self, window, graded):
+        edges = _same_edges(None, *window)
+        assert edges.size == 1 + graded + 16
+        assert edges[0] == window[0] and edges[-1] == window[1]
+
+    @given(
+        lo_exp=st.one_of(st.just(None), st.floats(-320.0, 300.0)),
+        width_exp=st.floats(-310.0, 300.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_windows_over_the_double_range(self, lo_exp, width_exp):
+        lo = 0.0 if lo_exp is None else 10.0**lo_exp
+        hi = lo + 10.0**width_exp * max(lo, 1.0)
+        if lo < hi < np.inf:
+            _same_edges(None, lo, hi)
+
+    @pytest.mark.parametrize("lo", [0.0, 1e-3, 5.0])
+    @pytest.mark.parametrize(
+        "r_prime, r1, x1", [(3.0, 3.0, 35.85), (0.3, 1.5, 2.0), (80.0, 50.0, 100.0), (0.05, 2.0, 1e6), (3.0, 3.0, 0.5)]
+    )
+    def test_infinite_windows(self, lo, r_prime, r1, x1):
+        _same_edges(lambda y: beta_prime_pdf(r_prime, r1, x1, y), lo, np.inf)
+        _same_edges(lambda y: gamma_pdf(GammaModel(r_prime, x1), y), lo, np.inf)
 
 
 class TestSummarize:

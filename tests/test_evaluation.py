@@ -77,6 +77,32 @@ class TestKlLoss:
         with pytest.raises(DivergenceError):
             prediction_error(p, q)
 
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (math.inf, DivergenceError, "estimate is infinite at y="),
+            (math.nan, DomainError, "estimate is NaN at y="),
+        ],
+    )
+    def test_non_finite_estimate_is_an_error(self, value, error, message):
+        # the KL was -inf or NaN without an error; the message names the
+        # node, at one node and at every node alike
+        p = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
+        for every in (False, True):
+
+            def estimate(y):
+                q = gamma_pdf(TRUTH, y)
+                if every:
+                    q[:] = value
+                else:
+                    q[q.size // 2] = value
+                return q
+
+            with pytest.raises(error, match=message) as exc:
+                prediction_error(p, estimate)
+            y = p.grid.y.ravel()[p.grid.f.ravel() / p.mass > 1e-15]
+            assert repr(float(y[0 if every else y.size // 2])) in str(exc.value)
+
     def test_plain_callable_truth_rejected(self):
         # a plain callable carries no window to integrate over
         with pytest.raises(DomainError):
@@ -559,6 +585,23 @@ class TestFrequentistRisk:
             frequentist_risk(12.0, 6.0, ShapeConfig(), "q0", samples=samples, seed=seed)
         with pytest.raises(DomainError):
             risk_curve(ratio_grid=(1.0, 2.0), samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("window", [None, (0.0, 60.0)])
+    def test_engine_rejects_statistics_that_are_not_positive_and_finite(self, bad, window):
+        # the q1 engine checks its statistics itself, as log_restricted_base
+        # does: q1's denominator takes them as checked
+        good = np.array([1.0, 2.0, 0.5])
+        for name in ("x1", "x2"):
+            x = {"x1": good.copy(), "x2": good.copy()}
+            x[name][1] = bad
+            with pytest.raises(DomainError, match=f"statistic {name} must be positive and finite, got {bad}"):
+                _risk_kls(x["x1"], x["x2"], 12.0, ShapeConfig(), window)
+
+    def test_underflowed_rival_draws_are_a_domain_error(self):
+        # lambda2/lambda1 = 1e-600 draws every x2 as 0 in doubles
+        with pytest.raises(DomainError, match="statistic x2 must be positive and finite, got 0.0"):
+            frequentist_risk(1e300, 1e-300, ShapeConfig(), "q1", samples=200, seed=0)
 
     @pytest.mark.parametrize("lambda1, lambda2", [(math.inf, 6.0), (math.nan, 6.0), (12.0, math.nan)])
     def test_non_finite_scales(self, lambda1, lambda2):

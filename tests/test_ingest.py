@@ -1,8 +1,16 @@
 import csv
+import dataclasses
 import hashlib
 import io
+import math
+import pickle
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goaltime.errors import EmptySelectionError, GameLogError
 from goaltime.ingest import (
@@ -150,6 +158,100 @@ class TestReduce:
             reduce_to_stat(self.records(), "Z")
 
 
+# each record type with a valid instance's fields, keyword arguments that
+# its constructor rejects and the message it raises
+RECORD_CASES = [
+    pytest.param(
+        GameRecord,
+        dict(team="A", opponent="B", elapsed_minutes=12.5, goal_index=4),
+        [
+            (dict(team=""), "team and opponent must be non-empty"),
+            (dict(opponent=""), "team and opponent must be non-empty"),
+            (dict(opponent="A"), "team equals opponent: 'A'"),
+            (dict(elapsed_minutes=0.0), "elapsed_minutes 0.0 outside (0, 60.0]"),
+            (dict(elapsed_minutes=60.000001), "elapsed_minutes 60.000001 outside (0, 60.0]"),
+            (dict(elapsed_minutes=-1.0), "elapsed_minutes -1.0 outside (0, 60.0]"),
+            (dict(elapsed_minutes=math.nan), "elapsed_minutes nan outside (0, 60.0]"),
+            (dict(goal_index=0), "goal_index 0 must be >= 1"),
+        ],
+        id="GameRecord",
+    ),
+    pytest.param(
+        SeasonPoints,
+        dict(team="A", points=105),
+        [(dict(team=""), "team must be non-empty"), (dict(points=0), "points 0 must be positive")],
+        id="SeasonPoints",
+    ),
+]
+
+
+class TestRecordDataclasses:
+    """The records stay frozen dataclasses whose constructor validates."""
+
+    @pytest.mark.parametrize("cls, kwargs, rejected", RECORD_CASES)
+    def test_fields_in_order_and_keyword_construction(self, cls, kwargs, rejected):
+        assert dataclasses.is_dataclass(cls)
+        assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+        rec = cls(**kwargs)
+        assert rec == cls(*kwargs.values())
+        assert dataclasses.astuple(rec) == tuple(kwargs.values())
+
+    def test_goal_index_defaults_to_3(self):
+        assert dataclasses.fields(GameRecord)[-1].default == 3
+        assert GameRecord(team="A", opponent="B", elapsed_minutes=1.0).goal_index == 3
+
+    @pytest.mark.parametrize("cls, kwargs, rejected", RECORD_CASES)
+    def test_frozen(self, cls, kwargs, rejected):
+        rec = cls(**kwargs)
+        for name in kwargs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, kwargs[name])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, name)
+        assert dataclasses.astuple(rec) == tuple(kwargs.values())
+
+    @pytest.mark.parametrize("cls, kwargs, rejected", RECORD_CASES)
+    def test_eq_hash_and_repr(self, cls, kwargs, rejected):
+        rec = cls(**kwargs)
+        twin = cls(**kwargs)
+        assert rec == twin and rec is not twin
+        assert hash(rec) == hash(twin) == hash(tuple(kwargs.values()))
+        assert rec != cls(**{**kwargs, "team": "Z"})
+        assert rec != tuple(kwargs.values())
+        fields = ", ".join(f"{name}={value!r}" for name, value in kwargs.items())
+        assert repr(rec) == f"{cls.__name__}({fields})"
+        assert pickle.loads(pickle.dumps(rec)) == rec
+
+    @pytest.mark.parametrize("cls, kwargs, rejected", RECORD_CASES)
+    def test_constructor_messages(self, cls, kwargs, rejected):
+        for change, message in rejected:
+            with pytest.raises(GameLogError) as exc:
+                cls(**{**kwargs, **change})
+            assert str(exc.value) == message
+            assert exc.value.line is None
+
+    @pytest.mark.parametrize("cls, kwargs, rejected", RECORD_CASES)
+    def test_replace_validates_again(self, cls, kwargs, rejected):
+        rec = cls(**kwargs)
+        for change, message in rejected:
+            with pytest.raises(GameLogError) as exc:
+                dataclasses.replace(rec, **change)
+            assert str(exc.value) == message
+        name = next(iter(kwargs))
+        moved = dataclasses.replace(rec, **{name: "Z"})
+        assert moved == cls(**{**kwargs, name: "Z"})
+        assert rec == cls(**kwargs)
+
+    @pytest.mark.parametrize("cls, kwargs, rejected", RECORD_CASES)
+    def test_arguments_are_checked_by_count_and_name(self, cls, kwargs, rejected):
+        with pytest.raises(TypeError):
+            cls(*kwargs.values(), 1)
+        with pytest.raises(TypeError):
+            cls(**kwargs, extra=1)
+        with pytest.raises(TypeError):
+            cls("A")
+
+
 class TestSeasonPoints:
     def test_validation(self):
         with pytest.raises(GameLogError):
@@ -277,3 +379,70 @@ class TestUnreadableFiles:
         assert len(want) == 2
         for source in sources(f"{header}\r{good}\r{good}\r".encode(), tmp_path):
             assert parse(source) == want
+
+
+_HEADER = "team,opponent,elapsed_minutes,goal_index\n"
+# stripped, non-empty team names, with the characters the writer quotes
+_NAMES = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\r\n AB'), st.characters(exclude_categories=("Cs",))),
+    min_size=1,
+    max_size=12,
+).filter(lambda name: name == name.strip())
+_RECORDS = st.lists(
+    st.tuples(
+        _NAMES,
+        _NAMES,
+        st.floats(min_value=0.0, max_value=60.0, exclude_min=True),
+        st.integers(min_value=1, max_value=10**6),
+    ).filter(lambda row: row[0] != row[1]),
+    max_size=8,
+)
+# rows of nothing but whitespace, the header's width among them
+_BLANK_ROWS = st.sampled_from(["", " ", "\t \t", " , , , ", ",,,", " ,\t", "\u3000"])
+
+
+def _line_breaks(text: str) -> int:
+    """Line ends in ``text`` as the reader counts them: ``\r\n``, ``\r`` or ``\n``."""
+    return len(re.findall("\r\n|\r|\n", text))
+
+
+def _every_source(data: bytes, directory: Path):
+    """``data`` as bytes, a path, and binary and text file objects."""
+    return sources(data, directory) + [io.StringIO(data.decode("utf-8"))]
+
+
+class TestRoundTrip:
+    @given(
+        rows=_RECORDS,
+        blanks=st.lists(st.tuples(st.integers(min_value=0, max_value=8), _BLANK_ROWS), max_size=4),
+        bad=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_serialize_then_parse(self, rows, blanks, bad):
+        # serialize_game_log then parse_game_log gives back equal records
+        # from every source; whitespace-only rows put anywhere are skipped,
+        # and a bad row after them is numbered by the line it is on
+        records = [GameRecord(*row) for row in rows]
+        buf = io.StringIO()
+        serialize_game_log(records, buf)
+        text = buf.getvalue()
+        assert text.startswith(_HEADER)
+        lines = []
+        for rec in records:
+            one = io.StringIO()
+            serialize_game_log([rec], one)
+            lines.append(one.getvalue()[len(_HEADER) :])
+        assert _HEADER + "".join(lines) == text
+        for at, blank in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), blank + "\n")
+        body = _HEADER + "".join(lines)
+        if bad:
+            body += "A,B,oops,3\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            for source in _every_source(body.encode("utf-8"), Path(tmp)):
+                if not bad:
+                    assert parse_game_log(source) == records
+                    continue
+                with pytest.raises(GameLogError, match="bad elapsed_minutes 'oops'") as exc:
+                    parse_game_log(source)
+                assert exc.value.line == _line_breaks(body)
