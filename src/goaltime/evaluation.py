@@ -414,12 +414,19 @@ def frequentist_risk(
 
 
 def _ratio_grid(ratio_grid) -> tuple[float, ...]:
-    """``ratio_grid`` (numbers or numeric strings) as a tuple of floats;
-    DomainError unless it is finite, ascending and starts at >= 1."""
+    """``ratio_grid`` (an iterable of numbers or numeric strings, not one
+    string) as a tuple of floats; DomainError unless it is one, and
+    finite, ascending and starts at >= 1."""
+    if isinstance(ratio_grid, (str, bytes)):
+        raise DomainError(f"ratio grid must be an iterable of numbers, not a string; got {ratio_grid!r}")
     try:
-        ratios = tuple(float(r) for r in ratio_grid)
-    except ValueError:
-        raise DomainError(f"ratio grid must be numeric; got {list(ratio_grid)}") from None
+        entries = list(ratio_grid)
+    except TypeError:
+        raise DomainError(f"ratio grid must be an iterable of numbers; got {ratio_grid!r}") from None
+    try:
+        ratios = tuple(float(r) for r in entries)
+    except (TypeError, ValueError):
+        raise DomainError(f"ratio grid must be numeric; got {entries}") from None
     if not ratios or not np.all(np.isfinite(ratios)) or any(b <= a for a, b in zip(ratios, ratios[1:])) or ratios[0] < 1.0:
         raise DomainError(f"ratio grid must be finite, ascending and start at >= 1; got {ratios}")
     return ratios

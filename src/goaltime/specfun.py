@@ -10,15 +10,30 @@ the continued fraction of DLMF 8.17.22,
 
     I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))),
 
-by the modified Lentz method, which converges fast for
-``x < (a+1)/(a+b+2)``; past that point it uses
-``I_x(a, b) = 1 - I_{1-x}(b, a)``.  The prefactor is taken in the form of
-Didonato & Morris, ACM TOMS 708 (1992), ``brcomp``: the log-gamma terms of
-``B(a, b)`` are folded into ``log1p`` terms of the distance from the mean
-and a Stirling remainder (DLMF 5.11.1), so large shapes lose no digits to
-a difference of large log-gammas.  The finite sum of an integer ``b``
-(DLMF 8.17.21) is not here: the densities' kernel holds it
-(``predictive._Kernel``), where it cancels against q0's ``log1p`` term.
+which converges fast for ``x < (a+1)/(a+b+2)``; past that point it uses
+``I_x(a, b) = 1 - I_{1-x}(b, a)``.  Each side of that swap point holds
+one kind of point, ``t = x`` at ``(a, b)`` or ``t = 1 - x`` at
+``(b, a)``, and every ``d_k`` is ``t`` times a scalar of ``k``.  So a side
+takes one step count: modified Lentz, run in Python floats at the side's
+largest ``t`` alone, where the fraction converges slowest, counts the
+``n`` steps after which two successive convergents agree to rounding.
+Lentz's test reads the change of one step, not what the steps after it
+still add, which near the swap point is larger: ``n + 5`` steps still fall
+up to 94 eps short where ``a >> b``.  Every point of the side is
+therefore summed backward, ``g = 1 + d_k / g`` from the last coefficient,
+over ``n + max(5, n // 2)`` steps.  At every sampled point of ``a`` in
+[0.1, 400] and ``b`` in [0.1, 250] that reads the same double as the sum
+run to ``4n + 60`` steps, so a point's value does not depend on the other
+points of its call.  The same expression sums an array and, in Python
+floats, a lone point.
+
+The prefactor is taken in the form of Didonato & Morris, ACM TOMS 708
+(1992), ``brcomp``: the log-gamma terms of ``B(a, b)`` are folded into
+``log1p`` terms of the distance from the mean and a Stirling remainder
+(DLMF 5.11.1), so large shapes lose no digits to a difference of large
+log-gammas.  The finite sum of an integer ``b`` (DLMF 8.17.21) is not
+here: the densities' kernel holds it (``predictive._Kernel``), where it
+cancels against q0's ``log1p`` term.
 
 ``gauss_2f1`` is ``scipy.special.hyp2f1`` on ``z <= 0`` with the package's
 domain checks.  No density uses it, and it imports scipy only when it is
@@ -26,9 +41,7 @@ called: it backs the weighted-beta-prime form of the restricted density
 that the tests check against (``tests/oracles.py``).
 
 All functions are pure and stateless; they accept scalars or numpy arrays
-for the argument ``x`` or ``z`` and broadcast in the numpy sense.  A scalar
-``x`` takes the array path of ``log_betainc``, except that the continued
-fraction runs a lone point in Python floats (``_log_lentz_scalar``).
+for the argument ``x`` or ``z`` and broadcast in the numpy sense.
 ``log_betainc`` can write into a caller's array (``out=``), which may be
 ``x`` itself.
 """
@@ -43,6 +56,7 @@ from .errors import ConvergenceError, DomainError
 
 _EPS = float(np.finfo(float).eps)
 _CF_MAX_TERMS = 2000
+_CF_SPARE_STEPS = 5
 _CF_CHUNK = 1 << 15
 # Stirling remainder of log Gamma (DLMF 5.11.1): B_2k / (2k (2k-1)),
 # enough terms for full precision from _STIRLING_MIN on
@@ -54,10 +68,10 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_betainc(a: float, b: float, x, out=None):
-    """log I_x(a, b), the regularized incomplete beta, for a, b > 0.
+    """log I_x(a, b), the regularized incomplete beta, for finite a, b > 0.
 
     Args:
-        a, b: positive shape parameters.
+        a, b: positive, finite shape parameters.
         x: scalar or array in [0, 1].
         out: optional C-contiguous float array of ``x``'s shape for the
             result; it may be ``x`` itself.
@@ -69,8 +83,8 @@ def log_betainc(a: float, b: float, x, out=None):
     Raises:
         ConvergenceError: if the continued fraction does not converge.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError("log_betainc requires a, b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"log_betainc requires finite a, b > 0; got a={a}, b={b}")
     a = float(a)
     b = float(b)
     x = np.asarray(x, dtype=float)
@@ -86,104 +100,75 @@ def log_betainc(a: float, b: float, x, out=None):
     outs = result.reshape(-1)
     # Points past (a+1)/(a+b+2) take 1 - I_{1-x}(b, a).  The two forms
     # share the prefactor x^a (1-x)^b / B(a, b), which is symmetric under
-    # the swap, and one Lentz iteration over all points.  Large arrays go
-    # through in chunks, which bounds the iteration's working set.
+    # the swap, and each side sums its continued fraction over one set of
+    # coefficients.  Large arrays go through in chunks, which bounds the
+    # working set of the sum.
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, xs.size, _CF_CHUNK):
             chunk = xs[start:start + _CF_CHUNK]
-            swap = chunk > (a + 1.0) / (a + b + 2.0)
-            t = np.where(swap, 1.0 - chunk, chunk)
             part = _log_xy_over_beta(a, b, chunk)
-            if chunk.size == 1:
-                p, q = (b, a) if swap[0] else (a, b)
-                part += _log_lentz_scalar(p, q, float(t[0]))
-            else:
-                part += _log_lentz(a, b, t, swap)
-            part -= np.where(swap, math.log(b), math.log(a))
+            swap = chunk > (a + 1.0) / (a + b + 2.0)
+            for swapped, p, q in ((False, a, b), (True, b, a)):
+                side = swap if swapped else ~swap
+                t = 1.0 - chunk[side] if swapped else chunk[side]
+                if not t.size:
+                    continue
+                if t.size == 1:
+                    # a lone point sums in Python floats, by the same expression
+                    t = t_max = float(t[0])
+                else:
+                    t_max = float(t.max())
+                coefs = _cf_coefficients(p, q, t_max)
+                if coefs is None:
+                    raise ConvergenceError(
+                        f"incomplete-beta continued fraction did not converge within "
+                        f"{_CF_MAX_TERMS} steps (a={a}, b={b})"
+                    )
+                g = 1.0
+                for d in reversed(coefs):
+                    g = d * t / g
+                    g += 1.0
+                part[side] -= np.log(g) + math.log(p)
             part[swap] = np.log1p(-np.exp(part[swap]))
             outs[start:start + _CF_CHUNK] = part
     return result if out is not None or result.ndim else float(result)
 
 
-def _log_lentz(a: float, b: float, t: np.ndarray, swap: np.ndarray) -> np.ndarray:
-    """log of 1/(1 + d1/(1 + d2/(1 + ...))) of DLMF 8.17.22 at ``t``, modified Lentz.
+def _cf_coefficients(a: float, b: float, t: float) -> list[float] | None:
+    """The coefficients ``d_k / t`` of DLMF 8.17.22 that sum its continued
+    fraction to rounding at every argument in ``[0, t]``; None if modified
+    Lentz does not converge at ``t`` within ``_CF_MAX_TERMS`` steps.
 
-    The coefficients are ``t`` times a scalar of the step, taken for
-    ``(b, a)`` where ``swap`` is set.  A point is done once two successive
-    convergents agree to rounding; done points keep iterating (their value
-    stays put) until they are half of the arrays and leave them.  No guard
+    They are those of the ``n`` steps that Lentz, in Python floats, takes
+    at ``t`` until two successive convergents agree to rounding, and of
+    ``max(_CF_SPARE_STEPS, n // 2)`` steps more (``_cf_step``).  No guard
     moves a vanishing Lentz denominator off zero: a point where one
-    vanishes never converges and ends in ``ConvergenceError``.
+    vanishes does not converge.
     """
-    out = np.empty(t.shape)
-    idx = np.arange(t.size)
-    done = np.zeros(t.shape, dtype=bool)
-    # the state after the first convergent, 1, with C = inf
-    c = np.full(t.shape, np.inf)
-    d = np.ones_like(t)
-    h = np.ones_like(t)
-    for m in range(_CF_MAX_TERMS):
-        for coef in (_cf_even, _cf_odd) if m else (_cf_odd,):
-            aa = np.where(swap, coef(b, a, m), coef(a, b, m))
-            aa *= t
-            d *= aa
-            d += 1.0
-            np.reciprocal(d, out=d)
-            np.divide(aa, c, out=c)
-            c += 1.0
-            h *= d
-            h *= c
-        step = d * c
-        step -= 1.0
-        done |= np.abs(step, out=step) <= _EPS
-        n_done = np.count_nonzero(done)
-        if n_done == idx.size:
-            out[idx] = h
-            return np.log(out, out=out)
-        if 2 * n_done >= idx.size:
-            out[idx[done]] = h[done]
-            live = ~done
-            idx, t, swap, c, d, h = idx[live], t[live], swap[live], c[live], d[live], h[live]
-            done = np.zeros(idx.shape, dtype=bool)
-    raise ConvergenceError(
-        f"incomplete-beta continued fraction did not converge within {_CF_MAX_TERMS} "
-        f"steps (a={a}, b={b})"
-    )
-
-
-def _log_lentz_scalar(a: float, b: float, t: float) -> float:
-    """``_log_lentz`` at one point, in Python floats: a numpy call on one
-    element costs more than the whole iteration step in floats.
-
-    Callers that evaluate one point at a time at a non-integer ``b`` rely
-    on it: adaptive quadrature of a density, or q1's denominator at build
-    time.  Through the array iteration one point takes more than ten
-    times as long.
-    """
-    c, d, h = math.inf, 1.0, 1.0
+    coefs = []
+    c, d = math.inf, 1.0
     try:
         for m in range(_CF_MAX_TERMS):
-            for coef in (_cf_even, _cf_odd) if m else (_cf_odd,):
-                aa = coef(a, b, m) * t
+            step = _cf_step(a, b, m)
+            coefs += step
+            for coef in step:
+                aa = coef * t
                 d = 1.0 / (1.0 + aa * d)
                 c = 1.0 + aa / c
-                h *= d * c
             if abs(d * c - 1.0) <= _EPS:
-                return math.log(h)
+                for k in range(m + 1, m + 1 + max(_CF_SPARE_STEPS, (m + 1) // 2)):
+                    coefs += _cf_step(a, b, k)
+                return coefs
     except ZeroDivisionError:
         pass
-    raise ConvergenceError(
-        f"incomplete-beta continued fraction did not converge within {_CF_MAX_TERMS} "
-        f"steps (a={a}, b={b})"
-    )
+    return None
 
 
-def _cf_even(a: float, b: float, m: int) -> float:
-    return m * (b - m) / ((a + 2 * m - 1.0) * (a + 2 * m))
-
-
-def _cf_odd(a: float, b: float, m: int) -> float:
-    return -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1.0))
+def _cf_step(a: float, b: float, m: int) -> tuple[float, ...]:
+    """The coefficients ``d_k / t`` of Lentz step ``m``: ``d_1`` at
+    ``m = 0``, else ``d_2m, d_2m+1``."""
+    odd = -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1.0))
+    return (m * (b - m) / ((a + 2 * m - 1.0) * (a + 2 * m)), odd) if m else (odd,)
 
 
 def _stirling_remainder(z: float) -> float:

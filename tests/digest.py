@@ -25,9 +25,9 @@ the ``densities`` section, and the share of quantile sets that end after
 one call.
 
 It reads only public names (``goaltime``, the ``log_*_base`` functions
-of ``goaltime.predictive``, ``goaltime.ingest.serialize_game_log`` and
-the command line's ``goaltime.cli.main``), so it runs unchanged in an
-older checkout.
+of ``goaltime.predictive``, ``goaltime.specfun.log_betainc``,
+``goaltime.ingest.serialize_game_log`` and the command line's
+``goaltime.cli.main``), so it runs unchanged in an older checkout.
 The sweep covers integer and non-integer shapes and the windows (0, 60),
 (5, 45) and (0, inf):
 
@@ -38,6 +38,11 @@ The sweep covers integer and non-integer shapes and the windows (0, 60),
 * ``risk_untruncated`` and ``risk_window``: Monte Carlo risks, standard
   errors and rejected-draw counts, at scales far from and near 1, over
   the first five shapes and one at ``r' = 0.2``;
+* ``specfun``: ``log_betainc`` at integer and non-integer ``b``, on
+  lone points, on arrays of 2 and of 1216 points, on a 256 x 116 block
+  and on an array longer than the continued fraction's chunk of 32768
+  points, each with points on both sides of the swap point
+  ``(a+1)/(a+b+2)``, the two doubles beside it among them;
 * ``ingest``: ``parse_game_log`` and ``parse_points``, each from bytes,
   from a path, from a binary file object and from a text file object
   (``io.StringIO``, or a text wrapper whose own decoder fails for bytes
@@ -105,6 +110,7 @@ from goaltime import (
 from goaltime.cli import main as cli_main
 from goaltime.ingest import serialize_game_log
 from goaltime.predictive import log_restricted_base, log_unrestricted_base
+from goaltime.specfun import log_betainc
 
 # (r1, r2, r'): integer and non-integer rival shapes, r' below and above 1
 SHAPES = [
@@ -242,6 +248,30 @@ def risk_untruncated(h) -> None:
 
 def risk_window(h) -> None:
     _risks(h, [(0.0, 60.0), (5.0, 45.0)], [(LAMBDA1, LAMBDA2), (30.0, 30.0)])
+
+
+# (a, b) of the specfun section: small, mixed and large shapes, integer and
+# non-integer b
+BETAINC_SHAPES = [(6.0, 2.5), (6.0, 3.0), (0.7, 0.3), (3.0, 40.5), (150.0, 150.0), (337.13, 9.19), (2.0, 225.0)]
+
+
+def _betainc_points(rng, a, b, size):
+    """``size`` points in [0, 1]: the two doubles beside the swap point,
+    then seeded uniform ones."""
+    swap = (a + 1.0) / (a + b + 2.0)
+    x = np.concatenate(([np.nextafter(swap, 0.0), np.nextafter(swap, 1.0)], rng.random(size)))
+    return x[:size]
+
+
+def betainc(h) -> None:
+    rng = np.random.default_rng(2028)
+    for a, b in BETAINC_SHAPES:
+        swap = (a + 1.0) / (a + b + 2.0)
+        for x in (np.nextafter(swap, 0.0), np.nextafter(swap, 1.0), 0.0, 1.0, *rng.random(6)):
+            _call(h, log_betainc, a, b, float(x))
+        for size in (2, 1216, 40_000):
+            _call(h, log_betainc, a, b, _betainc_points(rng, a, b, size))
+        _call(h, log_betainc, a, b, _betainc_points(rng, a, b, 256 * 116).reshape(256, 116))
 
 
 _LOG = "team,opponent,elapsed_minutes"
@@ -462,6 +492,7 @@ SECTIONS = {
     "prediction_error": prediction_errors,
     "risk_untruncated": risk_untruncated,
     "risk_window": risk_window,
+    "specfun": betainc,
     "ingest": ingest,
     "cli": cli,
 }

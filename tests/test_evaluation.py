@@ -636,3 +636,14 @@ class TestRiskCurve:
             risk_curve(ratio_grid=(1.0, math.inf), samples=200, seed=0)
         with pytest.raises(DomainError):
             risk_curve(ratio_grid=(0.5, 1.0), samples=200, seed=0)
+
+    @pytest.mark.parametrize("grid", [2.0, None, "12", b"12", [None], [1.0, "x"], [1.0, [2.0]]])
+    def test_grid_that_is_not_numbers_is_a_domain_error(self, grid):
+        # neither a bare TypeError nor one ratio per character of a string
+        with pytest.raises(DomainError):
+            risk_curve(ratio_grid=grid, samples=200, seed=0)
+
+    def test_numeric_strings_are_ratios(self):
+        # the command line passes --ratios split at its commas
+        assert evaluation._ratio_grid(["1", "2.5"]) == (1.0, 2.5)
+        assert evaluation._ratio_grid(r for r in (1, 2)) == (1.0, 2.0)

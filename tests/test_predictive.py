@@ -216,7 +216,7 @@ class TestOrderingProbability:
         x2 = np.array([39.07, 1e-2, 39.07, 3e3, 2.0])
         got = pred._log_ordering_probability(x1, x2, r1, r2)
         assert got.tobytes() == log_betainc(r1, r2, x1 / (x1 + x2)).tobytes()
-        # one point alone takes the scalar Lentz iteration
+        # one point alone sums in Python floats, by the same recurrence
         lone = pred._log_ordering_probability(x1[2], x2[2], r1, r2)
         assert float(lone) == log_betainc(r1, r2, x1[2] / (x1[2] + x2[2]))
 

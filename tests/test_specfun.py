@@ -47,6 +47,14 @@ class TestRegIncBeta:
         with pytest.raises(DomainError):
             log_betainc(0.0, 2.0, 0.5)
 
+    @pytest.mark.parametrize("a, b, x", [
+        (math.nan, 2.0, 0.5), (math.inf, 2.0, 0.5), (2.0, math.nan, [0.2, 0.5]), (2.0, math.inf, 0.5),
+    ])
+    def test_shape_that_is_not_finite_is_a_domain_error(self, a, b, x):
+        # up front, not after the continued fraction's last step
+        with pytest.raises(DomainError):
+            log_betainc(a, b, x)
+
     def test_underflow_region_against_mpmath(self):
         # scipy's betainc underflows here; log_betainc works in log space throughout
         for a, b, x in [(370.4, 240.7, 0.0564), (6.0, 3.0, 1e-200), (401.0, 1.1, 0.19)]:
@@ -84,7 +92,7 @@ def check_against_mpmath(a, b, logit):
     for x, g in zip(xs, got):
         want = mp_log_betainc(a, b, x)
         assert abs(g - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
-    # one point alone takes the scalar Lentz iteration
+    # one point alone sums in Python floats
     assert log_betainc(a, b, xs[0]) == pytest.approx(got[0], rel=1e-14, abs=1e-14)
 
 
@@ -151,8 +159,96 @@ class TestLogBetaincOverDomain:
         monkeypatch.setattr(specfun, "_CF_MAX_TERMS", 2)
         with pytest.raises(ConvergenceError):
             log_betainc(30.0, 20.5, np.array([0.55, 0.6]))
-        with pytest.raises(ConvergenceError):
-            log_betainc(30.0, 20.5, 0.6)
+        with pytest.raises(ConvergenceError, match=r"\(a=30\.0, b=20\.5\)"):
+            log_betainc(30.0, 20.5, 0.6)  # past the swap point: the message names the caller's shapes
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def cf_coefficient(p, q, k):
+    """d_k / t of DLMF 8.17.22 for I_t(p, q)."""
+    m = k // 2
+    if k % 2:
+        return -(p + m) * (p + q + m) / ((p + 2 * m) * (p + 2 * m + 1.0))
+    return m * (q - m) / ((p + 2 * m - 1.0) * (p + 2 * m))
+
+
+def lentz_steps(p, q, t):
+    """Steps of modified Lentz at t until two convergents agree to rounding:
+    d_1 first, then d_2m, d_2m+1 per step."""
+    c, d = math.inf, 1.0
+    for m in range(2000):
+        for k in (2 * m, 2 * m + 1) if m else (1,):
+            aa = cf_coefficient(p, q, k) * t
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+        if abs(d * c - 1.0) <= EPS:
+            return m + 1
+    raise AssertionError((p, q, t))
+
+
+def log_betainc_by_long_sum(a, b, xs):
+    """log I_x(a, b) with the continued fraction summed backward over the
+    first 4n + 60 steps, n the Lentz steps at the side's largest argument."""
+    swap = xs > (a + 1.0) / (a + b + 2.0)
+    want = specfun._log_xy_over_beta(a, b, xs)
+    for side, p, q, swapped in ((~swap, a, b, False), (swap, b, a, True)):
+        ts = 1.0 - xs[side] if swapped else xs[side]
+        steps = 4 * lentz_steps(p, q, float(ts.max())) + 60
+        g = 1.0
+        for k in range(2 * steps - 1, 0, -1):
+            g = 1.0 + cf_coefficient(p, q, k) * ts / g
+        want[side] -= np.log(g) + math.log(p)
+    want[swap] = np.log1p(-np.exp(want[swap]))
+    return want
+
+
+def sweep_both_sides(a, b):
+    """Points on both sides of the swap point, packed toward it and toward
+    each end of [0, 1], with the two doubles beside it."""
+    swap = (a + 1.0) / (a + b + 2.0)
+    u = np.geomspace(1e-9, 0.5, 8)
+    return np.concatenate([
+        swap * u, swap * (1.0 - u), 1.0 - (1.0 - swap) * u, 1.0 - (1.0 - swap) * (1.0 - u),
+        [np.nextafter(swap, 0.0), np.nextafter(swap, 1.0)],
+    ])
+
+
+def sampled_shapes(count, seed, a_range=(1.0, 200.0), b_range=(1.0, 200.0)):
+    """Seeded (a, b), log-uniform in the ranges so that small shapes are
+    drawn as often as large ones; every fourth b an integer."""
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(*np.log(a_range), count))
+    b = np.exp(rng.uniform(*np.log(b_range), count))
+    b[::4] = np.maximum(np.round(b[::4]), 1.0)
+    return [(float(p), float(q)) for p, q in zip(a, b)]
+
+
+class TestBackwardSum:
+    """The continued fraction summed backward over the coefficients of the
+    Lentz steps at a side's largest argument, plus spare steps."""
+
+    @pytest.mark.parametrize("a_range, b_range", [((1.0, 200.0), (1.0, 200.0)), ((50.0, 400.0), (0.1, 5.0))])
+    def test_equals_the_long_sum(self, a_range, b_range):
+        # the second range is the corner of the domain with a >> b, where
+        # the swap point nears 1 and the fraction converges slowest: Lentz
+        # plus five steps stops up to 94 eps short of the long sum there
+        for a, b in sampled_shapes(400, 3, a_range, b_range):
+            xs = sweep_both_sides(a, b)
+            got = log_betainc(a, b, xs)
+            want = log_betainc_by_long_sum(a, b, xs)
+            assert np.all(np.abs(got - want) <= 2 * EPS * np.maximum(1.0, np.abs(want))), (a, b)
+
+    def test_lone_point_equals_the_point_in_an_array(self):
+        # a side with one point sums in Python floats over its own Lentz
+        # count, a larger one as an array over its largest argument's
+        rng = np.random.default_rng(7)
+        for a, b in sampled_shapes(30, 11):
+            xs = np.concatenate([sweep_both_sides(a, b), rng.random(20)])
+            got = log_betainc(a, b, xs)
+            lone = np.array([log_betainc(a, b, float(x)) for x in xs])
+            assert lone.tobytes() == got.tobytes(), (a, b)
 
 
 class TestLogBeta:
