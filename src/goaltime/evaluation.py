@@ -43,44 +43,56 @@ width ``sqrt(r')``, outgrows the mapped nodes.  Each estimator's log
 density on the rule is the one its predictive density truncates, in the
 separable form of ``predictive``'s module docstring:
 
-    log q(y_j) = kernel_ij + (r'-1) log y_j - c_i,
+    log q(y_j) = K_ij + (r'-1) log y_j - c_i,
 
-where only the kernel (``predictive._Kernel``, set up once per call)
-couples the node ``y_j`` with draw ``i``'s statistics; the statistics'
-term ``c_i = log B(r', r1) + r' log x1 + log I_{x1/(x1+x2)}(r1, r2)`` (no
-ordering probability for q0, ``predictive._log_stat_term``) is one value
-per draw, its ordering probability computed once for all draws.  The
-risk keeps this rule rather than the truth's window grid of
+where only the kernel ``K`` (``predictive._Kernel``, set up once per
+call) couples the node ``y_j`` with draw ``i``'s statistics, and the
+statistics' term ``c_i`` (``_Kernel.log_stat``) is one value per draw.
+The risk keeps this rule rather than the truth's window grid of
 ``prediction_error``: the window grid needs five to twelve times the nodes,
 which would make the per-draw work of a risk block as much larger.
 
-With ``v = w p`` the truth's density times the rule's weights and
-``k = v . log p``, both fixed per call, a draw's KL
-``sum_j w_j p_j (log p_j - log q_j)`` is ``k - log q . v``.  The engine
-runs blocks of ``_BLOCK`` draws by the rule's nodes, evaluated in place
-(``out=``) in arrays allocated once per call and small enough to stay
-in cache.  Each draws x nodes operand that is affine in the node,
+With ``v = w p`` the truth's density times the rule's weights, a draw's
+KL ``sum_j w_j p_j (log p_j - log q_j)`` takes the node term from both
+logs, where it cancels: it is ``k - K_i . v + c_i sum(v)`` with ``k =
+v . (log p - (r'-1) log y)``, fixed per call.  On a finite window the
+estimate is renormalized to its mass on the rule, ``exp(log q_i) . w``.
+A block takes ``log q_i`` relative to a per-draw level there, ``x_ij =
+log q_ij + c_i - T_i``; the shift cancels, and the KL is ``v . log p -
+x_i . v + log(exp(x_i) . w) sum(v)``.  ``T_i`` is the smaller of
+``c_i``, which makes ``x_i`` ``log q_i`` itself, and the rule's largest
+``log(w_j y_j^(r'-1))``.  Both bound the terms of the mass, to within
+``exp(700)``: each ``w_j q_ij`` is at most 1, and ``K`` decreases in
+``y`` (``q/y^(r'-1)`` is a mixture of decreasing exponentials) from at
+most 0, or from ``log S_a(rho) < predictive._MAX_LOG_SUM`` for the sum.
+The second takes over where the estimate is nearly flat on the window
+(``x1`` far above it) and its mass there is far below the smallest
+double; the first where ``y^(r'-1)`` spans more than a double holds over
+the rule, at large ``r'``.  The mass underflows only where both hold at
+once.  The ordering term in ``c_i`` keeps the sums small: without it,
+-25.4 at ``r1 = 6.2``, ``r2 = 1.9``, ``r' = 0.5`` and ``x2 = 79 x1``, the
+KL on (0, 60) read 1.3e-14 off there (8e-17 with it).
+
+The engine runs blocks of ``_BLOCK`` draws by the rule's nodes, evaluated
+in place (``out=``) in arrays allocated once per call and small enough to
+stay in cache.  Each draws x nodes operand that is affine in the node,
 ``c0_i + c1_i z_j``, comes from one matrix product per block, of the
 per-draw rows ``(c0_i, c1_i)``, built once per call, by the per-node
 rows ``(1, z_j)``: a ``(256 x 2) @ (2 x 116)`` product costs about a
 third of a numpy pass that broadcasts a column of draws against a row
-of nodes (8 against 25 us on a 2-core x86_64 host).  They are the kernel's ``t``, ``x2/x1 + y (1/x1)`` for the
-integer-``r2`` sum and ``y (1/x1)`` otherwise; at a non-integer ``r2``
-the continued fraction's ``x``, the quotient of ``x1 + y`` and
-``(x1 + x2) + y``; and on a finite window the node and statistics' term
-``(r'-1) log y_j - c_i``.  The kernel reads them, with the sum's
-``rho = x2/x1`` a column against ``t``, and the sum's ``u = rho/(1 + t)``
-is the one broadcast pass left.  They round differently from the
-densities' ``(x2 + y)/x1`` and ``y/x1``, by a few ulps, so a KL differs
-from one summed over the densities' own values at rounding level.  A
-block then takes one matrix-vector product with ``v``.  On the
-untruncated support the node term enters once per call, as
-``v . (r'-1) log y``, and the statistics' term once per draw, as
-``c_i sum(v)``.  On a finite window the estimate is renormalized to its
-mass on the rule, ``m = exp(log q) . w``, which adds ``log(m) sum(v)``:
-there a block adds the node and statistics' term to the kernel, one
-contiguous pass, for the whole ``log q``, reads its product with ``v``,
-and takes ``exp`` of it for the mass.
+of nodes (8 against 25 us on a 2-core x86_64 host).  They are the
+kernel's ``t``, ``y (1/s)`` with ``s`` the kernel's scale (``x1 + x2``
+for the integer-``r2`` sum, ``x1`` otherwise), and at a non-integer
+``r2`` the continued fraction's ``x``, the quotient of ``x1 + y`` and
+``(x1 + x2) + y``.  The kernel reads them, with the sum's ``rho =
+x2/s`` a column against ``t``, and the sum's ``u = rho/(1 + t)`` is one
+broadcast pass.  They round differently from the densities' ``y/s``, by
+an ulp, so a KL differs from one summed over the densities' own values
+at rounding level.  On a finite window one more operand is the node
+term less the level, ``(r'-1) log y_j - T_i``, which a block adds to the
+kernel, one pass, for ``x``.  A block then takes one matrix-vector
+product with ``v``, and on a finite window the ``exp`` of ``x`` and one
+matrix-vector product with ``w`` for the mass.
 
 ``prediction_error``, the KL from a truncated truth to one estimate, is a
 weighted sum over the window grid ``distributions.truncate`` sampled the
@@ -270,7 +282,6 @@ def _risk_kls(x1, x2, lambda1: float, shapes: ShapeConfig, window) -> np.ndarray
     truncated = scaled is not None and np.isfinite(scaled[1])
     log_truth = dist.gamma_logpdf(dist.GammaModel(r_prime, 1.0), y)
     log_node = (r_prime - 1.0) * np.log(y)
-    # a draw's KL is k - log q . v (module docstring)
     if truncated:
         mass = np.sum(w * np.exp(log_truth))
         # the truth's window mass depends on no draw
@@ -279,59 +290,54 @@ def _risk_kls(x1, x2, lambda1: float, shapes: ShapeConfig, window) -> np.ndarray
                 f"the truth Gamma(r' = {r_prime}, lambda1 = {lambda1}) has no mass in doubles on the window {window}"
             )
         log_truth = log_truth - np.log(mass)
-        k_truth = log_truth
-    else:
-        # k takes up the node term
-        k_truth = log_truth - log_node
     v = w * np.exp(log_truth)
-    k = v @ k_truth
+    # a draw's KL is k - K . v + c sum(v), k taking up the node term, or on
+    # a finite window k - x . v + log(exp(x) . w) sum(v) (module docstring)
+    k = v @ (log_truth if truncated else log_truth - log_node)
     v_sum = v.sum()
-    # the ordering probability depends on x1/(x1 + x2) alone
-    log_den = 0.0
     if x2 is not None:
         pred._check_statistic("x1", x1)
         pred._check_statistic("x2", x2)
-        log_den = pred._log_ordering_probability(x1, x2, r1, shapes.r2)
-
+    kernel = pred._Kernel(r1, None if x2 is None else shapes.r2, r_prime)
+    continued = x2 is not None and not kernel.coef
     samples = x1.size
     block = min(_BLOCK, samples)
-    log_kernel = pred._Kernel(r1 + r_prime, None if x2 is None else shapes.r2)
-    continued = x2 is not None and not log_kernel.coef
     kls = np.empty(samples)
     # a draw whose KL comes out non-finite is rejected by the caller, so
     # the warnings numpy raises on its way there are not errors
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_stat = pred._log_stat_term(x1, r1, r_prime, log_den)
+        log_stat = kernel.log_stat(x1, x2)
+        scale = kernel.scale(x1, x2)
         # each operand's per-draw row (c0_i, c1_i) and per-node row z_j, for
-        # c0_i + c1_i z_j: the kernel's t, the continued fraction's x, the
-        # node and statistics' term (module docstring)
-        terms = [(x2 / x1 if log_kernel.coef else 0.0, 1.0 / x1, y)]
+        # c0_i + c1_i z_j: the kernel's t, the continued fraction's x, and
+        # on a finite window the node term less the level T
+        terms = [(0.0, 1.0 / scale, y)]
         if continued:
             terms += [(x1, 1.0, y), (x1 + x2, 1.0, y)]
         if truncated:
-            terms.append((-log_stat, 1.0, log_node))
+            level = np.minimum(log_stat, np.max(np.log(w) + log_node))
+            terms.append((-level, 1.0, log_node))
         draws = np.empty((len(terms), samples, 2))
         nodes = np.ones((len(terms), 2, y.size))
         for i, (c0, c1, z) in enumerate(terms):
             draws[i, :, 0], draws[i, :, 1], nodes[i, 1] = c0, c1, z
+        rho = (x2 / scale)[:, None] if kernel.coef else None
         operands = np.empty((len(terms), block, y.size))
-        work = np.empty((log_kernel.rows, block, y.size))
+        work = np.empty((kernel.rows, block, y.size))
         for start in range(0, samples, block):
             stop = min(start + block, samples)
             rows = slice(0, stop - start)
             ops = np.matmul(draws[:, start:stop], nodes, out=operands[:, rows])
-            # q1's rho = x2/x1 (the sum), or x = (x1 + y)/(x1 + x2 + y)
-            aux = draws[0, start:stop, :1] if log_kernel.coef else None
+            # q1's rho = x2/s (the sum), or x = (x1 + y)/(x1 + x2 + y)
+            aux = None if rho is None else rho[start:stop]
             if continued:
                 aux = np.divide(ops[1], ops[2], out=ops[1])
-            log_q = log_kernel(ops[0], aux, work[:, rows])
+            log_q = kernel(ops[0], aux, work[:, rows])
             if truncated:
-                # the mass takes exp of the whole log q, and q renormalized
-                # to it adds log(mass) sum(v)
+                # x = log q + c - T
                 log_q += ops[-1]
                 np.matmul(log_q, v, out=kls[start:stop])
-                mass = np.matmul(np.exp(log_q, out=log_q), w)
-                kls[start:stop] -= np.log(mass) * v_sum
+                kls[start:stop] -= np.log(np.matmul(np.exp(log_q, out=log_q), w)) * v_sum
             else:
                 np.matmul(log_q, v, out=kls[start:stop])
         if not truncated:

@@ -35,51 +35,48 @@ given ``(x1, x2)``, and the numerator is the same probability once ``y``
 joins team a's data: q1 is q0 reweighted by the ordering's posterior
 probability.
 
-Both probabilities are one function of ``y``, the kernel
+At an integer ``r2 = n``, the paper's case and every default, each
+probability is a power times a finite sum (DLMF 8.17.21):
+``I_x(c, n) = x^c S_c(1 - x)`` with ``S_c(u) = sum_{j<n} (c)_j / j! u^j``.
+On the scale ``s = x1 + x2`` the powers ``((x1 + y)/(s + y))^a`` and
+``(x1/s)^r1`` of the two probabilities and q0's ``x1^r1 / (x1 + y)^a``
+leave q0's formula at scale ``s``: with ``a = r1 + r'``, ``t = y/s`` and
+``rho = x2/s < 1``,
 
-    K(y; a) = log I_x(a, r2) - a log1p(y/x1),    x = (x1 + y)/(x1 + x2 + y),
+    log q1(y) = (r'-1) log y - [log B(r', r1) + r' log s + log S_r1(rho)]
+                - a log1p(t) + log S_a(rho/(1 + t)).
 
-at ``a = r1 + r'`` for the numerator, where its second term is q0's
-``log1p`` term, and at ``y = 0`` and ``a = r1`` for the denominator, which
-is ``log I_{x1/(x1+x2)}(r1, r2)`` itself.  So
+No term is formed that another cancels, and at ``x2 = 0`` this is q0.
+``S`` is a sum of positive terms with nothing to converge, taken by
+Horner's rule on its coefficients ``(c)_j / j!``.  At any other ``r2``
+the scale is ``x1``, and both probabilities come from the continued
+fraction of ``specfun.log_betainc`` (DLMF 8.17.22):
 
-    log q1(y) = -log B(r', r1) - r' log x1 + (r'-1) log y
-                + K(y; r1 + r') - K(0; r1).
+    log q1(y) = (r'-1) log y - [log B(r', r1) + r' log x1 + log I_w(r1, r2)]
+                - a log1p(y/x1) + log I_x(a, r2),
 
-The denominator depends only on the observed statistics, and so does
-the whole statistics' term, ``log B(r', r1) + r' log x1`` plus that log
-denominator (``_log_stat_term``).  Both densities are built by one path
-(``_log_density``), which sets the kernel up, computes that term once,
-and returns a function of ``y`` that does only per-point work:
-``unrestricted_predictive`` and ``restricted_predictive`` truncate it, and
-``log_unrestricted_base`` and ``log_restricted_base`` evaluate it.
+``w = x1/(x1 + x2)``.  q0 is the same at scale ``x1`` with neither
+probability.  So each log density is the kernel ``K``, its last two
+terms, which couple ``y`` with the statistics, plus the node term
+``(r'-1) log y``, minus the statistics' term in brackets, which depends
+on no ``y``.
 
-The second shape is the rival's goal index ``r2``.  With the complement
-``u = x2/(x1 + x2 + y)`` of ``x``, an integer ``r2 = n`` (the paper's case
-and every default) gives ``I_x(a, n) = x^a S_n(u)`` with the finite sum
-``S_n(u) = sum_{j<n} (a)_j / j! u^j`` (DLMF 8.17.21), and
-``-a log1p(y/x1)`` cancels ``a log x`` exactly:
-``a log x - a log1p(y/x1) = -a log1p((x2 + y)/x1)``.  So
-
-    K(y; a) = -a log1p((x2 + y)/x1) + log S_n(u),
-
-q0's ``log1p`` term with ``x2`` added inside it, plus one finite sum; at
-``x2 = 0`` it is q0's.  ``S_n`` is a sum of positive terms with nothing to
-converge, taken by Horner's rule on the coefficients ``(a)_j / j!``.
-``_Kernel`` evaluates ``K`` (``r2=None`` gives q0's ``-a log1p(y/x1)``),
-and both densities and ``evaluation``'s risk add the node term
-``(r'-1) log y`` and the statistics' term to it.  It is set up once from
-its shapes ``(a, r2)``: the set-up chooses between the sum and, at a
-non-integer ``r2``, which has no sum to split off, the continued fraction
-of ``specfun.log_betainc`` (DLMF 8.17.22); it holds the sum's
-coefficients; and it says how many work rows a call needs.  A call reads
-the statistics only through the arrays its caller forms: ``t``, the
-``log1p`` term's argument, and ``rho = x2/x1`` for the sum or the
-continued fraction's ``x``.  The densities form them in scalar
-arithmetic (``_kernel_input``), the risk from matrix products of
-per-draw and per-node rows, and both run the one kernel.  The beta
-function of the beta prime comes from ``specfun.log_beta``, so no module
-here needs scipy.
+``_Kernel`` is one estimator's set-up from its shapes ``(r1, r2, r')``:
+it chooses the method once for both probabilities, holds the sums'
+coefficients, names the scale (``_Kernel.scale``) and the work rows a call
+needs, evaluates ``K``, and computes the statistics' term
+(``_Kernel.log_stat``), which the densities and ``evaluation``'s risk
+share.  A call reads the statistics only through the arrays its caller
+forms: ``t`` and ``rho`` for the sum, ``t = y/x1`` and the continued
+fraction's ``x`` otherwise, nothing more for q0.  The densities form them
+in scalar arithmetic (``_kernel_input``), the risk from matrix products
+of per-draw and per-node rows, and both run the one kernel.  Both
+densities are built by one path (``_log_density``), which sets the kernel
+up, computes the statistics' term once, and returns a function of ``y``
+that does only per-point work: ``unrestricted_predictive`` and
+``restricted_predictive`` truncate it, and ``log_unrestricted_base`` and
+``log_restricted_base`` evaluate it.  The beta function of the beta prime
+comes from ``specfun.log_beta``, so no module here needs scipy.
 
 In one hypergeometric ratio, the restricted density has the closed
 weighted-beta-prime form
@@ -166,65 +163,73 @@ class PredictionProblem:
 
 
 class _Kernel:
-    """The kernel ``K(y; a) = log I_x(a, r2) - a log1p(y/x1)`` of the
-    module docstring, the part of a log density that couples ``y`` with
-    the statistics, set up once from its shapes ``(a, r2)``; at ``y = 0``
-    it is the ordering probability itself.  ``r2=None`` gives q0's
-    ``-a log1p(y/x1)``.
+    """The set-up of one estimator's log density from its shapes
+    ``(r1, r2, r')``: the kernel ``K``, the part that couples ``y`` with
+    the statistics, and the statistics' term (module docstring).
+    ``r2=None`` gives q0.
 
-    The set-up chooses the method.  At an integer ``r2 = n`` up to
-    ``_MAX_INT_B``, while the sum's bound ``log C(a+n-1, n-1)`` stays
-    ``_MAX_LOG_SUM`` below the double range, the kernel is
+    The set-up chooses the method once for both ordering terms.  At an
+    integer ``r2 = n`` up to ``_MAX_INT_B``, while the sum's bound
+    ``log C(a+n-1, n-1)`` at ``a = r1 + r'`` stays ``_MAX_LOG_SUM`` below
+    the double range (the bound grows with ``a``, so it holds at ``r1``
+    too), both are finite sums on the scale ``s = x1 + x2``,
 
-        -a log1p((x2 + y)/x1) + log S(u),    u = x2/(x1 + x2 + y),
+        K = -a log1p(t) + log S_a(u),    t = y/s,  u = rho/(1 + t),
 
-    and the set-up holds the sum's coefficients ``(a)_j / j!``; at any
-    other ``r2``, ``log I_x(a, r2)`` comes from ``log_betainc``.
+    with ``rho = x2/s``, and the set-up holds both sums' coefficients
+    ``(c)_j / j!``, ``coef`` at ``c = a`` and ``coef_den`` at ``c = r1``.
+    At any other ``r2`` the scale is ``x1``, ``t = y/x1``, and ``log I_x(a,
+    r2)`` comes from ``log_betainc``; q0's kernel is ``-a log1p(y/x1)``.
 
     The kernel reads the statistics only through arrays its caller forms
     (``_kernel_input`` for the densities, products of per-draw and
-    per-node rows for ``evaluation``'s risk): ``t``, the argument of the
-    ``log1p`` term, ``(x2 + y)/x1`` for the sum and ``y/x1`` otherwise;
-    and ``aux``, ``rho = x2/x1`` for the sum, which with ``t`` gives
-    ``u = rho/(1 + t)``, or the continued fraction's argument ``x``.  A
-    call writes K over ``t``, a float array, and ``x`` over ``aux``; the
-    sum's two intermediates go to ``work``, an optional ``(rows,) +
-    t.shape`` stack, and ``rho`` broadcasts against ``t``.  ``rows`` is
-    2 for the sum and 0 otherwise.
+    per-node rows for ``evaluation``'s risk): ``t``, and ``aux``, ``rho``
+    for the sum or the continued fraction's ``x``.  A call writes K over
+    ``t``, a float array, and ``x`` over ``aux``; the sum's two
+    intermediates go to ``work``, an optional ``(rows,) + t.shape`` stack,
+    and ``rho`` broadcasts against ``t``.  ``rows`` is 2 for the sum and 0
+    otherwise.
     """
 
-    def __init__(self, a: float, r2=None):
-        self.a, self.r2 = a, r2
-        self.coef = None
-        self.rows = 0
+    def __init__(self, r1: float, r2, r_prime: float):
+        self.r1, self.r2, self.r_prime = r1, r2, r_prime
+        self.a = a = r1 + r_prime
+        self.coef = self.coef_den = None
         if r2 is not None and float(r2).is_integer() and r2 <= _MAX_INT_B and (
             math.lgamma(a + r2) - math.lgamma(a + 1.0) - math.lgamma(r2) < _MAX_LOG_SUM
         ):
-            self.coef = [1.0]
+            self.coef, self.coef_den = [1.0], [1.0]
             for j in range(1, int(r2)):
                 self.coef.append(self.coef[-1] * (a + j - 1.0) / j)
-            self.rows = 2
+                self.coef_den.append(self.coef_den[-1] * (r1 + j - 1.0) / j)
+        self.rows = 2 if self.coef else 0
+
+    def scale(self, x1, x2):
+        """The scale the kernel's ``t`` divides ``y`` by: ``x1 + x2`` for
+        the sum, else ``x1``."""
+        return x1 + x2 if self.coef else x1
+
+    def log_stat(self, x1, x2):
+        """The statistics' term ``log B(r', r1) + r' log s`` plus the
+        ordering term, ``log S_r1(x2/s)`` for the sum and ``log
+        I_{x1/(x1+x2)}(r1, r2)`` for the continued fraction (none for q0),
+        with ``s`` the scale; it depends on no ``y``."""
+        s = self.scale(x1, x2)
+        out = log_beta(self.r_prime, self.r1) + self.r_prime * np.log(s)
+        if self.coef:
+            return out + _log_sum(self.coef_den, np.divide(x2, s), np.empty(np.shape(s)))
+        if self.r2 is not None:
+            return out + log_betainc(self.r1, self.r2, x1 / (x1 + x2))
+        return out
 
     def __call__(self, t, aux=None, work=None):
-        coef = self.coef
-        if coef:
-            if work is None:
-                work = np.empty((2,) + t.shape)
-            # u = x2/(x1 + x2 + y) = rho/(1 + t)
+        if self.coef:
+            work = np.empty((2,) + t.shape) if work is None else work
+            # u = x2/(s + y) = rho/(1 + t)
             u = np.add(t, 1.0, out=work[1, ...])
             np.divide(aux, u, out=u)
-            # log S(u) by Horner's rule, two in-place operations a step;
-            # it takes aux's place as K's second term
-            aux = work[0, ...]
-            if len(coef) == 1:
-                aux.fill(0.0)
-            else:
-                np.multiply(u, coef[-1], out=aux)
-                for c in coef[-2:0:-1]:
-                    aux += c
-                    aux *= u
-                aux += 1.0
-                np.log(aux, out=aux)
+            # log S_a(u) takes aux's place as K's second term
+            aux = _log_sum(self.coef, u, work[0, ...])
         elif aux is not None:
             log_betainc(self.a, self.r2, aux, out=aux)
         np.log1p(t, out=t)
@@ -232,6 +237,18 @@ class _Kernel:
         if aux is not None:
             t += aux
         return t
+
+
+def _log_sum(coef, u, out):
+    """``log S(u) = log sum_j coef[j] u^j`` into ``out`` by Horner's rule,
+    two in-place operations a step; ``coef`` starts at 1 and has at least
+    two terms, as at every integer ``r2 > 1``."""
+    np.multiply(u, coef[-1], out=out)
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= u
+    out += 1.0
+    return np.log(out, out=out)
 
 
 def _kernel_input(kernel: _Kernel, y, x1, x2):
@@ -243,23 +260,13 @@ def _kernel_input(kernel: _Kernel, y, x1, x2):
         t = np.empty(np.shape(y))
     else:
         t = np.empty(np.broadcast_shapes(np.shape(y), np.shape(x1), np.shape(x2)))
-    if kernel.coef:
-        np.add(x2, y, out=t)
-        t /= x1
-        return t, np.divide(x2, x1)
-    if kernel.r2 is None:
-        return np.divide(y, x1, out=t), None
+    if kernel.coef or kernel.r2 is None:
+        s = kernel.scale(x1, x2)
+        return np.divide(y, s, out=t), np.divide(x2, s) if kernel.coef else None
     # x = (x1 + y)/(x1 + y + x2)
     x = np.add(x1, y, out=np.empty(t.shape))
     np.divide(x, np.add(x, x2, out=t), out=x)
     return np.divide(y, x1, out=t), x
-
-
-def _log_stat_term(x1, r1: float, r_prime: float, log_p_den=0.0):
-    """The statistics' term ``log B(r', r1) + r' log x1 + log_p_den`` of
-    the log density, with ``log_p_den`` the log of q1's denominator (0 for
-    q0); it depends on no ``y``, so a built density computes it once."""
-    return log_beta(r_prime, r1) + r_prime * np.log(x1) + log_p_den
 
 
 def _check_statistic(name: str, x):
@@ -272,30 +279,17 @@ def _check_statistic(name: str, x):
     return x
 
 
-def _log_ordering_probability(x1, x2, r1: float, r2: float):
-    """log of the posterior probability of ``lam1 >= lam2`` given ``x1`` and
-    ``x2``, ``I_w(r1, r2)`` at ``w = x1 / (x1 + x2)``: q1's denominator,
-    the kernel at ``y = 0`` and ``a = r1`` (module docstring).  The
-    statistics are taken as checked (``_check_statistic``), and scalars
-    stay scalars, so a built density's kernel runs on its one point."""
-    kernel = _Kernel(r1, r2)
-    # x2/x1 may overflow; the result is then not finite and raises below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = kernel(*_kernel_input(kernel, 0.0, x1, x2))
-    if not np.isfinite(out).all():
-        raise DomainError("ordering probability not finite; log form unavailable")
-    return out
-
-
 def _log_density(x1, x2, r1: float, r2, r_prime: float):
     """log q0 (``x2=None``) or log q1 at the given statistics, built once:
-    the kernel is set up and the statistics' term of ``_log_stat_term``,
-    q1's denominator included, computed here, so the returned function of
-    ``y`` does only per-point work, the kernel plus the node term
-    ``(r'-1) log y`` minus that term.  -inf for y <= 0."""
-    kernel = _Kernel(r1 + r_prime, None if x2 is None else r2)
-    log_p_den = 0.0 if x2 is None else _log_ordering_probability(x1, x2, r1, r2)
-    log_stat = _log_stat_term(x1, r1, r_prime, log_p_den)
+    the kernel is set up and its statistics' term computed here, so the
+    returned function of ``y`` does only per-point work, the kernel plus
+    the node term ``(r'-1) log y`` minus that term.  -inf for y <= 0."""
+    kernel = _Kernel(r1, None if x2 is None else r2, r_prime)
+    log_stat = kernel.log_stat(x1, x2)
+    # not finite only where the continued fraction's x1/(x1 + x2) underflows
+    # to 0 or x1 + x2 overflows
+    if not np.isfinite(log_stat).all():
+        raise DomainError("ordering probability not finite; log form unavailable")
 
     def log_q(y):
         y = np.asarray(y, dtype=float)
@@ -346,7 +340,9 @@ def log_restricted_base(y, x1, x2, r1: float, r2: float, r_prime: float):
         InvalidShapeError: if ``r1`` or ``r2`` is not finite and above 1,
             or ``r'`` is not positive and finite.
         DomainError: if some ``x1`` or ``x2`` is not positive and finite,
-            or q1's denominator is not finite in doubles.
+            or q1's statistics' term is not finite in doubles: where
+            ``x1 + x2`` overflows or, at a non-integer ``r2``, where
+            ``x1/(x1 + x2)`` underflows to 0.
     """
     check_observed_shape(r1)
     check_observed_shape(r2)

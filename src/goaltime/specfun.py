@@ -27,13 +27,15 @@ run to ``4n + 60`` steps, so a point's value does not depend on the other
 points of its call.  The same expression sums an array and, in Python
 floats, a lone point.
 
-The prefactor is taken in the form of Didonato & Morris, ACM TOMS 708
-(1992), ``brcomp``: the log-gamma terms of ``B(a, b)`` are folded into
-``log1p`` terms of the distance from the mean and a Stirling remainder
-(DLMF 5.11.1), so large shapes lose no digits to a difference of large
-log-gammas.  The finite sum of an integer ``b`` (DLMF 8.17.21) is not
-here: the densities' kernel holds it (``predictive._Kernel``), where it
-cancels against q0's ``log1p`` term.
+The prefactor ``x^a (1-x)^b / B(a, b)`` is taken in the form of Didonato
+& Morris, ACM TOMS 708 (1992), ``brcomp``, at every shape: the log-gamma
+terms of ``B(a, b)`` are folded into ``log1p`` terms of the distance from
+the mean and a Stirling remainder (DLMF 5.11.1), by its series from shape
+8 on and carried below by its recurrence, so no shape loses digits to a
+difference of large terms.  The finite sum of an integer ``b`` (DLMF
+8.17.21) is not here: the densities' kernel holds it
+(``predictive._Kernel``), where its power joins q0's on the scale
+``x1 + x2``.
 
 ``gauss_2f1`` is ``scipy.special.hyp2f1`` on ``z <= 0`` with the package's
 domain checks.  No density uses it, and it imports scipy only when it is
@@ -172,9 +174,17 @@ def _cf_step(a: float, b: float, m: int) -> tuple[float, ...]:
 
 
 def _stirling_remainder(z: float) -> float:
-    """log Gamma(z) - [(z - 1/2) log z - z + log(2 pi)/2] for z >= 8."""
+    """log Gamma(z) - [(z - 1/2) log z - z + log(2 pi)/2], by its series
+    from ``_STIRLING_MIN`` on; below, the recurrence ``D(z) = D(z+1) +
+    (z + 1/2) log1p(1/z) - 1`` carries it up there.  Its terms are small,
+    so it reads within 2 eps of mpmath on (0, 8), where ``math.lgamma``
+    less the leading terms loses up to 12 eps to their rounding."""
+    shift = 0.0
+    while z < _STIRLING_MIN:
+        shift += (z + 0.5) * math.log1p(1.0 / z) - 1.0
+        z += 1.0
     zz = 1.0 / (z * z)
-    return sum(c * zz**k for k, c in enumerate(_STIRLING)) / z
+    return shift + sum(c * zz**k for k, c in enumerate(_STIRLING)) / z
 
 
 def log_beta(a: float, b: float) -> float:
@@ -202,32 +212,39 @@ def log_beta(a: float, b: float) -> float:
 
 
 def _log_xy_over_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """log x^a (1-x)^b / B(a, b), accurate for large shapes.
-
-    Below ``_STIRLING_MIN`` for the smaller shape it is taken as it reads.
-    Otherwise (TOMS 708 ``brcomp``) the log-gammas of ``B(a, b)`` are folded
-    into the powers: with ``lam = a (1-x) - b x`` the distance from the
-    mean ``x0 = a/(a+b)``,
+    """log x^a (1-x)^b / B(a, b) in the form of TOMS 708 ``brcomp``: the
+    log-gammas of ``B(a, b)`` are folded into the powers.  With ``lam = a
+    (1-x) - b x`` the distance from the mean ``x0 = a/(a+b)``,
 
         log x^a (1-x)^b / B(a, b) = a log1p(-lam/a) + b log1p(lam/b)
             + log(a b / (2 pi (a+b)))/2 - D(a) - D(b) + D(a+b),
 
-    ``D`` the Stirling remainder, and ``log(x/x0)`` replaces the first
-    ``log1p`` where ``x < x0/2`` (likewise for ``1-x``), where ``lam``
-    would carry the rounding of a difference of nearly equal terms.
+    ``D`` the Stirling remainder (``_stirling_remainder``), and
+    ``log(x/x0)`` replaces the first ``log1p`` where ``x < x0/2``
+    (likewise for ``1-x``), where ``lam`` would carry the rounding of a
+    difference of nearly equal terms.  No term is larger than the result
+    needs, at any shape.
     """
-    if min(a, b) < _STIRLING_MIN:
-        return a * np.log(x) + b * np.log1p(-x) - log_beta(a, b)
-    y = 1.0 - x
-    lam = a * y - b * x
-    log_x = np.where(x >= 0.5 * a / (a + b), np.log1p(-lam / a), np.log(x * ((a + b) / a)))
-    log_y = np.where(y >= 0.5 * b / (a + b), np.log1p(lam / b), np.log(y * ((a + b) / b)))
-    return (
-        a * log_x
-        + b * log_y
-        + (0.5 * math.log(a * b / (a + b)) - _HALF_LOG_2PI)
-        - (_stirling_remainder(a) + _stirling_remainder(b) - _stirling_remainder(a + b))
-    )
+    # in two arrays, each log in place and the far sides' logs masked: a
+    # third array of a large chunk costs about as much as the logs.  lam =
+    # a (1-x) - b x, and far_y the points where 1-x < y0/2
+    out = np.multiply(x, -b)
+    lam = np.subtract(1.0, x)
+    far_y = lam < 0.5 * b / (a + b)
+    lam = np.add(np.multiply(lam, a, out=lam), out, out=lam)
+    # a log1p(-lam/a), or a log(x/x0) where x < x0/2
+    np.log1p(np.divide(lam, -a, out=out), out=out)
+    far = x < 0.5 * a / (a + b)
+    np.log(np.multiply(x, (a + b) / a, out=out, where=far), out=out, where=far)
+    out *= a
+    # b log1p(lam/b), or b log(y/y0) where y < y0/2
+    np.log1p(np.divide(lam, b, out=lam), out=lam)
+    np.subtract(1.0, x, out=lam, where=far_y)
+    np.log(np.multiply(lam, (a + b) / b, out=lam, where=far_y), out=lam, where=far_y)
+    out += np.multiply(lam, b, out=lam)
+    out += 0.5 * math.log(a * b / (a + b)) - _HALF_LOG_2PI
+    out -= _stirling_remainder(a) + _stirling_remainder(b) - _stirling_remainder(a + b)
+    return out
 
 
 def _is_nonpositive_int(x: float) -> bool:

@@ -297,10 +297,10 @@ def log_restricted_ratio_form(y, x1: float, x2: float, r1: float, r2: float, r_p
     precision.
 
     Independent of the package's incomplete betas at every ``r2``: at
-    integer ``r2`` the kernel takes both ordering probabilities from its
-    finite sum and forms ``a log x - a log1p(y/x1)`` as
-    ``-a log1p((x2 + y)/x1)``, and at a non-integer ``r2`` it takes ``I_x``
-    from ``log_betainc``'s continued fraction.  At ``r1 = 7, r2 = 2,
+    integer ``r2`` the kernel takes both ordering probabilities from their
+    finite sums on the scale ``x1 + x2``, where their powers join q0's,
+    and at a non-integer ``r2`` it takes both from ``log_betainc``'s
+    continued fraction.  At ``r1 = 7, r2 = 2,
     r' = 0.01``, ``x1 = x2 = 10`` minutes, that continued fraction put the
     oracle's KL 8.7e-15 off the rule's sum at 40 digits.
     """

@@ -362,6 +362,22 @@ class TestFrequentistRisk:
     # r' = 0.01, where the oracle read 8.7e-15 off the rule's sum at 40
     # digits while its incomplete betas came from the continued fraction
     @example(r1=7.0, r2=2.0, rp=0.01, log_x1=1.0, log_x2=1.0, window=None)
+    # three falsifying examples of fresh seeds while q1's integer-r2 sum
+    # was taken on the scale x1 and the prefactor of log_betainc below
+    # shape 8 as a plain sum of logs: q1 read 1.08e-14 off at the first
+    @example(
+        r1=6.175468062210312, r2=6.0, rp=0.43068399443650307,
+        log_x1=0.43068399443650307, log_x2=2.3797232329436584, window=None,
+    )
+    @example(
+        r1=2.2324647635229207, r2=2.2324647635229207, rp=0.01,
+        log_x1=2.2324647635229207, log_x2=1.5560258151596165, window=(0.0, 60.0),
+    )
+    @example(r1=7.213674517646694, r2=6.371836108222965, rp=2.098898988617175, log_x1=1.5, log_x2=2.0, window=None)
+    # x2 = 79 x1 at a non-integer r2 on a window, where the ordering term
+    # is -25.4: with a window's level taken without it, q1 read 1.3e-14
+    # off against a bound of 1.41e-14 (8e-17 with it)
+    @example(r1=6.201269829150486, r2=1.9, rp=0.5, log_x1=0.0, log_x2=1.9, window=(0.0, 60.0))
     def test_engine_against_ratio_form_over_domain(self, r1, r2, rp, log_x1, log_x2, window):
         # the engine's separable kernel against the ratio-form oracle, over
         # non-integer shapes and extreme statistics.  The engine rounds sums
@@ -427,12 +443,6 @@ class TestFrequentistRisk:
         [
             ("q0", None, math.nan),
             ("q0", (0.0, 60.0), math.nan),
-            # q's mass on the window underflows to 0: log(mass) = -inf
-            ("q0", (0.0, 60.0), 1e300),
-            # an x1 or x2 that makes q1 itself non-finite makes its
-            # denominator non-finite too, a DomainError; only the window
-            # mass can fail alone
-            ("q1", (0.0, 60.0), 1e300),
         ],
     )
     def test_rejected_draws(self, monkeypatch, caplog, kind, window, value):
@@ -462,9 +472,44 @@ class TestFrequentistRisk:
             "goaltime.evaluation", "WARNING", "rejected 1 of 2000 Monte Carlo draws"
         )
 
+    @pytest.mark.parametrize("kind", ["q0", "q1"])
+    def test_flat_draws_on_a_window_are_scored(self, kind):
+        # at x1 = 1e300 minutes q is nearly flat on (0, 60), and q itself
+        # is far below the smallest double there; the mass is summed
+        # relative to the rule's largest log(w y^(r'-1)), so it does not
+        # underflow, and the draws are scored like any other, as the mpmath
+        # reference scores them
+        planted = np.array([7, 1000, 1999])
+        x1, x2 = draw_statistics(kind, 2000, 4)
+        x1[planted] = 1e300
+        kls = _risk_kls(*in_units(x1, x2), 12.0, ShapeConfig(), (0.0, 60.0))
+        assert np.isfinite(kls).all()
+        for i in planted[: 3 if kind == "q1" else 1]:
+            rival = None if x2 is None else x2[i]
+            want = risk_kl_mpmath(kind, x1[i], rival, 12.0, ShapeConfig(), (0.0, 60.0))
+            assert abs(kls[i] - want) <= 2e-13 * max(1.0, abs(want)), (kind, i, kls[i], want)
+
+    @pytest.mark.parametrize("kind", ["q0", "q1"])
+    @pytest.mark.parametrize(
+        "lambda1, shapes, window",
+        [(0.25, ShapeConfig(3.0, 3.0, 150.0), (0.0, 60.0)), (0.1, ShapeConfig(3.0, 2.5, 400.0), (5.0, 45.0))],
+    )
+    def test_large_future_shapes_on_a_window_are_scored(self, kind, lambda1, shapes, window):
+        # the truth's bulk inside the window, at r' = 150 and 400: over the
+        # rule y^(r'-1) spans more than a double holds, so the mass is
+        # summed relative to the statistics' term, and every draw is
+        # scored, as the mpmath reference scores it; at the smallest x1
+        # q's mass lies farthest from the truth's
+        x1, x2 = draw_statistics(kind, 300, 1, shapes, lambda1, lambda1 / 2)
+        kls = _risk_kls(*in_units(x1, x2, lambda1), lambda1, shapes, window)
+        assert np.isfinite(kls).all()
+        i = int(np.argmin(x1))
+        want = risk_kl_mpmath(kind, x1[i], None if x2 is None else x2[i], lambda1, shapes, window)
+        assert abs(kls[i] - want) <= 1e-12 * max(1.0, abs(want)), (kind, kls[i], want)
+
     def test_bit_identical_across_blas_threads(self):
         # a block's draws x nodes operands are BLAS matrix products, the
-        # node and statistics' term on a finite window among them, and the
+        # node term less the mass's level on a finite window among them, and the
         # KL reduction is a matrix-vector product; the risk must not depend
         # on how many threads BLAS splits them over
         code = (

@@ -163,16 +163,31 @@ class TestOrderingConstant:
         got = log_ordering_constant_closed(k1, k2, s1, s2)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (k1, k2, s1, s2)
 
-    def test_non_finite_result_is_a_domain_error(self):
-        # x1/x2 = 1e-400 is below every double: q1's denominator, the
-        # kernel at y = 0, takes log1p(x2/x1) of an overflowed x2/x1
-        problem = PredictionProblem(
-            obs_a=SufficientStat(x=1e-200, r=3.0), obs_b=SufficientStat(x=1e200, r=3.0)
-        )
+    def test_extreme_ratio_of_statistics(self):
+        # x1/x2 = 1e-400 is below every double.  At an integer r2, q1 is
+        # taken on the scale x1 + x2, where nothing overflows: against the
+        # ratio form in mpmath from y = 1e-3 to 1e200.  At a non-integer
+        # r2 the continued fraction needs I_{x1/(x1+x2)}(r1, r2), whose
+        # argument underflows to 0: a DomainError
+        x1, x2 = 1e-200, 1e200
+        ys = 10.0 ** np.linspace(-3.0, 200.0, 30)
+        got = log_restricted_base(ys, x1, x2, 3.0, 3.0, 3.0)
+        with mp.workdps(60):
+            m_x1, m_x2 = mp.mpf(x1), mp.mpf(x2)
+            log_den = mp.log(mp.betainc(3, 3, 0, m_x1 / (m_x1 + m_x2), regularized=True))
+            for y, g in zip(ys, got):
+                m_y = mp.mpf(y)
+                want = (
+                    -mp.log(mp.beta(3, 3)) - 3 * mp.log(m_x1) + 2 * mp.log(m_y) - 6 * mp.log1p(m_y / m_x1)
+                    + mp.log(mp.betainc(6, 3, 0, (m_x1 + m_y) / (m_x1 + m_y + m_x2), regularized=True))
+                    - log_den
+                )
+                assert abs(g - float(want)) <= 4 * np.finfo(float).eps * abs(float(want)), (y, g, want)
+        problem = PredictionProblem(obs_a=SufficientStat(x=x1, r=3.0), obs_b=SufficientStat(x=x2, r=2.5))
         with pytest.raises(DomainError):
             restricted_predictive(problem)
         with pytest.raises(DomainError):
-            log_restricted_base(1.0, 1e-200, 1e200, 3.0, 3.0, 3.0)
+            log_restricted_base(1.0, x1, x2, 3.0, 2.5, 3.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_bases_reject_statistics_that_are_not_positive_and_finite(self, bad):
@@ -188,21 +203,33 @@ class TestOrderingConstant:
                 log_restricted_base(np.array([1.0, 2.0]), 3.0, x, 3.0, 2.5, 3.0)
 
 
-class TestOrderingProbability:
-    """q1's denominator ``I_{x1/(x1+x2)}(r1, r2)``, the kernel at ``y = 0``."""
+def log_ordering_probability(x1, x2, r1, r2, rp=1.0):
+    """log I_{x1/(x1+x2)}(r1, r2), q1's denominator, from the statistics'
+    term of q1's set-up (``predictive._Kernel.log_stat``): that term less
+    ``log B(r', r1) + r' log s``, with ``r1 log(x1/s)`` added back on the
+    sum's scale ``s = x1 + x2``."""
+    kernel = pred._Kernel(r1, r2, rp)
+    s = kernel.scale(x1, x2)
+    ordering = kernel.log_stat(x1, x2) - log_beta(rp, r1) - rp * np.log(s)
+    return ordering + r1 * np.log(x1 / s) if kernel.coef else ordering
 
-    @given(a=st.floats(0.1, 400.0), b=st.integers(1, 250), logit=st.floats(-30.0, 30.0))
+
+class TestOrderingProbability:
+    """q1's denominator ``I_{x1/(x1+x2)}(r1, r2)``, in its statistics' term."""
+
+    @given(a=st.floats(0.1, 400.0), b=st.integers(2, 250), logit=st.floats(-30.0, 30.0))
     @example(a=400.0, b=250, logit=-30.0)  # I_x near 1e-5200
-    @example(a=0.1, b=1, logit=30.0)
+    @example(a=0.1, b=2, logit=30.0)
     @example(a=400.0, b=250, logit=30.0)
     @example(a=215.0, b=231, logit=math.log(0.48 / 0.52))
     @settings(max_examples=200, deadline=None)
     def test_integer_sum_against_mpmath(self, a, b, logit):
-        # q1's denominator at integer r2, the kernel's finite sum at y = 0,
-        # over the domain of log_betainc's test_integer_b_against_mpmath;
-        # the oracle takes x1/(x1 + x2) exactly, at 50 digits
+        # q1's denominator at integer r2, the set-up's finite sum on the
+        # scale x1 + x2, over the domain of log_betainc's
+        # test_integer_b_against_mpmath; the oracle takes x1/(x1 + x2)
+        # exactly, at 50 digits
         x2 = math.exp(-logit)
-        got = pred._log_ordering_probability(1.0, x2, a, float(b))
+        got = log_ordering_probability(1.0, x2, a, float(b))
         with mp.workdps(50):
             x = 1 / (1 + mp.mpf(x2))
             want = float(mp.log(mp.betainc(a, b, 0, x, regularized=True)))
@@ -210,15 +237,16 @@ class TestOrderingProbability:
 
     @pytest.mark.parametrize("r1, r2", [(3.0, 2.5), (6.4, 0.7), (215.0, 230.5)])
     def test_non_integer_r2_is_log_betainc(self, r1, r2):
-        # with no sum to split off, the kernel at y = 0 is log_betainc at
-        # the same x1/(x1 + x2), bit for bit
+        # with no sum to split off, the statistics' term takes log_betainc
+        # at x1/(x1 + x2) on the scale x1, bit for bit
         x1 = np.array([1e-3, 0.7, 35.85, 50.0, 4e4])
         x2 = np.array([39.07, 1e-2, 39.07, 3e3, 2.0])
-        got = pred._log_ordering_probability(x1, x2, r1, r2)
-        assert got.tobytes() == log_betainc(r1, r2, x1 / (x1 + x2)).tobytes()
+        kernel = pred._Kernel(r1, r2, 1.5)
+        want = log_beta(1.5, r1) + 1.5 * np.log(x1) + log_betainc(r1, r2, x1 / (x1 + x2))
+        assert kernel.log_stat(x1, x2).tobytes() == want.tobytes()
         # one point alone sums in Python floats, by the same recurrence
-        lone = pred._log_ordering_probability(x1[2], x2[2], r1, r2)
-        assert float(lone) == log_betainc(r1, r2, x1[2] / (x1[2] + x2[2]))
+        lone = log_beta(1.5, r1) + 1.5 * np.log(x1[2]) + log_betainc(r1, r2, x1[2] / (x1[2] + x2[2]))
+        assert kernel.log_stat(float(x1[2]), float(x2[2])) == lone
 
 
 class TestUnrestricted:
@@ -393,17 +421,16 @@ class TestRestricted:
 
     @pytest.mark.parametrize("kind, r2", [("q0", 3.0), ("q1", 3.0), ("q1", 2.5)])
     def test_denominator_computed_once_per_density(self, monkeypatch, kind, r2):
-        # I_{x1/(x1+x2)}(r1, r2) depends only on the problem: the build
-        # computes it, and no grid, pdf or cdf evaluation repeats it.  Both
-        # probabilities are the kernel, the denominator at shape r1 and the
-        # numerator at r1 + r': at an integer r2 it takes its finite sum,
-        # at any other the continued fraction of log_betainc.  So does the
-        # statistics' term log B(r', r1) + r' log x1 + log I of q0 and q1:
-        # one log_beta per build, and a call of the built density, with
-        # scalar statistics, broadcasts no shapes.  The kernels are set up
-        # at the build too, one per probability, which is where their
-        # lgamma bound and their coefficient list are computed: no later
-        # call sets one up, and none calls lgamma outside log_betainc
+        # q1's denominator depends only on the problem: the build computes
+        # it, in the statistics' term log B(r', r1) + r' log s plus the
+        # ordering term, with one log_beta, and no grid, pdf or cdf
+        # evaluation repeats it.  At an integer r2 both ordering terms are
+        # finite sums, at any other the continued fraction of log_betainc,
+        # which the build runs once at shape r1 and each call at r1 + r'.
+        # A call of the built density, with scalar statistics, broadcasts
+        # no shapes.  One set-up per estimator, at the build, computes the
+        # lgamma bound and the sums' coefficients: no later call sets one
+        # up, and none calls lgamma
         calls, betaincs, betas, broadcasts, setups, lgammas = [], [], [], [], [], []
 
         def counting(real, log):
@@ -435,11 +462,8 @@ class TestRestricted:
         build = unrestricted_predictive if kind == "q0" else restricted_predictive
         d = build(self.problem(r2=r2))
         assert len(betas) == 1
-        if kind == "q0":
-            assert setups == [(6.0, None)]
-        else:
-            assert sorted(setups) == [(3.0, r2), (6.0, r2)]
-        built_setups, built_lgammas, built_betaincs = list(setups), len(lgammas), len(betaincs)
+        assert setups == [(3.0, None if kind == "q0" else r2, 3.0)]
+        built_setups, built_lgammas = list(setups), len(lgammas)
         built_calls = len(calls)
         monkeypatch.setattr(np, "broadcast_shapes", counting(np.broadcast_shapes, broadcasts))
         predictive_summaries(d)
@@ -454,14 +478,14 @@ class TestRestricted:
         assert len(betas) == 1
         assert broadcasts == []
         assert setups == built_setups
-        # past the build lgamma runs only in log_betainc's prefactor
-        # log B(a, r2), three times a call at these small shapes
-        assert len(lgammas) - built_lgammas == 3 * (len(betaincs) - built_betaincs)
+        # past the build no lgamma runs, not even in log_betainc's
+        # prefactor: its Stirling remainders come from their series, below
+        # shape 8 by way of the recurrence D(z) = D(z+1) + ...
+        assert len(lgammas) == built_lgammas
+        assert set(calls) == {6.0}
         if kind == "q0":
-            assert set(calls) == {6.0}
             assert betaincs == []
         else:
-            assert calls.count(3.0) == 1
             # the continued fraction runs at a non-integer r2 alone
             assert (betaincs.count(3.0) == 1) == (r2 == 2.5) == bool(betaincs)
 
@@ -480,18 +504,30 @@ class TestRestricted:
         # value stays bit for bit what log_*_base computes, -inf at y <= 0
         p = self.problem(x1=x1, x2=x2, r1=r1, r2=r2, rp=rp, window=window)
         q0, q1 = unrestricted_predictive(p), restricted_predictive(p)
-        log_den = pred._log_ordering_probability(x1, x2, r1, r2)
-        kernels = {None: pred._Kernel(r1 + rp), x2: pred._Kernel(r1 + rp, r2)}
+        kernels = {None: pred._Kernel(r1, None, rp), x2: pred._Kernel(r1, r2, rp)}
 
-        def by_parts(y, x2, log_den):
+        def log_stat(kernel):
+            # log B(r', r1) + r' log s plus the ordering term, in this order:
+            # for the sum on s = x1 + x2, log S_r1(x2/s) by Horner's rule
+            if kernel.r2 is None:
+                return log_beta(rp, r1) + rp * np.log(x1)
+            if kernel.coef is None:
+                return log_beta(rp, r1) + rp * np.log(x1) + log_betainc(r1, r2, x1 / (x1 + x2))
+            s = x1 + x2
+            u = x2 / s
+            total = u * kernel.coef_den[-1]
+            for c in kernel.coef_den[-2:0:-1]:
+                total = (total + c) * u
+            return log_beta(rp, r1) + rp * np.log(s) + np.log(total + 1.0)
+
+        def by_parts(y, x2):
             # the kernel, plus the node term, minus the statistics' term
-            # log B(r', r1) + r' log x1 + log I, in this order
             y = np.asarray(y, dtype=float)
             pos = y > 0
             y = np.where(pos, y, 1.0)
             kernel = kernels[x2]
             log_q = kernel(*pred._kernel_input(kernel, y, x1, x2)) + (rp - 1.0) * np.log(y)
-            log_q -= log_beta(rp, r1) + rp * np.log(x1) + log_den
+            log_q -= log_stat(kernel)
             return np.exp(np.where(pos, log_q, -np.inf))
 
         scale = rp * x1 / r1
@@ -501,8 +537,8 @@ class TestRestricted:
             want1 = np.exp(log_restricted_base(y, x1, x2, r1, r2, rp))
             assert np.array_equal(q0.base(y), want0)
             assert np.array_equal(q1.base(y), want1)
-            assert np.array_equal(want0, by_parts(y, None, 0.0))
-            assert np.array_equal(want1, by_parts(y, x2, log_den))
+            assert np.array_equal(want0, by_parts(y, None))
+            assert np.array_equal(want1, by_parts(y, x2))
         assert not q0.base(ys)[[0, 1, -2]].any()
         assert not q1.base(ys)[[0, 1, -2]].any()
         assert q0.base(0.0) == 0.0 == q1.base(0.0)
@@ -513,11 +549,12 @@ class TestRestricted:
         # the kernel reads two work rows at an integer r2 and none
         # otherwise, as its set-up says, and given them it computes what it
         # computes with its own; at the risk engine's block shape, draws by
-        # nodes, where rho = x2/x1 is a column, and at scalar statistics
+        # nodes, where rho = x2/(x1 + x2) is a column, and at scalar
+        # statistics
         y = np.linspace(0.1, 80.0, 40)
         x1 = np.linspace(5.0, 60.0, 8)[:, None]
         x2 = np.linspace(70.0, 3.0, 8)[:, None]
-        kernel = pred._Kernel(6.0, r2)
+        kernel = pred._Kernel(3.0, r2, 3.0)
         assert kernel.rows == (2 if r2 == 3.0 else 0)
         for a, b, shape in ((x1, x2, (8, 40)), (30.0, 40.0, (40,))):
             want = kernel(*pred._kernel_input(kernel, y, a, b))

@@ -130,13 +130,17 @@ class TestLogBetaincOverDomain:
         assert log_betainc(400.0, 250.0, 1.0 / (1.0 + math.exp(30.0))) < -10000.0
 
     def test_integer_sum_agrees_with_continued_fraction(self):
-        # the two methods side by side at integer b: the finite sum, as the
-        # kernel at y = 0 (q1's denominator), and log_betainc's continued
-        # fraction, at x = x1/(x1 + x2) inside (0, 1)
+        # the two methods side by side at integer b: the finite sum of q1's
+        # statistics' term (predictive._Kernel.log_stat), which on the
+        # scale s = x1 + x2 is log I_w(a, b) - a log w with w = x1/s, less
+        # log B(1, a) + log s, and log_betainc's continued fraction, at w
+        # inside (0, 1)
         x1 = np.linspace(0.0, 1.0, 201)[1:-1]
         x2 = 1.0 - x1
-        for a, b in [(6.0, 3), (2.5, 1), (150.0, 40), (0.3, 7)]:
-            by_sum = pred._log_ordering_probability(x1, x2, a, float(b))
+        s = x1 + x2
+        for a, b in [(6.0, 3), (2.5, 2), (150.0, 40), (0.3, 7)]:
+            kernel = pred._Kernel(a, float(b), 1.0)
+            by_sum = kernel.log_stat(x1, x2) - log_beta(1.0, a) - np.log(s) + a * np.log(x1 / s)
             np.testing.assert_allclose(by_sum, log_betainc(a, b, x1 / (x1 + x2)), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("b", [3.0, 2.5])
