@@ -48,9 +48,12 @@ below rounding in every lane.  The mode starts from the grid too: the
 parabola through the log density at the grid argmax and its two
 neighbours tells a mode at a window edge without a density call, the
 quartic through the five values around the argmax gives the start, and
-Newton steps on a five-point derivative, one density call each, finish
-it, on a finite window mostly after one.  No adaptive integrator, root
-finder or optimizer runs.
+Newton steps on a five-point derivative finish it, on a finite window
+mostly after one.  A summary fixes that start before the quantiles'
+first call and samples the first stencil in it, after the levels' rows;
+each further step is a call of five points.  So a summary on a finite
+window mostly costs that one call.  No adaptive integrator, root finder
+or optimizer runs.
 
 ``_gauss_jacobi`` builds the Gauss rule of the weight ``(1+x)^beta`` by
 Golub and Welsch, in numpy alone; the risk's rule (``evaluation``) takes
@@ -305,16 +308,22 @@ class TruncatedDensity:
 
     __call__ = pdf
 
-    def _partial_panel(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integral of ``base`` from lo to each t (t inside the grid), and
-        ``base(t)``, from one call of ``base``: each t rides beside the
+    def _partial_panel(self, t: np.ndarray, extra: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """Integral of ``base`` from lo to each t (t inside the grid),
+        ``base(t)``, and ``base`` at the flat points ``extra`` (None where
+        there are none), from one call of ``base``: each t rides beside the
         Gauss-Legendre nodes of its partial panel, from the grid edge below
-        it up to t."""
+        it up to t, and ``extra`` rides after them."""
         edges = self.grid.edges
         k = np.minimum(np.maximum(edges.searchsorted(t, side="right") - 1, 0), len(edges) - 2)
         y, w = _gauss_panels(edges[k], t)
-        f = np.asarray(self.base(np.concatenate((y, t[..., None]), axis=-1)), dtype=float)
-        return self.grid.cum[k] + np.add.reduce(w * f[..., :-1], axis=-1), f[..., -1]
+        y = np.concatenate((y, t[..., None]), axis=-1)
+        if extra is None:
+            f = np.asarray(self.base(y), dtype=float)
+        else:
+            f = np.asarray(self.base(np.concatenate((y.ravel(), extra))), dtype=float)
+            f, extra = f[: y.size].reshape(y.shape), f[y.size :]
+        return self.grid.cum[k] + np.add.reduce(w * f[..., :-1], axis=-1), f[..., -1], extra
 
     def cdf(self, t):
         """Distribution function at t (scalar or array)."""
@@ -400,8 +409,10 @@ def _newton_start(g: DensityGrid, target: float, k: int, j: int) -> tuple[float,
     return t, left, right, f1 - f0, y1 - y0
 
 
-def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
-    """Quantiles by safeguarded Newton steps on the grid CDF.
+def _quantiles(d: TruncatedDensity, probs: np.ndarray, extra: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Quantiles by safeguarded Newton steps on the grid CDF, and the
+    density at the flat points ``extra``, which ride in the first call
+    (None where there are none).
 
     Each level is one lane of Newton steps in Python floats.  It starts
     inside the panel whose cumulative mass brackets it, from the CDF at the
@@ -433,7 +444,9 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
     target = target.tolist()
     lanes = [list(_newton_start(g, *level)) for level in zip(target, k, j)]
     for n in range(_MAX_STEPS):
-        below, f = d._partial_panel(np.array([lane[0] for lane in lanes]))
+        # the points ``extra`` ride in the first call, and their values replace them
+        below, f, values = d._partial_panel(np.array([lane[0] for lane in lanes]), None if n else extra)
+        extra = extra if n else values
         first, converged = [], []
         for lane, c, b, fy in zip(lanes, target, below.tolist(), f.tolist()):
             t, left, right, df, dy = lane
@@ -461,9 +474,9 @@ def _quantiles(d: TruncatedDensity, probs: np.ndarray) -> np.ndarray:
             converged.append(settled or abs(nxt - t) <= 4.0 * _EPS * abs(nxt))
             lane[:3] = t if settled else nxt, left, right
         if len(first) == len(lanes):
-            return np.array(first)
+            return np.array(first), extra
         if all(converged):
-            return np.array([lane[0] for lane in lanes])
+            return np.array([lane[0] for lane in lanes]), extra
     unconverged = [p for p, ok in zip(probs.tolist(), converged) if not ok]
     raise ConvergenceError(f"quantiles at levels {unconverged} not converged after {_MAX_STEPS} Newton steps")
 
@@ -500,34 +513,29 @@ def _quartic_peak(x: list, v: list, t: float, a: float, b: float, tol: float) ->
     return u
 
 
-def _mode(d: TruncatedDensity) -> float:
-    """Grid argmax over [lo + eps, top - eps], finished by Newton steps.
+def _mode_start(d: TruncatedDensity) -> tuple[float, float, float, float]:
+    """The mode's start from the grid, with no density call: ``(t, h, a,
+    b)``, the start ``t``, the stencil's step ``h`` and the neighbours
+    ``a``, ``b`` its Newton steps stay between (``_mode_steps``), or ``h =
+    0`` where the mode is ``t`` itself, at a window edge or a grid node.
 
-    The window edges stay candidates, sampled ``eps`` inside since the
-    density may be unbounded at ``lo``.  The argmax is taken on the density
-    and the log is taken of only the five values around it.  The parabola
-    through the log density at the argmax and its two neighbours (divided
-    differences on the uneven nodes) tells whether the mode is inside:
-    where it has no maximum between the neighbours, or is infinitely curved
-    because the density is 0 at a neighbour, the mode is the argmax
-    itself, and an edge candidate's is the edge (``lo``, or ``top``, the
-    grid's upper edge): no density call is made.  Otherwise the start is
-    the maximum of the quartic through the five values, found from the
-    parabola's vertex (``_quartic_peak``; the vertex where the quartic has
-    no maximum between the neighbours), and Newton steps on a five-point
-    derivative of the log density, one density call each, stay between the
-    neighbours (one held at an edge candidate is that edge).  The
-    stencil's step ``h = sqrt(_MODE_FLAT / -c)`` comes from the parabola's
-    curvature ``c``; the steps stop once one falls below ``1e-3 h``, and by
-    Newton's quadratic convergence the iterate is then within about 1e-12
-    of the density's width.  On a finite window the quartic's start is
-    mostly that close already, so most interior modes stop after their
-    first call.  The stencil's five values are Python floats.  A density
-    that vanishes somewhere gives a log of -inf there, so the caller
-    ignores division by zero around the whole search.
+    The grid argmax is taken over [lo + eps, top - eps]: the window edges
+    stay candidates, sampled ``eps`` inside since the density may be
+    unbounded at ``lo``.  The argmax is taken on the density and the log
+    is taken of only the five values around it.  The parabola through the
+    log density at the argmax and its two neighbours (divided differences
+    on the uneven nodes) tells whether the mode is inside: where it has no
+    maximum between the neighbours, or is infinitely curved because the
+    density is 0 at a neighbour, the mode is the argmax itself, and an
+    edge candidate's is the edge (``lo``, or ``top``, the grid's upper
+    edge).  Otherwise the start is the maximum of the quartic through the
+    five values, found from the parabola's vertex (``_quartic_peak``; the
+    vertex where the quartic has no maximum between the neighbours), and
+    the stencil's step ``h = sqrt(_MODE_FLAT / -c)`` comes from the
+    parabola's curvature ``c``.  A density that vanishes somewhere gives a
+    log of -inf there, so the caller ignores division by zero.
     """
     g = d.grid
-    top = g.edges[-1]
     lo, hi = g.ends
     y = g.y.ravel()
     # the nodes strictly between the edge candidates: a run of the sorted grid
@@ -546,11 +554,30 @@ def _mode(d: TruncatedDensity) -> float:
     c = ((vb - vm) / (b - m) - slope) / (b - a)
     best = 0.5 * (a + m - slope / c) if -math.inf < c < 0 else a
     if not a < best < b:
-        return float(d.lo if j == 0 else top if j == len(ys) - 1 else ys[j])
+        return float(d.lo if j == 0 else g.edges[-1] if j == len(ys) - 1 else ys[j]), 0.0, a, b
     h = math.sqrt(_MODE_FLAT / -c)
-    best = _quartic_peak(x, v, best, a, b, 1e-3 * h)
-    for _ in range(_MODE_NEWTON):
-        w = np.log(np.asarray(d.base(best + h * _STENCIL), dtype=float)).tolist()
+    return _quartic_peak(x, v, best, a, b, 1e-3 * h), h, a, b
+
+
+def _mode_steps(d: TruncatedDensity, best: float, h: float, a: float, b: float, f: np.ndarray) -> float:
+    """The mode, by Newton steps on a five-point derivative of the log
+    density from ``_mode_start``'s start ``best``, given ``f``, the density
+    at its stencil ``best + h * _STENCIL``; each further step makes one
+    density call.
+
+    The steps stay between the neighbours ``a`` and ``b`` (one held at an
+    edge candidate is that edge) and stop once one falls below ``1e-3 h``;
+    by Newton's quadratic convergence the iterate is then within about
+    1e-12 of the density's width.  On a finite window the quartic's start
+    is mostly that close already, so most interior modes stop after the
+    first stencil.  The stencil's five values are Python floats; the
+    caller ignores division by zero, as for ``_mode_start``.
+    """
+    lo, hi = d.grid.ends
+    for n in range(_MODE_NEWTON):
+        if n:
+            f = d.base(best + h * _STENCIL)
+        w = np.log(np.asarray(f, dtype=float)).tolist()
         grad = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * h)
         curv = (w[1] - 2.0 * w[2] + w[3]) / h**2
         if not (math.isfinite(grad) and curv < 0):
@@ -559,7 +586,14 @@ def _mode(d: TruncatedDensity) -> float:
         best = min(max(best - step, a), b)
         if abs(step) < 1e-3 * h:
             break
-    return float(d.lo if best == lo else top if best == hi else best)
+    return float(d.lo if best == lo else d.grid.edges[-1] if best == hi else best)
+
+
+def _mode(d: TruncatedDensity) -> float:
+    """The mode search alone: ``_mode_start``, then ``_mode_steps`` from a
+    stencil call of its own (none where the mode is at an edge or a node)."""
+    best, h, a, b = _mode_start(d)
+    return _mode_steps(d, best, h, a, b, d.base(best + h * _STENCIL)) if h else best
 
 
 def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
@@ -582,10 +616,12 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
     its neighbours, with both window edges as candidates (sampled by
     ``truncate`` in the grid's own density call), refined on the quartic
     through the five grid values around the argmax, and Newton steps on a
-    five-point derivative take it to about 1e-11 of the density's width
-    (on a finite window mostly one density call; none for a mode at a
-    window edge): over
-    r1 in [1.05, 8], r' in [1.02, 8] and x1 in [e^-4, e^7] it is within
+    five-point derivative take it to about 1e-11 of the density's width.
+    The start needs no density call, and the first step's stencil rides in
+    the quantiles' first call, so on a finite window a summary mostly
+    makes one call in all; each further step makes one more, and a mode
+    at a window edge or a grid node samples no stencil.  Over r1 in
+    [1.05, 8], r' in [1.02, 8] and x1 in [e^-4, e^7] the mode is within
     about 2e-11 of q0's width of the closed form, and on the fixtures within
     2e-10 min of the closed-form (q0) and mpmath (q1) modes.
     """
@@ -598,7 +634,10 @@ def summarize(d: TruncatedDensity, probs=(0.2, 0.5, 0.9)) -> DensitySummary:
         raise DomainError(f"quantile level {bad[0]} outside (0, 1)")
     g = d.grid
     mean = float(np.sum(g.w * g.y * g.f) / d.mass)
-    quantiles = dict(zip(probs.tolist(), _quantiles(d, probs).tolist()))
     with np.errstate(divide="ignore"):
-        mode = _mode(d)
-    return DensitySummary(mode=mode, mean=mean, quantiles=quantiles)
+        best, h, a, b = _mode_start(d)
+    # an interior mode's first stencil rides in the quantile set's first call
+    quantiles, f = _quantiles(d, probs, best + h * _STENCIL if h else None)
+    with np.errstate(divide="ignore"):
+        mode = _mode_steps(d, best, h, a, b, f) if h else best
+    return DensitySummary(mode=mode, mean=mean, quantiles=dict(zip(probs.tolist(), quantiles.tolist())))

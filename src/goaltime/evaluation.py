@@ -96,8 +96,12 @@ matrix-vector product with ``w`` for the mass.
 
 ``prediction_error``, the KL from a truncated truth to one estimate, is a
 weighted sum over the window grid ``distributions.truncate`` sampled the
-truth on, the grid of every window mass and summary; only the estimate is
-evaluated.  The tests check it against adaptive quadrature too.
+truth on, the grid of every window mass and summary.  An estimate built
+by ``truncate`` with the truth's panel edges (any two densities on one
+finite window: its edges depend on the window alone) was sampled on
+those nodes when it was built, so its values are read from its own grid
+with no density call; any other estimate is evaluated at the nodes.  The
+tests check it against adaptive quadrature too.
 
 Risk is deterministic in (seed, samples, parameters): draws come from
 ``numpy.random.default_rng`` (PCG64) on seeds derived via ``SeedSequence``,
@@ -190,10 +194,14 @@ def prediction_error(exact, estimate) -> float:
     ``exact`` is the truncated law of the future waiting time, so the
     estimate is compared where future values can fall.  The sum runs over
     the window grid ``truncate`` sampled ``exact`` on (an infinite window is
-    cut where ``exact`` leaves no relative mass above 2^-60); only
-    ``estimate`` is evaluated.  The integrand is taken as 0 wherever the
-    exact density is below 1e-15, which cannot move the result beyond that
-    level and absorbs underflowed far-tail values.
+    cut where ``exact`` leaves no relative mass above 2^-60).  Where
+    ``estimate`` is a ``TruncatedDensity`` whose grid has ``exact``'s
+    panel edges, bit for bit, its values at the nodes are its own samples,
+    ``grid.f / mass``, the doubles its call would return; any other
+    estimate (a plain callable, or one on (lo, inf), whose probe sets its
+    own edges) is evaluated at the nodes.  The integrand is taken as 0
+    wherever the exact density is below 1e-15, which cannot move the
+    result beyond that level and absorbs underflowed far-tail values.
 
     Raises:
         DomainError: if ``exact`` is not a ``TruncatedDensity``, or the
@@ -208,7 +216,11 @@ def prediction_error(exact, estimate) -> float:
     pv = g.f.ravel() / exact.mass
     keep = pv > _KL_FLOOR
     y, w, pv = g.y.ravel()[keep], g.w.ravel()[keep], pv[keep]
-    qv = np.asarray(estimate(y), dtype=float)
+    if isinstance(estimate, dist.TruncatedDensity) and np.array_equal(estimate.grid.edges, g.edges):
+        # the same grid: the truth's nodes are the estimate's own, sampled when it was built
+        qv = estimate.grid.f.ravel()[keep] / estimate.mass
+    else:
+        qv = np.asarray(estimate(y), dtype=float)
     if np.any(qv <= 0.0):
         raise DivergenceError(
             f"estimate vanishes at y={y[np.argmax(qv <= 0.0)]} where exact is positive"

@@ -51,6 +51,7 @@ for the argument ``x`` or ``z`` and broadcast in the numpy sense.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -73,7 +74,8 @@ def log_betainc(a: float, b: float, x, out=None):
     """log I_x(a, b), the regularized incomplete beta, for finite a, b > 0.
 
     Args:
-        a, b: positive, finite shape parameters.
+        a, b: positive, finite shape parameters, normal doubles (at least
+            ``sys.float_info.min``).
         x: scalar or array in [0, 1].
         out: optional C-contiguous float array of ``x``'s shape for the
             result; it may be ``x`` itself.
@@ -83,10 +85,16 @@ def log_betainc(a: float, b: float, x, out=None):
         scalar input.
 
     Raises:
+        DomainError: if a shape is not finite or not a positive normal
+            double, or ``x`` is outside [0, 1].
         ConvergenceError: if the continued fraction does not converge.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"log_betainc requires finite a, b > 0; got a={a}, b={b}")
+    if min(a, b) < sys.float_info.min:
+        # the prefactor divides by the shape, and its Stirling recurrence takes log1p(1/shape)
+        name, shape = ("a", a) if a < b else ("b", b)
+        raise DomainError(f"log_betainc requires normal shapes, at least {sys.float_info.min}; got {name}={shape}")
     a = float(a)
     b = float(b)
     x = np.asarray(x, dtype=float)

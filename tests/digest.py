@@ -21,8 +21,8 @@ how many density calls the summaries make is checked the same way,
 
 prints, instead of the hashes, the mean density calls per mode, per
 quantile set and per summary (the two together) over the summaries of
-the ``densities`` section, and the share of quantile sets that end after
-one call.
+the ``densities`` section, per summary on its finite windows and on
+(0, inf), and the share of quantile sets that end after one call.
 
 It reads only public names (``goaltime``, the ``log_*_base`` functions
 of ``goaltime.predictive``, ``goaltime.specfun.log_betainc``,
@@ -498,14 +498,21 @@ SECTIONS = {
 }
 
 
+# the mode's five-point stencil, ``distributions._STENCIL``, written out so
+# that the script reads no private name
+STENCIL_POINTS = 5
+
+
 def density_calls() -> str:
     """Mean density calls per mode, per quantile set and per summary of the
-    densities sweep's summaries, and the share of quantile sets that end
-    after one call.  Each density is built again by ``truncate`` around
-    a base that records the shape of each call; ``summarize``'s calls are
-    then told apart by that shape: a quantile step samples its levels as
-    rows, the mode's calls are flat."""
-    counts = []
+    densities sweep's summaries, per summary on the finite windows and on
+    (0, inf), and the share of quantile sets that end after one call.
+    Each density is built again by ``truncate`` around a base that records
+    the shape of each call; ``summarize``'s calls are then told apart by
+    that shape: the mode's own calls are flat, of ``STENCIL_POINTS``
+    points, and every other call is a quantile step, which samples its
+    levels as rows, or flat, with the mode's first stencil after them."""
+    counts, finite = [], []
     for d, _ in _densities():
         if isinstance(d, str):
             continue
@@ -518,14 +525,17 @@ def density_calls() -> str:
         counted = truncate(base, d.lo, d.hi)
         shapes.clear()
         summarize(counted)
-        rows = sum(len(shape) == 2 for shape in shapes)
-        counts.append((len(shapes) - rows, rows))
-    counts = np.array(counts)
+        mode = shapes.count((STENCIL_POINTS,))
+        counts.append((mode, len(shapes) - mode))
+        finite.append(np.isfinite(d.hi))
+    counts, finite = np.array(counts), np.array(finite)
     mode, quantiles = counts.mean(axis=0)
+    per_summary = counts.sum(axis=1)
     one = np.mean(counts[:, 1] == 1)
     return (
         f"density calls over {len(counts)} summaries: {mode:.2f} per mode, "
-        f"{quantiles:.2f} per quantile set (levels 0.2, 0.5, 0.9), {mode + quantiles:.2f} per summary; "
+        f"{quantiles:.2f} per quantile set (levels 0.2, 0.5, 0.9), {mode + quantiles:.2f} per summary "
+        f"({per_summary[finite].mean():.2f} on finite windows, {per_summary[~finite].mean():.2f} on (0, inf)); "
         f"{one:.0%} of quantile sets end after one call"
     )
 

@@ -344,7 +344,7 @@ class TestQuantileNewton:
 
     def assert_few_calls(self, d):
         counted, calls = counting(d)
-        q = dist._quantiles(counted, PROBS)
+        q, _ = dist._quantiles(counted, PROBS)
         assert len(calls) <= self.MAX_CALLS, calls
         # each step samples every lane's iterate beside its partial panel's nodes
         assert set(calls) == {(PROBS.size, dist._GL_ORDER + 1)}
@@ -381,7 +381,7 @@ class TestQuantileNewton:
         )
         d = (restricted_predictive if restricted else unrestricted_predictive)(problem)
         counted, calls = counting(d)
-        q = dist._quantiles(counted, PROBS)
+        q, _ = dist._quantiles(counted, PROBS)
         assert len(calls) <= self.MAX_STEPS
         assert np.all(np.abs(d.cdf(q) - PROBS) <= 1e-10), q
 
@@ -434,13 +434,13 @@ class TestQuantileNewton:
             window=(0.0, hi),
         )
         d = (restricted_predictive if restricted else unrestricted_predictive)(problem)
-        q = dist._quantiles(d, PROBS)
+        q, _ = dist._quantiles(d, PROBS)
         step = (d.cdf(q) - PROBS) / d.pdf(q)
         assert np.all(np.abs(step) <= 4.0 * dist._EPS * q + self.CDF_ROUNDING / d.pdf(q)), step / q
 
     @staticmethod
     def assert_levels_met(d, probs):
-        q = dist._quantiles(d, probs)
+        q, _ = dist._quantiles(d, probs)
         np.testing.assert_allclose(d.cdf(q), probs, rtol=0, atol=1e-14)
         return q
 
@@ -570,7 +570,8 @@ class TestModeEdgeSamples:
 class TestModeCalls:
     """The mode starts from the window grid: on the fixture's densities, one
     density call for a mode inside a finite window and at most one (none,
-    since the grid's parabola tells the edge) for a mode at a window edge."""
+    since the grid's parabola tells the edge) for a mode at a window edge.
+    In a summary that one call is the quantile set's first."""
 
     @staticmethod
     def fixture_problem(rp=3.0, window=(0.0, 60.0), x1=None):
@@ -611,9 +612,40 @@ class TestModeCalls:
     )
     def test_edge_mode(self, rp, window, x1, edge):
         for build in (unrestricted_predictive, restricted_predictive):
-            mode, calls = self.mode_calls(build(self.fixture_problem(rp, window, x1)))
+            d = build(self.fixture_problem(rp, window, x1))
+            mode, calls = self.mode_calls(d)
             assert mode == edge
             assert len(calls) <= 1, calls
+            # nor does a summary's quantile set sample a stencil for it
+            counted, calls = counting(d)
+            assert summarize(counted, PROBS).mode == edge
+            assert calls and set(calls) == {(PROBS.size, dist._GL_ORDER + 1)}, calls
+
+    @pytest.mark.parametrize("window", [(0.0, 60.0), (5.0, 45.0)])
+    def test_summary_of_an_interior_mode_in_one_call(self, window):
+        # the mode's first stencil rides, flat, after the quantile rows in
+        # the set's first call, and both sets end there
+        for build in (unrestricted_predictive, restricted_predictive):
+            d = build(self.fixture_problem(window=window))
+            counted, calls = counting(d)
+            s = summarize(counted, PROBS)
+            assert calls == [(PROBS.size * (dist._GL_ORDER + 1) + dist._STENCIL.size,)]
+            assert window[0] < s.mode < window[1]
+            assert s.mode == self.mode_calls(d)[0]
+            assert list(s.quantiles.values()) == dist._quantiles(d, PROBS)[0].tolist()
+
+    def test_summaries_as_from_calls_of_their_own(self):
+        # every summary's mode and quantiles are bit-identical to those of
+        # the mode search and the quantile loop run alone, over the
+        # statistics and windows of tests/digest.py
+        import digest
+
+        for d, _ in digest._densities():
+            if isinstance(d, str):
+                continue
+            s = summarize(d, PROBS)
+            assert s.mode == self.mode_calls(d)[0]
+            assert list(s.quantiles.values()) == dist._quantiles(d, PROBS)[0].tolist()
 
 
 class TestPdfContract:

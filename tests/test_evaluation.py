@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -163,6 +164,76 @@ class TestPredictionError:
         pe1 = prediction_error(truth, q1)
         assert pe1 < pe0
         assert pe1 == pytest.approx(0.04, abs=0.1)
+
+
+def counting(d):
+    """``d`` with its density wrapped to record each call, and the record."""
+    calls = []
+
+    def base(y):
+        calls.append(np.shape(y))
+        return d.base(y)
+
+    return dataclasses.replace(d, base=base), calls
+
+
+class TestEstimateOnTheTruthsGrid:
+    """Where an estimate's grid has the truth's edges, its values at the
+    truth's nodes are its own samples: no call, and the same double."""
+
+    @staticmethod
+    def estimates(window):
+        # the bundled fixture's statistics
+        a, b = SufficientStat(35.8482, 3.0), SufficientStat(39.066315789473684, 3.0)
+        p = PredictionProblem(obs_a=a, obs_b=b, r_prime=3.0, window=window)
+        return unrestricted_predictive(p), restricted_predictive(p)
+
+    @pytest.mark.parametrize("window", [(0.0, 60.0), (5.0, 45.0)])
+    def test_no_call_on_a_shared_finite_window(self, window):
+        truth = truncate(lambda y: gamma_pdf(TRUTH, y), *window)
+        for est in self.estimates(window):
+            counted, calls = counting(est)
+            kl = prediction_error(truth, counted)
+            assert calls == []
+            assert kl == prediction_error(truth, lambda y: est(y))
+
+    @pytest.mark.parametrize(
+        "truth_window, window",
+        [((0.0, np.inf), (0.0, np.inf)), ((0.0, 60.0), (0.0, np.inf)), ((5.0, 45.0), (5.0, np.inf))],
+    )
+    def test_called_on_a_grid_of_its_own(self, truth_window, window):
+        # on (lo, inf) the estimate's probe sets its own grid
+        truth = truncate(lambda y: gamma_pdf(TRUTH, y), *truth_window)
+        kept = int(np.sum(truth.grid.f / truth.mass > 1e-15))
+        for est in self.estimates(window):
+            counted, calls = counting(est)
+            kl = prediction_error(truth, counted)
+            assert calls == [(kept,)]
+            assert kl == prediction_error(truth, lambda y: est(y))
+
+    def test_estimate_of_zero_on_the_shared_grid(self):
+        # the kept nodes and the error for a sample of 0, as from a call
+        truth = truncate(lambda y: gamma_pdf(TRUTH, y), 0.0, 60.0)
+        cliff = truncate(lambda y: np.where(np.asarray(y) < 30.0, gamma_pdf(TRUTH, y), 0.0), 0.0, 60.0)
+        with pytest.raises(DivergenceError) as called:
+            prediction_error(truth, lambda y: cliff(y))
+        with pytest.raises(DivergenceError, match="estimate vanishes at y=") as sampled:
+            prediction_error(truth, cliff)
+        assert str(sampled.value) == str(called.value)
+
+    def test_same_double_as_from_a_call(self):
+        # over the statistics and windows of tests/digest.py
+        import digest
+
+        for (r1, r2, rp), x1, x2 in digest._statistics():
+            for window in digest.WINDOWS:
+                truth = truncate(lambda y: gamma_pdf(GammaModel(rp, 12.0), y), *window)
+                p = PredictionProblem(
+                    obs_a=SufficientStat(x1, r1), obs_b=SufficientStat(x2, r2), r_prime=rp, window=window
+                )
+                for build in (unrestricted_predictive, restricted_predictive):
+                    est = build(p)
+                    assert prediction_error(truth, est) == prediction_error(truth, lambda y: est(y))
 
 
 class TestUnrestrictedRiskClosedForm:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -54,6 +55,17 @@ class TestRegIncBeta:
         # up front, not after the continued fraction's last step
         with pytest.raises(DomainError):
             log_betainc(a, b, x)
+
+    @pytest.mark.parametrize(
+        "a, b, name", [(1e-310, 2.0, "a=1e-310"), (5e-324, 2.0, "a=5e-324"), (2.0, 1e-310, "b=1e-310")]
+    )
+    def test_subnormal_shape_is_a_domain_error(self, a, b, name):
+        # the prefactor divides by the shape and would read NaN
+        with pytest.raises(DomainError, match=name):
+            log_betainc(a, b, 0.5)
+
+    def test_smallest_normal_shape(self):
+        assert log_betainc(sys.float_info.min, 2.0, 0.5) == -4.297667423083557e-309
 
     def test_underflow_region_against_mpmath(self):
         # scipy's betainc underflows here; log_betainc works in log space throughout
